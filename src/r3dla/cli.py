@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from . import __version__, uisa, skeleton, fetchq, engine
+from . import __version__, uisa, skeleton, fetchq, engine, recycle
 from .memsys import CacheConfig
 from .engine import CoreParams, DlaParams, Features
 
@@ -65,6 +65,11 @@ TOP_KEYS = {"workload", "core", "cache", "engine", "dla", "features",
             "name"}
 
 
+def _check_version(v, path: str) -> None:
+    if not isinstance(v, int) or not 0 <= v < skeleton.NUM_VERSIONS:
+        _fail(path, f"must be an integer in 0..{skeleton.NUM_VERSIONS - 1}")
+
+
 def validate_config(cfg: dict) -> dict:
     _expect(cfg, "<config>")
     _check_keys(cfg, "", TOP_KEYS)
@@ -78,13 +83,21 @@ def validate_config(cfg: dict) -> dict:
             _fail("workload.kind",
                   f"unknown generator {kind!r}; one of {sorted(uisa._GENERATORS)}")
         _expect(wl.get("params", {}), "workload.params")
+    feats = _expect(cfg.get("features", {}), "features")
+    if feats.get("recycle", "off") not in recycle.MODES:
+        _fail("features.recycle", f"expected one of {recycle.MODES}, "
+                                  f"got {feats['recycle']!r}")
+    static = _expect(feats.get("static_versions", {}),
+                     "features.static_versions")
+    for loop_pc, v in static.items():
+        _check_version(v, f"features.static_versions.{loop_pc}")
     for section, cls in (("core", CoreParams), ("dla", DlaParams),
                          ("features", Features)):
         if section in cfg:
             d = _expect(cfg[section], section)
             try:
                 cls.from_dict(d)
-            except TypeError as e:
+            except (TypeError, ValueError) as e:
                 _fail(section, str(e))
     if "cache" in cfg:
         try:
@@ -97,9 +110,7 @@ def validate_config(cfg: dict) -> dict:
     limit = cfg.get("limit", 10_000_000)
     if not isinstance(limit, int) or limit <= 0:
         _fail("limit", "must be a positive integer")
-    version = cfg.get("version", 0)
-    if not isinstance(version, int) or not (0 <= version < 6):
-        _fail("version", "must be an integer in 0..5")
+    _check_version(cfg.get("version", 0), "version")
     mode = cfg.get("mode", "normal")
     if mode not in ("normal", "ideal_fetch", "ideal_backend"):
         _fail("mode", f"unknown mode {mode!r}")
@@ -141,12 +152,10 @@ def run_config(cfg: dict) -> engine.RunStats:
         skel = skeleton.load_skeleton(sk_cfg["path"], prog)
     else:
         skel = skeleton.build(prog, cache_config=cache)
-    prof = skeleton.profile(prog, cache_config=cache)
-    bd = engine.bias_directions(skel, prof)
     feats = Features.from_dict(cfg["features"]) if "features" in cfg else None
     dla = DlaParams.from_dict(cfg["dla"]) if "dla" in cfg else None
     return engine.run_dla(prog, skel, dla=dla, features=feats,
-                          version=cfg.get("version", 0), bias_dirs=bd, **common)
+                          version=cfg.get("version", 0), **common)
 
 
 def make_report(cfg: dict, stats: engine.RunStats) -> dict:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 from . import uisa
 from .memsys import MemorySystem, CacheConfig, MT, LT
-from .skeleton import SkeletonMask, SkeletonSet, ProfileStats
+from .skeleton import SkeletonSet
 from .t1 import T1Table, LatencyEstimator
 from .vreuse import ValueReuseUnit
 from .recycle import LoopTracker, RecycleController
@@ -145,12 +145,13 @@ class LookaheadStream:
     state mark the stream stuck; the engine reboots it.
     """
 
-    def __init__(self, program: uisa.StaticProgram, mask: SkeletonMask,
-                 state: uisa.ArchState, bias_dirs: dict[int, bool]):
+    def __init__(self, program: uisa.StaticProgram, skel: SkeletonSet,
+                 version: int, state: uisa.ArchState):
+        mask = skel.versions[version]
         self.program = program
         self.bits = mask.bits
         self.converted = mask.converted_branches
-        self.bias_dirs = bias_dirs
+        self.bias_dirs = skel.bias_dirs
         self.state = state
         self.recs: dict[int, tuple] = {}
         self.next = 0
@@ -181,7 +182,7 @@ class LookaheadStream:
                 break
             self.walked += 1
             if pc in converted:
-                taken = self.bias_dirs.get(pc, True)
+                taken = self.bias_dirs[pc]
                 state.pc = ins.target if taken else pc + 1
                 recs[self.next] = (ins, None, None, taken, None)
                 self.next += 1
@@ -283,7 +284,6 @@ class _Core:
         self.predictor = TwoBitPredictor()
         self.btb: set[int] = set()
         self.boq_done_idx = -1
-        self.converted: frozenset = frozenset()
         self.last_fetched = 0
         self.last_dispatched = 0
         self.boq_starved_at = -1
@@ -426,7 +426,7 @@ class _Core:
                     elif idx in self.pending_flags:
                         self.wait_resolution = idx
                         stop = True
-                elif self.role == "lt" and ins.index in self.converted:
+                elif self.role == "lt" and ins.index in self.stream.converted:
                     pass    # statically predicted: never a redirect
                 else:
                     pred = self.predictor.predict(ins.index)
@@ -485,7 +485,6 @@ class Engine:
                  dla: DlaParams | None = None,
                  features: Features | None = None,
                  version: int = 0,
-                 bias_dirs: dict[int, bool] | None = None,
                  limit: int = 10_000_000,
                  max_cycles: int = 200_000_000,
                  mode: str = "normal",
@@ -537,14 +536,11 @@ class Engine:
 
         self.lt = None
         if self.dla_on:
-            self.bias_dirs = bias_dirs or {}
             self.version = version
-            self.mask = skel.versions[version]
             self.s_bits = skel.s_bits
             self.lt_stream = LookaheadStream(
-                program, self.mask, uisa.ArchState.initial(program), self.bias_dirs)
+                program, skel, version, uisa.ArchState.initial(program))
             self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt", self)
-            self.lt.converted = self.mask.converted_branches
             self.vru = ValueReuseUnit()
             self.t1 = T1Table()
             self.lat_est = LatencyEstimator(default=float(self.mem.cfg.cold_latency()))
@@ -552,7 +548,7 @@ class Engine:
                 mode=self.features.recycle,
                 static_map=self.features.static_versions)
             self.lt_total_committed = 0
-            self.fn_counts = {"prefetch": 0, "reuse": 0, "target": 0}
+            self.fn_counts = {"prefetch": 0, "reuse": 0}
             self.boq_occ = [0] * (self.dla.boq_capacity + 1)
         self.fb_occ = [0] * (self.mt.fb_cap + 1)
 
@@ -612,8 +608,6 @@ class Engine:
                             and self._corrupt.random() < self.corrupt_rate):
                         value ^= 1   # fault injection for replay testing
                     self.predictions[branch_idx + off] = (pc, dst, value)
-            elif kind == "target":
-                self.mt.btb.add(fn[1])
 
     def on_mt_load(self, core: _Core, ins, rec, res, start: int, now: int) -> None:
         pc = ins.index
@@ -728,7 +722,6 @@ class Engine:
 
     def request_swap(self, version: int, now: int) -> None:
         self.version = version
-        self.mask = self.skel.versions[version]
         self.stats.version_swaps += 1
         self._reboot(now, "version_swap")
 
@@ -738,10 +731,9 @@ class Engine:
             self.stats.reboot_reasons.get(reason, 0) + 1
         restart_idx = self.mt_stream.next
         self.lt_stream = LookaheadStream(
-            self.program, self.mask, self.mt_stream.state.clone(), self.bias_dirs)
+            self.program, self.skel, self.version, self.mt_stream.state.clone())
         lt = self.lt
         lt.stream = self.lt_stream
-        lt.converted = self.mask.converted_branches
         lt.window.clear()
         lt.fetch_buffer.clear()
         lt.fetch_idx = 0
@@ -793,8 +785,9 @@ class Engine:
                 h[n] = h.get(n, 0) + 1
             if dla:
                 # queue depth law: pushes minus pops since the last flush
-                assert self.boq_pushed - self.boq_popped == len(self.boq), \
-                    "branch outcome queue depth accounting broke"
+                if self.boq_pushed - self.boq_popped != len(self.boq):
+                    raise EngineError(f"branch outcome queue depth "
+                                      f"accounting broke at cycle {cycle}")
                 self.boq_occ[len(self.boq)] += 1
                 for at, reason in self.pending_reboots:
                     if cycle >= at:
@@ -860,16 +853,6 @@ class Engine:
 # ---------------------------------------------------------------------------
 # front doors
 
-def bias_directions(skel: SkeletonSet, prof: ProfileStats) -> dict[int, bool]:
-    """Majority direction for every branch any version converts."""
-    dirs: dict[int, bool] = {}
-    for m in skel.versions:
-        for pc in m.converted_branches:
-            p = prof.per_pc.get(pc)
-            dirs[pc] = p.branch_bias >= 0.5 if p is not None else True
-    return dirs
-
-
 def run_baseline(program: uisa.StaticProgram, params: CoreParams | None = None,
                  cache_config: CacheConfig | None = None,
                  limit: int = 10_000_000, max_cycles: int = 200_000_000,
@@ -884,14 +867,14 @@ def run_dla(program: uisa.StaticProgram, skel: SkeletonSet,
             params: CoreParams | None = None,
             cache_config: CacheConfig | None = None,
             dla: DlaParams | None = None, features: Features | None = None,
-            version: int = 0, bias_dirs: dict[int, bool] | None = None,
+            version: int = 0,
             limit: int = 10_000_000, max_cycles: int = 200_000_000,
             track_pcs: frozenset | None = None, track_warmup: int = 500,
             commit_log: list | None = None,
             corrupt_rate: float = 0.0, corrupt_seed: int = 0) -> RunStats:
     eng = Engine(program, params=params, cache_config=cache_config, skel=skel,
                  dla=dla, features=features, version=version,
-                 bias_dirs=bias_dirs, limit=limit, max_cycles=max_cycles,
+                 limit=limit, max_cycles=max_cycles,
                  track_pcs=track_pcs, track_warmup=track_warmup,
                  commit_log=commit_log,
                  corrupt_rate=corrupt_rate, corrupt_seed=corrupt_seed)

@@ -14,11 +14,10 @@ remaining latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MT = "MT"
 LT = "LT"
-LEVELS = ("L1", "L2", "L3", "DRAM")
 
 
 class MemError(Exception):
@@ -83,7 +82,6 @@ class Cache:
         self.n_sets = cfg.size // (cfg.line * cfg.assoc)
         self.sets: list[dict] = [dict() for _ in range(self.n_sets)]  # tag -> stamp
         self.pref_lines: list[set] = [set() for _ in range(self.n_sets)]
-        self.dirty: list[set] = [set() for _ in range(self.n_sets)]
         self.stamp = 0
         self.accesses = 0
         self.misses = 0
@@ -114,26 +112,17 @@ class Cache:
             victim = min(s, key=s.get)
             del s[victim]
             self.pref_lines[si].discard(victim)
-            self.dirty[si].discard(victim)
         self.stamp += 1
         s[line_addr] = self.stamp
         if prefetched:
             self.pref_lines[si].add(line_addr)
 
-    def mark_dirty(self, line_addr: int) -> None:
-        self.dirty[line_addr % self.n_sets].add(line_addr)
-
 
 @dataclass
 class LevelStats:
-    accesses: int = 0
-    misses: int = 0
     prefetch_issued: int = 0
     prefetch_useful: int = 0
     prefetch_late: int = 0
-
-    def mpki(self, instructions: int) -> float:
-        return 1000.0 * self.misses / max(1, instructions)
 
 
 class MemorySystem:
@@ -148,7 +137,6 @@ class MemorySystem:
         self.in_flight: dict[tuple, tuple[int, bool]] = {}  # (mode,line) -> (ready, is_pref)
         self.traffic_lines = 0
         self.pf_stats = LevelStats()  # prefetch counters, aggregated
-        self._line_stats = {lvl: LevelStats() for lvl in LEVELS}
 
     # -- core operation ----------------------------------------------------
 
@@ -189,8 +177,6 @@ class MemorySystem:
                     self.in_flight[key] = (ready, False)
                 l1.accesses += 1
                 l1.misses += 1
-                if kind == "store":
-                    l1.mark_dirty(line_addr)
                 return AccessResult(max(1, ready - now), "DRAM", was_pref,
                                     merged=True)
             else:
@@ -205,8 +191,6 @@ class MemorySystem:
                 was_pref = True
             else:
                 was_pref = False
-            if kind == "store":
-                l1.mark_dirty(line_addr)
             return AccessResult(lat, hit, was_pref)
 
         was_pref = False
@@ -232,8 +216,6 @@ class MemorySystem:
                 self.l3.fill(line_addr, prefetched=(kind == "prefetch"))
             l2.fill(line_addr, prefetched=(kind == "prefetch"))
         l1.fill(line_addr, prefetched=(kind == "prefetch"))
-        if kind == "store":
-            l1.mark_dirty(line_addr)
         # only real fills occupy miss-status registers; L1 hits never do
         if hit != "L1":
             if demand and len(self.in_flight) < self.cfg.mshr:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .skeleton import NUM_VERSIONS
+
 UNIT_INSTRUCTIONS = 10_000
 LCT_CAPACITY = 16
-NUM_VERSIONS = 6
+MODES = ("off", "static", "dynamic")
 
 
 @dataclass
@@ -141,20 +143,15 @@ class RecycleController:
     """
 
     def __init__(self, mode: str = "dynamic", default_version: int = 0,
-                 static_map: dict[int, int] | None = None,
-                 unit_instructions: int = UNIT_INSTRUCTIONS,
-                 num_versions: int = NUM_VERSIONS):
-        if mode not in ("off", "static", "dynamic"):
+                 static_map: dict[int, int] | None = None):
+        if mode not in MODES:
             raise ValueError(f"unknown recycle mode {mode!r}")
         self.mode = mode
         self.default_version = default_version
         self.static_map = dict(static_map or {})
-        self.unit_instructions = unit_instructions
-        self.num_versions = num_versions
         self.lct = LoopConfigTable()
         self.state: dict[int, _CycleState] = {}
         self.measurements: list[Measurement] = []
-        self.swaps_requested = 0
 
     # -- loop lifecycle ------------------------------------------------------
 
@@ -183,26 +180,24 @@ class RecycleController:
         if st is None or st.measuring is None or st.chosen is not None:
             return None
         instrs = committed - st.unit_start_instr
-        if instrs < self.unit_instructions:
+        if instrs < UNIT_INSTRUCTIONS:
             return None
         cycles = max(1, cycle - st.unit_start_cycle)
         ipc = instrs / cycles
         st.samples[st.measuring] = ipc
         self.measurements.append(Measurement(loop_pc, st.measuring, ipc,
                                              instrs, cycles))
-        if len(st.samples) >= self.num_versions:
+        if len(st.samples) >= NUM_VERSIONS:
             # best IPC wins; ties break toward the lowest version id
             best = min(sorted(st.samples),
                        key=lambda v: (-st.samples[v], v))
             st.chosen = best
             st.measuring = None
             self.lct.put(loop_pc, best)
-            self.swaps_requested += 1
             return best
         st.measuring = self._next_unmeasured(st)
         st.unit_start_instr = committed
         st.unit_start_cycle = cycle
-        self.swaps_requested += 1
         return st.measuring
 
     def on_exit(self, loop_pc: int) -> None:
@@ -213,7 +208,7 @@ class RecycleController:
             st.measuring = None
 
     def _next_unmeasured(self, st: _CycleState) -> int:
-        for v in range(self.num_versions):
+        for v in range(NUM_VERSIONS):
             if v not in st.samples:
                 return v
         return 0

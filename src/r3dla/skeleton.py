@@ -179,7 +179,7 @@ class SkeletonMask:
     def __contains__(self, pc: int) -> bool:
         return pc in self.bits
 
-    def to_hex(self, n: int) -> str:
+    def to_hex(self) -> str:
         v = 0
         for b in self.bits:
             v |= 1 << b
@@ -202,9 +202,18 @@ class SkeletonMask:
 class SkeletonSet:
     versions: list[SkeletonMask]
     s_bits: frozenset[int]
+    # profiled majority direction (True = taken) of each converted branch
+    bias_dirs: dict[int, bool] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert len(self.versions) == NUM_VERSIONS
+        if len(self.versions) != NUM_VERSIONS:
+            raise uisa.UisaError(f"a skeleton has {NUM_VERSIONS} versions, "
+                                 f"got {len(self.versions)}")
+        converted = set().union(*(m.converted_branches for m in self.versions))
+        missing = converted - self.bias_dirs.keys()
+        if missing:
+            raise uisa.UisaError(
+                f"converted branches {sorted(missing)} have no bias direction")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,11 @@ def gen_skeleton_versions(program: uisa.StaticProgram, prof: ProfileStats,
     v4: v0 with biased-branch conversion
     v5: control + L2 targets only
 
-    Strided (S-bit) instructions are excluded from every seed set except v3.
+    v5 is the same recipe as v1 (``ctrl | l2``), so it always closes to the
+    same mask; it is kept only so that version ids stay stable.  Strided
+    (S-bit) instructions are excluded from every seed set except v3.  The
+    profile also gives ``bias_dirs``, the majority direction of each branch
+    that v4 converts.
     """
     seeds = select_seeds(program, prof, bias_threshold)
     reaching = reaching_producers(program)
@@ -354,7 +367,9 @@ def gen_skeleton_versions(program: uisa.StaticProgram, prof: ProfileStats,
         close(v0_seeds, 4, converted=seeds.biased_branch_conversions),
         close(ctrl | l2, 5),
     ]
-    return SkeletonSet(versions=versions, s_bits=s_bits)
+    directions = {pc: prof.per_pc[pc].branch_bias >= 0.5
+                  for pc in seeds.biased_branch_conversions}
+    return SkeletonSet(versions, s_bits, directions)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +380,12 @@ def program_hash(program: uisa.StaticProgram) -> str:
 
 
 def save_skeleton(skel: SkeletonSet, program: uisa.StaticProgram, path) -> None:
-    n = len(program.instrs)
     doc = {
         "program_hash": program_hash(program),
-        "versions": [m.to_hex(n) for m in skel.versions],
+        "versions": [m.to_hex() for m in skel.versions],
         "converted_branches": [sorted(m.converted_branches) for m in skel.versions],
         "s_bits": sorted(skel.s_bits),
+        "bias_dirs": {str(pc): d for pc, d in sorted(skel.bias_dirs.items())},
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
@@ -381,12 +396,16 @@ def load_skeleton(path, program: uisa.StaticProgram | None = None) -> SkeletonSe
         doc = json.load(f)
     if program is not None and doc["program_hash"] != program_hash(program):
         raise uisa.UisaError("skeleton file does not match program")
+    if "bias_dirs" not in doc:
+        raise uisa.UisaError(
+            "skeleton file has no bias_dirs; rebuild it with skel build")
     versions = [
         SkeletonMask(version_id=i, bits=SkeletonMask.bits_from_hex(h),
                      converted_branches=frozenset(conv))
         for i, (h, conv) in enumerate(zip(doc["versions"], doc["converted_branches"]))
     ]
-    return SkeletonSet(versions=versions, s_bits=frozenset(doc["s_bits"]))
+    directions = {int(pc): d for pc, d in doc["bias_dirs"].items()}
+    return SkeletonSet(versions, frozenset(doc["s_bits"]), directions)
 
 
 def build(program: uisa.StaticProgram, train_limit: int = 200_000,

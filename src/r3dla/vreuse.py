@@ -14,7 +14,7 @@ treats them as value predictions.  Two pieces live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BLOOM_BITS = 1024
 BLOOM_HASHES = 2
@@ -98,10 +98,6 @@ class Scoreboard:
         if dst is not None:
             self.bits[dst] = False
         return "normal"
-
-    def set(self, reg: int, value: bool) -> None:
-        if reg is not None:
-            self.bits[reg] = value
 
 
 @dataclass

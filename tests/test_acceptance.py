@@ -167,8 +167,8 @@ def test_criterion_04_engine_vs_model():
 # -- 5: BOQ depth law over >= 10^7 instructions ----------------------------------
 
 def test_criterion_05_boq_depth_law():
-    # the law is a hard assert checked every cycle inside Engine.run; this
-    # test simply drives enough decoupled execution through it
+    # Engine.run checks the law every cycle and raises EngineError if it
+    # breaks; this test simply drives enough decoupled execution through it
     total = 0
     runs = [
         (uisa.gen_strided_loop(stride=8, iters=1_900_000),
@@ -182,9 +182,7 @@ def test_criterion_05_boq_depth_law():
     ]
     for prog, feats in runs:
         skel = skeleton.build(prog)
-        prof = skeleton.profile(prog)
-        bd = engine.bias_directions(skel, prof)
-        st = engine.run_dla(prog, skel, features=feats, bias_dirs=bd)
+        st = engine.run_dla(prog, skel, features=feats)
         total += st.instructions
     report(5, total >= 10 ** 7,
            f"depth law asserted every cycle over {total} instructions")
@@ -204,14 +202,12 @@ def test_criterion_06_firewall_fuzz():
     prepped = []
     for prog in progs:
         skel = skeleton.build(prog)
-        prof = skeleton.profile(prog)
-        bd = engine.bias_directions(skel, prof)
         ref = reference_trace(prog, limit)
-        prepped.append((prog, skel, bd, ref))
+        prepped.append((prog, skel, ref))
 
     rng = random.Random(777)
     for cfg_no in range(50):
-        prog, skel, bd, ref = prepped[cfg_no % len(prepped)]
+        prog, skel, ref = prepped[cfg_no % len(prepped)]
         feats = Features(
             t1=rng.random() < 0.5,
             value_reuse=rng.random() < 0.5,
@@ -223,7 +219,7 @@ def test_criterion_06_firewall_fuzz():
         corrupt = rng.choice((0.0, 0.02, 0.05))
         log = []
         engine.run_dla(prog, skel, features=feats, version=version,
-                       bias_dirs=bd, limit=limit, commit_log=log,
+                       limit=limit, commit_log=log,
                        corrupt_rate=corrupt, corrupt_seed=cfg_no)
         assert log == ref[:len(log)] and len(log) == len(ref), \
             f"fuzz config {cfg_no} diverged (version={version}, {feats})"
@@ -383,10 +379,7 @@ def test_criterion_09_value_reuse():
 def test_criterion_10_recycle_convergence():
     prog = uisa.gen_mixed_phases(phase_iters=3000, outer=8)
     skel = skeleton.build(prog)
-    prof = skeleton.profile(prog)
-    bd = engine.bias_directions(skel, prof)
-    eng = Engine(prog, skel=skel, features=Features(recycle="dynamic"),
-                 bias_dirs=bd)
+    eng = Engine(prog, skel=skel, features=Features(recycle="dynamic"))
     eng.run()
     rec = eng.recycler
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from r3dla import cli
+from r3dla import cli, skeleton
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -70,6 +70,21 @@ def test_bad_nested_field_path(tmp_path, capsys):
 def test_bad_version_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(version=9))
     assert cli.sim_main(["run", "--config", cfg]) == 2
+
+
+def test_bad_recycle_mode_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    base_cfg(engine="dla", features={"recycle": "banana"}))
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert "features.recycle" in capsys.readouterr().err
+
+
+def test_bad_static_version_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "workload": {"kind": "mixed_phases"}, "engine": "dla",
+        "features": {"recycle": "static", "static_versions": {"7": 9}}})
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert "features.static_versions" in capsys.readouterr().err
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -180,6 +195,32 @@ def test_run_with_prebuilt_skeleton(tmp_path):
     out = tmp_path / "rep.json"
     assert cli.sim_main(["run", "--config", cfg2, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["stats"]["lt_walked"] > 0
+
+
+def count_profiles(monkeypatch):
+    calls = []
+    real = skeleton.profile
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+    monkeypatch.setattr(skeleton, "profile", counted)
+    return calls
+
+
+def test_dla_run_profiles_once(monkeypatch):
+    calls = count_profiles(monkeypatch)
+    cli.run_config(base_cfg(engine="dla"))
+    assert len(calls) == 1
+
+
+def test_run_from_skeleton_file_does_not_profile(tmp_path, monkeypatch):
+    prog = cli.build_workload(base_cfg())
+    path = tmp_path / "skel.json"
+    skeleton.save_skeleton(skeleton.build(prog), prog, path)
+    calls = count_profiles(monkeypatch)
+    cli.run_config(base_cfg(engine="dla", skeleton={"path": str(path)}))
+    assert calls == []
 
 
 def test_fetchq_harvest_then_analyze(tmp_path):

@@ -128,17 +128,24 @@ def test_biased_branch_divergence_reboots():
     # (loop exit) must be caught by the BOQ compare and trigger a reboot
     prog = uisa.gen_mixed_phases(phase_iters=1500, outer=2)
     skel = skeleton.build(prog)
-    prof = skeleton.profile(prog)
-    bd = engine.bias_directions(skel, prof)
     conv = skel.versions[4].converted_branches
     if not conv:
         pytest.skip("no branch crossed the bias threshold")
     ref = reference_trace(prog, 10 ** 6)
     log = []
-    st = engine.run_dla(prog, skel, version=4, bias_dirs=bd, commit_log=log)
+    st = engine.run_dla(prog, skel, version=4, commit_log=log)
     assert log == ref
     assert st.boq_mispredicts > 0
     assert st.reboots > 0
+
+
+def test_boq_depth_law_raises():
+    # a real check, not an assert: it holds under python -O too
+    prog = uisa.gen_branchy(iters=300)
+    eng = Engine(prog, skel=skeleton.build(prog))
+    eng.boq_pushed += 1         # a push the queue never saw
+    with pytest.raises(EngineError, match="depth accounting broke at cycle 1"):
+        eng.run()
 
 
 def test_reboot_flushes_queues():

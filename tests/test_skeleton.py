@@ -1,5 +1,6 @@
 """Skeleton tests: profiling, seed selection, backward closure vs an oracle."""
 
+import json
 import random
 
 import pytest
@@ -162,13 +163,38 @@ def test_s_bits_excluded_except_v3():
 
 
 def test_save_load_round_trip(tmp_path):
-    prog = uisa.gen_branchy(iters=200, streams=2)
-    skel = skeleton.build(prog)
     path = tmp_path / "skel.json"
-    skeleton.save_skeleton(skel, prog, path)
-    again = skeleton.load_skeleton(path, prog)
-    assert [m.bits for m in again.versions] == [m.bits for m in skel.versions]
-    assert again.s_bits == skel.s_bits
+    for prog in (uisa.gen_branchy(iters=200, streams=2),            # none converted
+                 uisa.gen_mixed_phases(phase_iters=300, outer=1)):  # a not-taken bias
+        skel = skeleton.build(prog)
+        skeleton.save_skeleton(skel, prog, path)
+        again = skeleton.load_skeleton(path, prog)
+        assert [m.bits for m in again.versions] == [m.bits for m in skel.versions]
+        assert ([m.converted_branches for m in again.versions]
+                == [m.converted_branches for m in skel.versions])
+        assert again.s_bits == skel.s_bits
+        assert again.bias_dirs == skel.bias_dirs
+    assert False in again.bias_dirs.values()
+
+
+def test_load_rejects_file_without_bias_dirs(tmp_path):
+    prog = uisa.gen_branchy(iters=200, streams=2)
+    path = tmp_path / "skel.json"
+    skeleton.save_skeleton(skeleton.build(prog), prog, path)
+    doc = json.loads(path.read_text())
+    del doc["bias_dirs"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(uisa.UisaError, match="bias_dirs"):
+        skeleton.load_skeleton(path, prog)
+
+
+def test_skeleton_set_checks_its_contents():
+    mask = skeleton.SkeletonMask(0, frozenset({0}))
+    with pytest.raises(uisa.UisaError, match="versions"):
+        skeleton.SkeletonSet(versions=[mask] * 5, s_bits=frozenset())
+    conv = skeleton.SkeletonMask(4, frozenset({0}), converted_branches=frozenset({3}))
+    with pytest.raises(uisa.UisaError, match="bias direction"):
+        skeleton.SkeletonSet(versions=[mask] * 4 + [conv, mask], s_bits=frozenset())
 
 
 def test_load_rejects_wrong_program(tmp_path):
