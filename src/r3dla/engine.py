@@ -14,6 +14,18 @@ branch targets) through the footnote queue attached to BOQ entries.  The main
 thread consumes one BOQ entry per conditional branch at fetch; a mismatch is
 a mispredict and triggers a look-ahead reboot from the main thread's fetch
 frontier.
+
+Most cycles are idle: both threads wait on memory or on each other.  After
+a cycle in which no core commits, dispatches or fetches and no reboot runs,
+every following cycle repeats it until the clock reaches an event
+(``Engine._wake_cycle``: a window head completing, a fetch block ending, a
+reboot falling due, an MSHR freeing for a queued prefetch, the watchdog or
+``max_cycles``).  The loop jumps to the cycle before that event and credits
+the skipped cycles in one step to everything counted per cycle: the
+fetch-buffer and BOQ occupancy histograms, the zero bins of the demand and
+supply histograms, fetch bubbles at the idle cycle's rate, BOQ empty stalls
+if the main thread starved, and the last periodic cache drain of the
+stretch.  Every ``RunStats`` field is the same as stepping each cycle.
 """
 
 from __future__ import annotations
@@ -749,10 +761,38 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
+    def _wake_cycle(self, cycle: int, last_commit_cycle: int) -> int:
+        """First cycle after the idle ``cycle`` in which some stage can act.
+
+        Only the clock can end an idle stretch: a window head completing, a
+        fetch block running out, a reboot falling due, an MSHR freeing up for
+        a queued prefetch, or the watchdog and ``max_cycles`` bounds.  A head
+        that is complete but held back by ``lt_commit_ok`` waits on the main
+        thread, not on time.
+        """
+        wake = min(last_commit_cycle + PROGRESS_WATCHDOG + 1, self.max_cycles)
+        for core in (self.mt, self.lt) if self.dla_on else (self.mt,):
+            if core.window:
+                t = core.window[0][1]
+                if cycle < t < wake:
+                    wake = t
+            t = core.fetch_blocked_until
+            if cycle < t < wake:
+                wake = t
+        for at, _ in self.pending_reboots:
+            if at < wake:
+                wake = at
+        if self.pf_queue:
+            for ready, _ in self.mem.in_flight.values():
+                if ready < wake:
+                    wake = ready
+        return wake
+
     def run(self) -> RunStats:
         mt = self.mt
         lt = self.lt
         stats = self.stats
+        pf_queue = self.pf_queue
         cycle = 0
         last_commit_cycle = 0
         last_committed = 0
@@ -761,7 +801,13 @@ class Engine:
         dla = self.dla_on
         while cycle < self.max_cycles:
             cycle += 1
+            mt_fetch_idx = mt.fetch_idx
+            mt_bubbles = mt.fetch_bubbles
             if dla:
+                lt_committed = lt.committed
+                lt_fetch_idx = lt.fetch_idx
+                lt_bubbles = lt.fetch_bubbles
+                reboots = stats.reboots
                 lt.commit(cycle)
                 lt.dispatch(cycle)
                 lt.fetch(cycle)
@@ -789,18 +835,29 @@ class Engine:
                     raise EngineError(f"branch outcome queue depth "
                                       f"accounting broke at cycle {cycle}")
                 self.boq_occ[len(self.boq)] += 1
-                for at, reason in self.pending_reboots:
-                    if cycle >= at:
-                        self._reboot(cycle, reason)
-                self.pending_reboots = [(a, r) for a, r in self.pending_reboots
-                                        if a > cycle]
+                if self.pending_reboots:
+                    for at, reason in self.pending_reboots:
+                        if cycle >= at:
+                            self._reboot(cycle, reason)
+                    self.pending_reboots = [(a, r) for a, r in self.pending_reboots
+                                            if a > cycle]
                 if (mt.boq_starved_at == cycle and self.lt_stream.done
                         and lt.drained()):
                     self._reboot(cycle, "guard")
-                if self.pf_queue:
+                if pf_queue:
                     self._issue_prefetches(cycle)
             if cycle % DRAIN_PERIOD == 0:
                 self.mem.drain(cycle)
+            # Issuing prefetches alone is no activity: what stays queued waits
+            # for an MSHR to free, and _wake_cycle waits for that.  A reboot
+            # resets lt.fetch_idx, but not if the LT has not fetched since
+            # the last one.
+            idle = (mt.committed == last_committed and mt.fetch_idx == mt_fetch_idx
+                    and not mt.last_dispatched
+                    and (not dla or (lt.committed == lt_committed
+                                     and lt.fetch_idx == lt_fetch_idx
+                                     and not lt.last_dispatched
+                                     and stats.reboots == reboots)))
             if mt.committed != last_committed:
                 last_committed = mt.committed
                 last_commit_cycle = cycle
@@ -811,6 +868,30 @@ class Engine:
             if (self.mt_stream.halted and mt.fetch_idx >= self.mt_stream.next
                     and mt.drained()):
                 break
+            if idle:
+                # every cycle before the wake-up would repeat this one: credit
+                # them in one step with this cycle's per-cycle counts
+                wake = self._wake_cycle(cycle, last_commit_cycle)
+                k = wake - 1 - cycle
+                if k > 0:
+                    self.fb_occ[len(mt.fetch_buffer)] += k
+                    mt.fetch_bubbles += k * (mt.fetch_bubbles - mt_bubbles)
+                    if record_demand:
+                        stats.demand_hist[0] += k
+                    if record_supply:
+                        stats.supply_hist[0] += k
+                    if dla:
+                        lt.fetch_bubbles += k * (lt.fetch_bubbles - lt_bubbles)
+                        self.boq_occ[len(self.boq)] += k
+                        if mt.boq_starved_at == cycle:
+                            stats.boq_empty_stalls += k
+                            mt.boq_starved_at = wake - 1
+                    # a drain retires every fill ready by its cycle, so the
+                    # stretch's last periodic drain does the work of them all
+                    drain = (wake - 1) // DRAIN_PERIOD * DRAIN_PERIOD
+                    if drain > cycle:
+                        self.mem.drain(drain)
+                    cycle = wake - 1
         return self._finalize(cycle)
 
     def _finalize(self, cycle: int) -> RunStats:

@@ -6,6 +6,7 @@ import pytest
 
 from r3dla import uisa, skeleton, engine
 from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
+from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
 
@@ -206,3 +207,159 @@ def test_recycle_dynamic_converges_in_engine():
     st = engine.run_dla(prog, skel, features=Features(recycle="dynamic"))
     assert st.recycle["chosen"]
     assert all(n >= 10_000 for _, _, _, n in st.recycle["measurements"])
+
+
+# -- idle-cycle skipping vs a per-cycle oracle ----------------------------------
+
+def step_every_cycle(self, cycle, last_commit_cycle):
+    return cycle + 1
+
+
+def engine_factory(prog, dla=True, skel=None, **kw):
+    """A fresh Engine per call; a DLA run builds its skeleton once if not given."""
+    if dla and skel is None:
+        skel = skeleton.build(prog, cache_config=kw.get("cache_config"))
+    return lambda: Engine(prog, skel=skel, **kw)
+
+
+def chase():
+    return uisa.gen_pointer_chase(length=200, rounds=3, payload=1, filler=24)
+
+
+def exit_resolves_under_a_miss():
+    # version 4 converts the loop branch; its exit mispredicts against the
+    # BOQ and resolves a few cycles after dispatch, while a DRAM miss holds
+    # the window head and a full BOQ holds the LT: the reboot falls due alone
+    return uisa.parse_program("""
+        ADDI r1, r0, 65536
+        ADDI r2, r0, 1200
+        ADDI r10, r0, 8192
+    loop:
+        LOAD r3, 0(r1)
+        ADDI r1, r1, 4096
+        LOAD r5, 0(r10)
+        MUL  r5, r5, r5
+        MUL  r5, r5, r5
+        ADD  r2, r2, r5
+        ADDI r2, r2, -1
+        BNEZ r2, loop
+        HALT
+    """)
+
+
+def lt_stuck_on_stale_memory():
+    # the store is outside the skeleton (an L1 hit with another base and
+    # offset than the load), so the LT loads 0 and faults on -16: it is stuck,
+    # drains, and the starved MT triggers a guard reboot
+    return uisa.parse_program("""
+        ADDI r1, r0, 4096
+        ADDI r2, r0, 8192
+        ADDI r3, r0, 4088
+        LOAD r9, 0(r1)
+        STORE r2, 0(r1)
+        LOAD r4, 8(r3)
+        BNEZ r9, done
+        LOAD r5, -16(r4)
+        BNEZ r5, done
+        ADDI r6, r0, 1
+    done:
+        HALT
+    """)
+
+
+# each config reaches one wake-up or credit path; ``reached`` checks it did
+SKIP_CASES = {
+    "chase-baseline": (
+        lambda: engine_factory(chase(), dla=False),
+        lambda d: d["fetch_bubbles"] > 0),
+    "chase-dla-t1-reuse": (
+        lambda: engine_factory(chase(), features=Features(t1=True, value_reuse=True)),
+        lambda d: d["boq_empty_stalls"] > 0 and d["vreuse"]["confirmed"] > 0),
+    "chase-full-skeleton": (   # the LT commits bursts wider than its width
+        lambda: engine_factory(chase(), skel=full_skeleton(chase())),
+        lambda d: d["boq_empty_stalls"] > 0),
+    "stride-mshr4": (   # queued prefetches wait for an MSHR to free
+        lambda: engine_factory(uisa.gen_strided_loop(stride=64, iters=2000),
+                               cache_config=CacheConfig(mshr=4),
+                               features=Features(t1=True)),
+        lambda d: d["mem"]["prefetch_issued"] > 0),
+    "chase-ideal_fetch": (   # only a full window stops an ideal front end
+        lambda: engine_factory(chase(), dla=False, mode="ideal_fetch"),
+        lambda d: d["demand_hist"].get(0, 0) > 0),
+    "branchy-ideal_backend": (
+        lambda: engine_factory(uisa.gen_branchy(iters=500, streams=2), dla=False,
+                               mode="ideal_backend"),
+        lambda d: d["supply_hist"].get(0, 0) > 0),
+    "phases-dynamic-recycle": (
+        lambda: engine_factory(uisa.gen_mixed_phases(phase_iters=1000, outer=3),
+                               features=Features(t1=True, recycle="dynamic")),
+        lambda d: d["reboot_reasons"].get("version_swap", 0) > 0),
+    "phases-v4-boq-mispredict": (
+        lambda: engine_factory(uisa.gen_mixed_phases(phase_iters=1500, outer=2),
+                               version=4),
+        lambda d: d["reboot_reasons"].get("boq_mispredict", 0) > 0),
+    "reboot-due-while-idle": (
+        lambda: engine_factory(exit_resolves_under_a_miss(), version=4),
+        lambda d: d["reboot_reasons"] == {"boq_mispredict": 1}),
+    "guard-reboot": (
+        lambda: engine_factory(lt_stuck_on_stale_memory()),
+        lambda d: d["reboot_reasons"] == {"guard": 1}),
+    "stride-boq-capacity-8": (   # LT commit held back by a full BOQ
+        lambda: engine_factory(uisa.gen_strided_loop(iters=2000),
+                               dla=DlaParams(boq_capacity=8)),
+        lambda d: d["boq_occupancy"][8] > 0),
+    "chase-no-fetch-buffer": (
+        lambda: engine_factory(chase(), features=Features(fetch_buffer=False)),
+        lambda d: len(d["fb_occupancy"]) == CoreParams().decode_width + 1),
+    "chase-reuse-replays": (
+        lambda: engine_factory(chase(), version=2,
+                               features=Features(value_reuse=True),
+                               corrupt_rate=0.05, corrupt_seed=7),
+        lambda d: d["vreuse"]["mispredicted"] > 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_idle_skip_matches_per_cycle_oracle(monkeypatch, case):
+    make_factory, reached = SKIP_CASES[case]
+    factory = make_factory()
+    skipped = []
+    wake_cycle = Engine._wake_cycle
+
+    def counting_wake(self, cycle, last_commit_cycle):
+        wake = wake_cycle(self, cycle, last_commit_cycle)
+        skipped.append(wake - 1 - cycle)
+        return wake
+
+    def outcome():
+        eng = factory()
+        stats = eng.run().to_dict()
+        # the per-core counters the skip writes besides RunStats
+        cores = [(c.fetch_bubbles, c.boq_starved_at)
+                 for c in (eng.mt, eng.lt) if c is not None]
+        return stats, cores
+
+    monkeypatch.setattr(Engine, "_wake_cycle", counting_wake)
+    fast = outcome()
+    monkeypatch.setattr(Engine, "_wake_cycle", step_every_cycle)
+    slow = outcome()
+    assert sum(k for k in skipped if k > 0) > 0, "no cycle was skipped"
+    assert reached(fast[0])
+    assert fast == slow
+
+
+@pytest.mark.parametrize("wake", ["skip", "step"])
+def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
+    if wake == "step":
+        monkeypatch.setattr(Engine, "_wake_cycle", step_every_cycle)
+    prog = uisa.gen_pointer_chase(length=200, rounds=1)
+    slow = CacheConfig(dram_latency=300_000)
+    with pytest.raises(EngineError, match="at cycle 200004$"):
+        engine.run_baseline(prog, cache_config=slow)
+    skel = skeleton.build(prog)
+    with pytest.raises(EngineError, match="at cycle 200052$"):
+        engine.run_dla(prog, skel, cache_config=slow)
+    st = engine.run_dla(prog, skel, cache_config=slow, max_cycles=5000)
+    assert (st.cycles, st.partial, st.instructions) == (5000, True, 5)
+    st = engine.run_dla(prog, skel, max_cycles=5000)
+    assert (st.cycles, st.partial, st.instructions) == (5000, True, 63)
