@@ -107,9 +107,9 @@ def validate_config(cfg: dict) -> dict:
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
         _fail("engine", f"expected 'baseline' or 'dla', got {eng!r}")
-    limit = cfg.get("limit", 10_000_000)
-    if not isinstance(limit, int) or limit <= 0:
-        _fail("limit", "must be a positive integer")
+    for key in ("limit", "max_cycles"):
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] <= 0):
+            _fail(key, "must be a positive integer")
     _check_version(cfg.get("version", 0), "version")
     mode = cfg.get("mode", "normal")
     if mode not in ("normal", "ideal_fetch", "ideal_backend"):

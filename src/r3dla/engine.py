@@ -23,9 +23,10 @@ reboot falling due, an MSHR freeing for a queued prefetch, the watchdog or
 ``max_cycles``).  The loop jumps to the cycle before that event and credits
 the skipped cycles in one step to everything counted per cycle: the
 fetch-buffer and BOQ occupancy histograms, the zero bins of the demand and
-supply histograms, fetch bubbles at the idle cycle's rate, BOQ empty stalls
-if the main thread starved, and the last periodic cache drain of the
-stretch.  Every ``RunStats`` field is the same as stepping each cycle.
+supply histograms, the main thread's fetch bubbles at the idle cycle's rate,
+BOQ empty stalls if the main thread starved, and the last periodic cache
+drain of the stretch.  Every ``RunStats`` field is the same as stepping each
+cycle.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ class TwoBitPredictor:
 #
 # A record is (instr, eff_addr, value, taken, offset) where offset is the
 # dynamic distance from the preceding conditional branch in the walk
-# (meaningful on the look-ahead side, None on the main-thread side).
+# (meaningful on the look-ahead side, None on the main-thread side).  A
+# stream builds each record once; the core's fetch buffer and window carry
+# it as (idx, rec) until commit releases it from the stream.
 
 class MainStream:
     """Lazy architectural trace of the full program."""
@@ -132,16 +135,15 @@ class MainStream:
         program = self.program
         state = self.state
         while idx >= self.next and not self.halted:
-            if program.instrs[state.pc].opcode == "HALT":
+            ins = program.instrs[state.pc]
+            if ins.opcode == "HALT":
                 self.halted = True
                 break
             if self.next >= self.limit:
                 self.halted = True
                 self.hit_limit = True
                 break
-            ins = program.instrs[state.pc]
-            ev = uisa.step(state, program, self.next)
-            recs[self.next] = (ins, ev.eff_addr, ev.value, ev.taken, None)
+            recs[self.next] = (ins, *uisa.step(state, program, self.next), None)
             self.next += 1
         return recs.get(idx)
 
@@ -201,7 +203,7 @@ class LookaheadStream:
                 self.since_branch = 0
             elif pc in bits or ins.is_control:
                 try:
-                    ev = uisa.step(state, program, self.next)
+                    eff_addr, value, taken = uisa.step(state, program, self.next)
                 except uisa.ExecError:
                     self.stuck = True
                     break
@@ -209,7 +211,7 @@ class LookaheadStream:
                 off = self.since_branch
                 if op == "BR_COND":
                     self.since_branch = 0
-                recs[self.next] = (ins, ev.eff_addr, ev.value, ev.taken, off)
+                recs[self.next] = (ins, eff_addr, value, taken, off)
                 self.next += 1
             else:
                 state.pc = pc + 1   # masked out: free slot, no record
@@ -279,10 +281,12 @@ class _Core:
         self.mem = mem
         self.mem_mode = mem_mode
         self.stream = stream
-        self.role = role                      # "baseline" | "mt" | "lt"
+        # role is "baseline", "mt" (main thread of a DLA run) or "lt"
+        self.is_lt = role == "lt"
+        self.is_mt_dla = role == "mt"
         self.engine = engine
         self.window: deque = deque()          # (idx, complete, dispatched, rec)
-        self.fetch_buffer: deque = deque()
+        self.fetch_buffer: deque = deque()    # (idx, rec)
         self.fb_cap = params.fetch_buffer
         self.fetch_idx = 0
         self.fetch_blocked_until = 0
@@ -292,7 +296,7 @@ class _Core:
         self.committed = 0
         self.branches = 0
         self.mispredicts = 0
-        self.fetch_bubbles = 0
+        self.fetch_bubbles = 0                # counted on the main thread only
         self.predictor = TwoBitPredictor()
         self.btb: set[int] = set()
         self.boq_done_idx = -1
@@ -307,7 +311,7 @@ class _Core:
         n = 0
         width = self.p.commit_width
         eng = self.engine
-        is_lt = self.role == "lt"
+        is_lt = self.is_lt
         while window and n < width:
             idx, complete, dispatched, rec = window[0]
             if complete > now:
@@ -333,12 +337,13 @@ class _Core:
         demand = space if space < p.decode_width else p.decode_width
         n = 0
         eng = self.engine
+        is_lt = self.is_lt
+        is_mt_dla = self.is_mt_dla
+        rr = self.reg_ready
         while n < demand and buf:
-            idx = buf[0]
-            rec = self.stream.get(idx)
+            idx, rec = buf[0]
             ins = rec[0]
             start = now
-            rr = self.reg_ready
             for r in ins.read_regs():
                 t = rr[r]
                 if t > start:
@@ -347,7 +352,7 @@ class _Core:
             if op == "LOAD":
                 res = self.mem.access(rec[1], "load", self.mem_mode, start)
                 complete = start + res.latency
-                if self.role == "lt":
+                if is_lt:
                     eng.on_lt_load(ins, rec, res, now)
                 else:
                     eng.on_mt_load(self, ins, rec, res, start, now)
@@ -361,7 +366,7 @@ class _Core:
 
             squashed = False
             ready = complete
-            if self.role == "mt":
+            if is_mt_dla:
                 complete, ready, squashed = eng.on_mt_dispatch(
                     self, idx, ins, rec, start, complete, now)
             if ins.dst is not None:
@@ -378,7 +383,8 @@ class _Core:
             n += 1
             if squashed:
                 break
-        self.fetch_bubbles += demand - n
+        if not is_lt:
+            self.fetch_bubbles += demand - n
         self.last_dispatched = n
 
     def dispatch_ideal_backend(self, now: int) -> None:
@@ -386,8 +392,7 @@ class _Core:
         buf = self.fetch_buffer
         n = len(buf)
         while buf:
-            idx = buf.popleft()
-            rec = self.stream.get(idx)
+            idx, rec = buf.popleft()
             if idx == self.wait_resolution:
                 self.fetch_blocked_until = now + 1 + self.p.mispredict_penalty
                 self.wait_resolution = None
@@ -407,7 +412,7 @@ class _Core:
         buf = self.fetch_buffer
         fetched = 0
         eng = self.engine
-        is_mt_dla = self.role == "mt" and eng.dla_on
+        is_mt_dla = self.is_mt_dla
         while fetched < p.fetch_width and len(buf) < self.fb_cap:
             idx = self.fetch_idx
             rec = self.stream.get(idx)
@@ -438,7 +443,7 @@ class _Core:
                     elif idx in self.pending_flags:
                         self.wait_resolution = idx
                         stop = True
-                elif self.role == "lt" and ins.index in self.stream.converted:
+                elif self.is_lt and ins.index in self.stream.converted:
                     pass    # statically predicted: never a redirect
                 else:
                     pred = self.predictor.predict(ins.index)
@@ -457,7 +462,7 @@ class _Core:
                 stop = True   # return address stack assumed perfect, 1-group cost
             if op == "BR_COND":
                 self.branches += 1
-            buf.append(idx)
+            buf.append((idx, rec))
             self.fetch_idx = idx + 1
             fetched += 1
             if stop:
@@ -478,7 +483,7 @@ class _Core:
             rec = self.stream.get(self.fetch_idx)
             if rec is None:
                 break
-            buf.append(self.fetch_idx)
+            buf.append((self.fetch_idx, rec))
             self.fetch_idx += 1
 
     def drained(self) -> bool:
@@ -783,9 +788,9 @@ class Engine:
             if at < wake:
                 wake = at
         if self.pf_queue:
-            for ready, _ in self.mem.in_flight.values():
-                if ready < wake:
-                    wake = ready
+            ready = self.mem.earliest_ready()
+            if ready is not None and ready < wake:
+                wake = ready
         return wake
 
     def run(self) -> RunStats:
@@ -806,7 +811,6 @@ class Engine:
             if dla:
                 lt_committed = lt.committed
                 lt_fetch_idx = lt.fetch_idx
-                lt_bubbles = lt.fetch_bubbles
                 reboots = stats.reboots
                 lt.commit(cycle)
                 lt.dispatch(cycle)
@@ -881,7 +885,6 @@ class Engine:
                     if record_supply:
                         stats.supply_hist[0] += k
                     if dla:
-                        lt.fetch_bubbles += k * (lt.fetch_bubbles - lt_bubbles)
                         self.boq_occ[len(self.boq)] += k
                         if mt.boq_starved_at == cycle:
                             stats.boq_empty_stalls += k

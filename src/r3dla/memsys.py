@@ -9,12 +9,15 @@ discarded, never written back).
 
 An in-flight table per line approximates MSHR behavior: a demand access to
 a line whose fill is still outstanding merges with it and waits out the
-remaining latency.
+remaining latency.  A heap of fill-ready times beside the table lets a
+drain retire only the fills that are ready.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MT = "MT"
 LT = "LT"
@@ -65,8 +68,7 @@ class CacheConfig:
                 + self.l3.hit_latency + self.dram_latency)
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     latency: int
     hit_level: str
     was_prefetched: bool = False
@@ -135,6 +137,9 @@ class MemorySystem:
         self.l2 = {MT: Cache(self.cfg.l2, "L2.MT"), LT: Cache(self.cfg.l2, "L2.LT")}
         self.l3 = Cache(self.cfg.l3, "L3")
         self.in_flight: dict[tuple, tuple[int, bool]] = {}  # (mode,line) -> (ready, is_pref)
+        # (ready, key) per fill put in in_flight; an entry whose key has
+        # since left in_flight or been filled again is stale and skipped
+        self._ready_heap: list[tuple[int, tuple]] = []
         self.traffic_lines = 0
         self.pf_stats = LevelStats()  # prefetch counters, aggregated
 
@@ -216,19 +221,29 @@ class MemorySystem:
                 self.l3.fill(line_addr, prefetched=(kind == "prefetch"))
             l2.fill(line_addr, prefetched=(kind == "prefetch"))
         l1.fill(line_addr, prefetched=(kind == "prefetch"))
-        # only real fills occupy miss-status registers; L1 hits never do
-        if hit != "L1":
-            if demand and len(self.in_flight) < self.cfg.mshr:
-                self.in_flight[key] = (now + lat, False)
-            elif kind == "prefetch":
-                self.in_flight[key] = (now + lat, True)
+        # a fill occupies a miss-status register (L1 hits returned above); a
+        # prefetch got here only with one free
+        if not demand or len(self.in_flight) < self.cfg.mshr:
+            self.in_flight[key] = (now + lat, not demand)
+            heapq.heappush(self._ready_heap, (now + lat, key))
         return AccessResult(lat, hit, was_pref)
 
     def drain(self, now: int) -> None:
         """Retire in-flight fills that completed by ``now``."""
-        done = [k for k, (ready, _) in self.in_flight.items() if ready <= now]
-        for k in done:
-            del self.in_flight[k]
+        while (ready := self.earliest_ready()) is not None and ready <= now:
+            del self.in_flight[heapq.heappop(self._ready_heap)[1]]
+
+    def earliest_ready(self) -> int | None:
+        """The earliest ready time in ``in_flight``, or None when it is empty."""
+        heap = self._ready_heap
+        in_flight = self.in_flight
+        while heap:
+            ready, key = heap[0]
+            pending = in_flight.get(key)
+            if pending is not None and pending[0] == ready:
+                return ready
+            heapq.heappop(heap)
+        return None
 
     # -- statistics ----------------------------------------------------------
 

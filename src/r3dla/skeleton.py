@@ -90,19 +90,20 @@ def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
     seq = 0
     partial = True
     while seq < train_limit:
-        ins = program.instrs[state.pc]
+        pc = state.pc
+        ins = program.instrs[pc]
         if ins.opcode == "HALT":
             partial = False
             break
-        ev = uisa.step(state, program, seq)
+        eff_addr, _, taken = uisa.step(state, program, seq)
         seq += 1
-        p = per_pc.get(ev.pc)
+        p = per_pc.get(pc)
         if p is None:
-            p = per_pc[ev.pc] = PcProfile()
+            p = per_pc[pc] = PcProfile()
         p.exec_count += 1
         lat = 1
         if ins.is_mem:
-            res = mem.access(ev.eff_addr, "load" if ins.opcode == "LOAD" else "store",
+            res = mem.access(eff_addr, "load" if ins.opcode == "LOAD" else "store",
                              MT, now)
             lat = res.latency
             if res.hit_level != "L1":
@@ -110,24 +111,24 @@ def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
             if res.hit_level in ("L3", "DRAM"):
                 p.l2_misses += 1
             if p.last_addr is not None:
-                d = ev.eff_addr - p.last_addr
+                d = eff_addr - p.last_addr
                 p.stride_votes[d] = p.stride_votes.get(d, 0) + 1
-            p.last_addr = ev.eff_addr
+            p.last_addr = eff_addr
         else:
             lat = EXEC_LATENCY.get(ins.opcode, 1)
         p.latency_sum += lat
         now += lat
         if ins.opcode == "BR_COND":
-            if ev.taken:
+            if taken:
                 p.taken_count += 1
-                if ins.target <= ev.pc:
+                if ins.target <= pc:
                     p.backward_taken = True
         for r in ins.read_regs():
             w = last_writer.get(r)
             if w is not None:
-                per_pc[w].consumer_pcs.add(ev.pc)
+                per_pc[w].consumer_pcs.add(pc)
         if ins.dst is not None:
-            last_writer[ins.dst] = ev.pc
+            last_writer[ins.dst] = pc
     return ProfileStats(per_pc=per_pc, instructions=seq, partial=partial)
 
 

@@ -33,6 +33,7 @@ lines pre-seeding memory.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -69,25 +70,17 @@ class ExecError(UisaError):
     pass
 
 
-def _wrap(v: int) -> int:
-    v &= WORD_MASK
-    return v - (1 << 64) if v & SIGN_BIT else v
+_ALU_FNS = {"add": operator.add, "sub": operator.sub, "and": operator.and_,
+            "or": operator.or_, "xor": operator.xor, "mul": operator.mul}
 
 
 def _alu(subop: str, a: int, b: int) -> int:
-    if subop == "add":
-        return _wrap(a + b)
-    if subop == "sub":
-        return _wrap(a - b)
-    if subop == "and":
-        return _wrap(a & b)
-    if subop == "or":
-        return _wrap(a | b)
-    if subop == "xor":
-        return _wrap(a ^ b)
-    if subop == "mul":
-        return _wrap(a * b)
-    raise UisaError(f"unknown alu subop {subop!r}")
+    try:
+        fn = _ALU_FNS[subop]
+    except KeyError:
+        raise UisaError(f"unknown alu subop {subop!r}") from None
+    v = fn(a, b) & WORD_MASK     # wrap to signed 64-bit
+    return v - (1 << 64) if v & SIGN_BIT else v
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,13 @@ class StaticInstr:
     target: int | None = None
     mem_base: int | None = None
     mem_offset: int = 0
+    _reads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        reads = self.srcs
+        if self.opcode in ("LOAD", "STORE") and self.mem_base is not None:
+            reads = (*reads, self.mem_base)
+        object.__setattr__(self, "_reads", reads)
 
     @property
     def is_control(self) -> bool:
@@ -112,12 +112,7 @@ class StaticInstr:
 
     def read_regs(self) -> tuple[int, ...]:
         """Registers read by this instruction (sources plus address base)."""
-        if self.opcode in ("LOAD", "STORE"):
-            regs = list(self.srcs)
-            if self.mem_base is not None:
-                regs.append(self.mem_base)
-            return tuple(regs)
-        return self.srcs
+        return self._reads
 
 
 @dataclass
@@ -380,64 +375,71 @@ def print_program(program: StaticProgram) -> str:
 # ---------------------------------------------------------------------------
 # interpreter
 
-def step(state: ArchState, program: StaticProgram, seq: int = 0) -> TraceEvent:
-    """Execute one instruction; mutates state, returns the trace event."""
-    ins = program.instrs[state.pc]
-    pc = state.pc
-    op = ins.opcode
-    if op == "HALT":
-        raise ExecError(f"seq {seq}: step on HALT")
+def step(state: ArchState, program: StaticProgram,
+         seq: int = 0) -> tuple[int | None, int | None, bool | None]:
+    """Execute one instruction; mutates state.
 
-    if op in ("ALUI",):
-        val = _alu(ins.subop, state.regs[ins.srcs[0]], ins.imm)
-        state.regs[ins.dst] = val
+    Returns ``(eff_addr, value, taken)``: the address of a LOAD or STORE, the
+    value an ALU op or LOAD wrote or a STORE stored, and a conditional
+    branch's direction; None where a field does not apply.  ``seq`` only
+    labels errors.
+    """
+    pc = state.pc
+    ins = program.instrs[pc]
+    op = ins.opcode
+    regs = state.regs
+    if op == "ALUI":
+        val = _alu(ins.subop, regs[ins.srcs[0]], ins.imm)
+        regs[ins.dst] = val
         state.pc = pc + 1
-        return TraceEvent(seq, pc, op, value=val)
-    if op in ("ALU", "MUL"):
-        val = _alu(ins.subop, state.regs[ins.srcs[0]], state.regs[ins.srcs[1]])
-        state.regs[ins.dst] = val
+        return None, val, None
+    if op == "ALU" or op == "MUL":
+        val = _alu(ins.subop, regs[ins.srcs[0]], regs[ins.srcs[1]])
+        regs[ins.dst] = val
         state.pc = pc + 1
-        return TraceEvent(seq, pc, op, value=val)
+        return None, val, None
     if op == "LOAD":
-        addr = state.regs[ins.mem_base] + ins.mem_offset
+        addr = regs[ins.mem_base] + ins.mem_offset
         if addr < 0:
             raise ExecError(f"seq {seq}: load from negative address {addr}")
         val = state.memory.get(addr, 0)
-        state.regs[ins.dst] = val
+        regs[ins.dst] = val
         state.pc = pc + 1
-        return TraceEvent(seq, pc, op, eff_addr=addr, value=val)
+        return addr, val, None
     if op == "STORE":
-        addr = state.regs[ins.mem_base] + ins.mem_offset
+        addr = regs[ins.mem_base] + ins.mem_offset
         if addr < 0:
             raise ExecError(f"seq {seq}: store to negative address {addr}")
-        val = state.regs[ins.srcs[0]]
+        val = regs[ins.srcs[0]]
         state.memory[addr] = val
         state.pc = pc + 1
-        return TraceEvent(seq, pc, op, eff_addr=addr, value=val)
+        return addr, val, None
     if op == "BR_COND":
         c = ins.subop
         if c == "eqz":
-            taken = state.regs[ins.srcs[0]] == 0
+            taken = regs[ins.srcs[0]] == 0
         elif c == "nez":
-            taken = state.regs[ins.srcs[0]] != 0
+            taken = regs[ins.srcs[0]] != 0
         elif c == "lt":
-            taken = state.regs[ins.srcs[0]] < state.regs[ins.srcs[1]]
+            taken = regs[ins.srcs[0]] < regs[ins.srcs[1]]
         else:  # ge
-            taken = state.regs[ins.srcs[0]] >= state.regs[ins.srcs[1]]
+            taken = regs[ins.srcs[0]] >= regs[ins.srcs[1]]
         state.pc = ins.target if taken else pc + 1
-        return TraceEvent(seq, pc, op, taken=taken, target_pc=state.pc)
+        return None, None, taken
     if op == "BR_UNCOND":
         state.pc = ins.target
-        return TraceEvent(seq, pc, op, target_pc=ins.target)
+        return None, None, None
     if op == "CALL":
         state.call_stack.append(pc + 1)
         state.pc = ins.target
-        return TraceEvent(seq, pc, op, target_pc=ins.target)
+        return None, None, None
     if op == "RET":
         if not state.call_stack:
             raise ExecError(f"seq {seq}: RET with empty call stack")
         state.pc = state.call_stack.pop()
-        return TraceEvent(seq, pc, op, target_pc=state.pc)
+        return None, None, None
+    if op == "HALT":
+        raise ExecError(f"seq {seq}: step on HALT")
     raise UisaError(f"unknown opcode {op!r}")
 
 
@@ -448,9 +450,13 @@ def run_trace(program: StaticProgram, limit: int) -> list[TraceEvent]:
     state = ArchState.initial(program)
     trace: list[TraceEvent] = []
     for seq in range(limit):
-        if program.instrs[state.pc].opcode == "HALT":
+        pc = state.pc
+        ins = program.instrs[pc]
+        if ins.opcode == "HALT":
             break
-        trace.append(step(state, program, seq))
+        eff_addr, value, taken = step(state, program, seq)
+        trace.append(TraceEvent(seq, pc, ins.opcode, eff_addr, value, taken,
+                                state.pc if ins.is_control else None))
     return trace
 
 

@@ -79,6 +79,13 @@ def test_bad_recycle_mode_rejected(tmp_path, capsys):
     assert "features.recycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_cycles", ["abc", 0, -5, 1.5, True])
+def test_bad_max_cycles_rejected(tmp_path, capsys, max_cycles):
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(max_cycles=max_cycles))
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert "max_cycles" in capsys.readouterr().err
+
+
 def test_bad_static_version_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "workload": {"kind": "mixed_phases"}, "engine": "dla",

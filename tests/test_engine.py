@@ -1,5 +1,7 @@
 """Timing engine tests: pipeline bounds, the correctness firewall, reboots."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -335,9 +337,8 @@ def test_idle_skip_matches_per_cycle_oracle(monkeypatch, case):
         eng = factory()
         stats = eng.run().to_dict()
         # the per-core counters the skip writes besides RunStats
-        cores = [(c.fetch_bubbles, c.boq_starved_at)
-                 for c in (eng.mt, eng.lt) if c is not None]
-        return stats, cores
+        cores = [c.boq_starved_at for c in (eng.mt, eng.lt) if c is not None]
+        return stats, eng.mt.fetch_bubbles, cores
 
     monkeypatch.setattr(Engine, "_wake_cycle", counting_wake)
     fast = outcome()
@@ -363,3 +364,85 @@ def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 5)
     st = engine.run_dla(prog, skel, max_cycles=5000)
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 63)
+
+
+# -- identity: RunStats digests pinned against unintended model changes ---------
+
+def stats_digest(stats):
+    canon = json.dumps(stats.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def identity_programs():
+    """Small instances of the four benchmark workloads and their DLA features."""
+    return {
+        "chase": (uisa.gen_pointer_chase(length=200, payload=1, filler=24,
+                                         rounds=2, seed=1),
+                  Features(t1=True, value_reuse=True)),
+        "stride": (uisa.gen_strided_loop(stride=8, iters=2000, seed=1),
+                   Features(t1=True)),
+        "phases": (uisa.gen_mixed_phases(outer=2, phase_iters=2100, seed=1),
+                   Features(t1=True, recycle="dynamic")),
+        "branchy": (uisa.gen_branchy(iters=500, streams=2, seed=1),
+                    Features(value_reuse=True)),
+    }
+
+
+# SHA-256 of RunStats.to_dict() as the simulator produced it when these
+# values were written down.  A change that is meant to leave the model alone
+# must leave them alone; a model change updates them and says why.
+IDENTITY_DIGESTS = {
+    "chase/base":
+        "1f561cb4929b15413964db026d03e64bd9f7f91e033c597b10a9782c0dd85673",
+    "chase/dla":
+        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+    "stride/base":
+        "78bdc3aef3d2cf506f93ce97545eadedf123a3ac33d8e2fe57faae338bf033f8",
+    "stride/dla":
+        "3d5cb5bdee440f135fcab2d5d1e611e2ddc18d9f5e9758f38cc6d5a241362939",
+    "phases/base":
+        "5376d7243dd15c85fe66980b73574fe2e5c6a2a3b1ba026ad1b0a6a9ac2577e4",
+    "phases/dla":
+        "2b10310a87fb2a12647e4df8ecb3d904d1b2106b3d8f9e71813770988982a9d6",
+    "branchy/base":
+        "fd92889f6a52eb9fb0d340d7c7647a636497d0915fc8c512334af69382a304c8",
+    "branchy/dla":
+        "bd13743c47c0fc5d0420070267d06c0b2779490502c84119390177f6b148a496",
+    "branchy/ideal_fetch":
+        "8afd8fc509f734b3a170e92689b15e1e806643c2fb6bbbdca10c7d2c3b0de95c",
+    "branchy/ideal_backend":
+        "92477baf8a62b109f4afac65352108d645cb54f1de4156afd226d2062608bf93",
+    "stride/base/mshr4":
+        "928706004b798255901652b3ca9dea325c01b9be35da9cb9e738cef6cc611809",
+    "chase/dla/mshr4":
+        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+    "stride/dla/mshr4":
+        "4224d21366adb2e3998ea324c0851d338db0c96e3c7355ddebcbb6ab13001707",
+}
+
+
+def identity_runs():
+    """(key, RunStats) for every identity config."""
+    programs = identity_programs()
+    for name, (prog, feats) in programs.items():
+        yield f"{name}/base", engine.run_baseline(prog)
+        yield f"{name}/dla", engine.run_dla(prog, skeleton.build(prog),
+                                            features=feats)
+    prog = programs["branchy"][0]
+    for mode in ("ideal_fetch", "ideal_backend"):
+        yield f"branchy/{mode}", engine.run_baseline(prog, mode=mode)
+    # with four MSHRs, fills that are ready but not yet drained hold back
+    # misses and prefetches, so the drain cycles show in the results
+    cache = CacheConfig(mshr=4)
+    yield "stride/base/mshr4", engine.run_baseline(programs["stride"][0],
+                                                   cache_config=cache)
+    for name in ("chase", "stride"):
+        prog, feats = programs[name]
+        yield f"{name}/dla/mshr4", engine.run_dla(
+            prog, skeleton.build(prog, cache_config=cache), cache_config=cache,
+            features=feats)
+
+
+def test_run_stats_identical_to_recorded_digests():
+    got = {key: stats_digest(stats) for key, stats in identity_runs()}
+    assert got == IDENTITY_DIGESTS

@@ -1,6 +1,7 @@
 """Cache hierarchy tests: latencies, LRU, prefetch accounting, MSHR merging."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from r3dla.memsys import (MemorySystem, CacheConfig, LevelConfig, MemError,
                           MT, LT)
@@ -140,3 +141,38 @@ def test_stats_shape():
     assert st["L1.MT"]["misses"] == 1
     assert st["L1.MT"]["mpki"] == 1.0
     assert "traffic_lines" in st
+
+
+# (cycles since the previous op, line, kind, thread); a kind "drain" or
+# "earliest" calls that method instead of making an access
+_ops = st.lists(st.tuples(st.sampled_from((0, 1, 4, 16, 64, 256)),
+                          st.integers(0, 5),
+                          st.sampled_from(("load", "store", "prefetch",
+                                           "drain", "earliest")),
+                          st.sampled_from((MT, LT))),
+                max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 4, 32)), _ops)
+# line 0 leaves L1, its fill retires inside access and it is filled again
+# from L2; the drain must keep the new fill despite the old heap entry
+@example(32, [(0, 0, "load", MT), (1, 1, "load", MT), (1, 2, "load", MT),
+              (298, 0, "load", MT), (5, 0, "drain", MT)])
+def test_drain_and_earliest_ready_follow_in_flight(mshr, ops):
+    # lines 512 bytes apart share one L1 set, so a line can leave L1 and be
+    # filled again while the heap still holds its earlier fill
+    mem = MemorySystem(small_config(mshr=mshr))
+    now = 0
+    for dt, line, kind, mode in ops:
+        now += dt
+        if kind == "drain":
+            before = dict(mem.in_flight)
+            mem.drain(now)
+            assert mem.in_flight == {k: v for k, v in before.items()
+                                     if v[0] > now}
+        elif kind == "earliest":
+            readies = [ready for ready, _ in mem.in_flight.values()]
+            assert mem.earliest_ready() == (min(readies) if readies else None)
+        else:
+            mem.access(line * 512, kind, mode, now)

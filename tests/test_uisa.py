@@ -107,6 +107,26 @@ def test_signed_wraparound():
     assert tr[1].value == -(2 ** 63)
 
 
+def test_unknown_alu_subop_is_error():
+    prog = uisa.StaticProgram(instrs=[
+        uisa.StaticInstr(0, "ALU", "nand", dst=1, srcs=(0, 0)),
+        uisa.StaticInstr(1, "HALT")])
+    with pytest.raises(uisa.UisaError, match="unknown alu subop 'nand'"):
+        uisa.step(uisa.ArchState.initial(prog), prog)
+
+
+def test_step_returns_addr_value_taken():
+    prog = uisa.parse_program(
+        "ADDI r1, r0, 64\nSTORE r1, 8(r1)\nLOAD r2, 8(r1)\nBNEZ r2, 5\n"
+        "JMP 5\nHALT\n")
+    state = uisa.ArchState.initial(prog)
+    got = [uisa.step(state, prog) for _ in range(4)]
+    assert got == [(None, 64, None), (72, 64, None), (72, 64, None),
+                   (None, None, True)]
+    assert [ins.read_regs() for ins in prog.instrs[:4]] == [
+        (0,), (1, 1), (1,), (2,)]
+
+
 def test_load_store_memory():
     tr = run("""
         ADDI r1, r0, 0x100
