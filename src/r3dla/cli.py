@@ -65,6 +65,30 @@ TOP_KEYS = {"workload", "core", "cache", "engine", "dla", "features",
             "name"}
 
 
+# smallest legal value of each integer config field: widths, sizes and
+# capacities need at least one slot; latencies and penalties may be zero
+INT_FIELDS = {
+    "core": {"fetch_width": 1, "decode_width": 1, "commit_width": 1,
+             "window_size": 1, "fetch_buffer": 1,
+             "mispredict_penalty": 0, "btb_penalty": 0},
+    "dla": {"boq_capacity": 1, "fq_capacity": 1, "reboot_cycles": 0},
+    "cache": {"dram_latency": 0, "mshr": 1},
+}
+CACHE_LEVEL_INT_FIELDS = {"size": 1, "assoc": 1, "line": 1, "hit_latency": 0}
+
+
+def _check_int(v, path: str, minimum: int) -> None:
+    # type() rather than isinstance(): a bool is an int, but true is no width
+    if type(v) is not int or v < minimum:
+        _fail(path, f"must be an integer >= {minimum}, got {v!r}")
+
+
+def _check_int_fields(d: dict, path: str, fields: dict) -> None:
+    for name, minimum in fields.items():
+        if name in d:
+            _check_int(d[name], f"{path}.{name}", minimum)
+
+
 def _check_version(v, path: str) -> None:
     if not isinstance(v, int) or not 0 <= v < skeleton.NUM_VERSIONS:
         _fail(path, f"must be an integer in 0..{skeleton.NUM_VERSIONS - 1}")
@@ -95,21 +119,28 @@ def validate_config(cfg: dict) -> dict:
                          ("features", Features)):
         if section in cfg:
             d = _expect(cfg[section], section)
+            _check_int_fields(d, section, INT_FIELDS.get(section, {}))
             try:
                 cls.from_dict(d)
             except (TypeError, ValueError) as e:
                 _fail(section, str(e))
     if "cache" in cfg:
+        cache = _expect(cfg["cache"], "cache")
+        _check_int_fields(cache, "cache", INT_FIELDS["cache"])
+        for level in ("l1", "l2", "l3"):
+            if level in cache:
+                _check_int_fields(_expect(cache[level], f"cache.{level}"),
+                                  f"cache.{level}", CACHE_LEVEL_INT_FIELDS)
         try:
-            CacheConfig.from_dict(_expect(cfg["cache"], "cache"))
+            CacheConfig.from_dict(cache)
         except Exception as e:
             _fail("cache", str(e))
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
         _fail("engine", f"expected 'baseline' or 'dla', got {eng!r}")
     for key in ("limit", "max_cycles"):
-        if key in cfg and (type(cfg[key]) is not int or cfg[key] <= 0):
-            _fail(key, "must be a positive integer")
+        if key in cfg:
+            _check_int(cfg[key], key, 1)
     _check_version(cfg.get("version", 0), "version")
     mode = cfg.get("mode", "normal")
     if mode not in ("normal", "ideal_fetch", "ideal_backend"):

@@ -93,20 +93,6 @@ class Features:
         return cls(**d)
 
 
-class TwoBitPredictor:
-    """Per-pc saturating 2-bit counters, initialized weakly taken."""
-
-    def __init__(self):
-        self.table: dict[int, int] = {}
-
-    def predict(self, pc: int) -> bool:
-        return self.table.get(pc, 2) >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        c = self.table.get(pc, 2)
-        self.table[pc] = min(3, c + 1) if taken else max(0, c - 1)
-
-
 # ---------------------------------------------------------------------------
 # functional streams
 #
@@ -114,7 +100,7 @@ class TwoBitPredictor:
 # dynamic distance from the preceding conditional branch in the walk
 # (meaningful on the look-ahead side, None on the main-thread side).  A
 # stream builds each record once; the core's fetch buffer and window carry
-# it as (idx, rec) until commit releases it from the stream.
+# it as (idx, rec) until commit pops it from the stream's ``recs``.
 
 class MainStream:
     """Lazy architectural trace of the full program."""
@@ -147,16 +133,14 @@ class MainStream:
             self.next += 1
         return recs.get(idx)
 
-    def release(self, idx: int) -> None:
-        self.recs.pop(idx, None)
-
 
 class LookaheadStream:
     """Masked walk: skeleton bits plus all control; conversions follow bias.
 
     Masked-out instructions are skipped without executing (their dynamic
-    slot still counts toward branch offsets).  Execution errors from stale
-    state mark the stream stuck; the engine reboots it.
+    slot still counts toward branch offsets).  The walk is ``done`` at HALT
+    or when stale state makes an instruction fail to execute; the engine
+    reboots it.
     """
 
     def __init__(self, program: uisa.StaticProgram, skel: SkeletonSet,
@@ -169,14 +153,9 @@ class LookaheadStream:
         self.state = state
         self.recs: dict[int, tuple] = {}
         self.next = 0
-        self.halted = False
-        self.stuck = False
+        self.done = False
         self.since_branch = 0
         self.walked = 0
-
-    @property
-    def done(self) -> bool:
-        return self.halted or self.stuck
 
     def get(self, idx: int):
         recs = self.recs
@@ -187,12 +166,12 @@ class LookaheadStream:
         bits = self.bits
         converted = self.converted
         state = self.state
-        while idx >= self.next and not (self.halted or self.stuck):
+        while idx >= self.next and not self.done:
             pc = state.pc
             ins = instrs[pc]
             op = ins.opcode
             if op == "HALT":
-                self.halted = True
+                self.done = True
                 break
             self.walked += 1
             if pc in converted:
@@ -205,7 +184,7 @@ class LookaheadStream:
                 try:
                     eff_addr, value, taken = uisa.step(state, program, self.next)
                 except uisa.ExecError:
-                    self.stuck = True
+                    self.done = True
                     break
                 self.since_branch += 1
                 off = self.since_branch
@@ -217,9 +196,6 @@ class LookaheadStream:
                 state.pc = pc + 1   # masked out: free slot, no record
                 self.since_branch += 1
         return recs.get(idx)
-
-    def release(self, idx: int) -> None:
-        self.recs.pop(idx, None)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +273,8 @@ class _Core:
         self.branches = 0
         self.mispredicts = 0
         self.fetch_bubbles = 0                # counted on the main thread only
-        self.predictor = TwoBitPredictor()
+        # per-pc saturating 2-bit counters, initialized weakly taken (2)
+        self.predictor: dict[int, int] = {}
         self.btb: set[int] = set()
         self.boq_done_idx = -1
         self.last_fetched = 0
@@ -312,19 +289,26 @@ class _Core:
         width = self.p.commit_width
         eng = self.engine
         is_lt = self.is_lt
+        recs = self.stream.recs
+        # the hooks run only for what they act on: the LT's branches (BOQ)
+        # and, with value reuse, its reuse footnotes; the MT's loop tracking
+        # (BR_COND, CALL), commit log and value-reuse training
+        reuse = eng.features.value_reuse
+        logging = eng.commit_log is not None
         while window and n < width:
             idx, complete, dispatched, rec = window[0]
             if complete > now:
                 break
-            if is_lt and not eng.lt_commit_ok(rec):
+            op = rec[0].opcode
+            if (is_lt and (reuse or op == "BR_COND")
+                    and not eng.lt_commit(rec, now)):
                 break   # BOQ full or footnote queue full: stall commit
             window.popleft()
             self.committed += 1
-            if is_lt:
-                eng.on_lt_commit(rec, now)
-            else:
+            if not is_lt and (op == "BR_COND" or op == "CALL" or logging
+                              or eng.train_iteration is not None):
                 eng.on_mt_commit(self, rec, dispatched, complete, now)
-            self.stream.release(idx)
+            recs.pop(idx, None)
             n += 1
 
     # -- dispatch ---------------------------------------------------------------
@@ -338,13 +322,14 @@ class _Core:
         n = 0
         eng = self.engine
         is_lt = self.is_lt
-        is_mt_dla = self.is_mt_dla
+        reuse = self.is_mt_dla and eng.features.value_reuse
+        load_pcs = eng.mt_load_pcs
         rr = self.reg_ready
         while n < demand and buf:
             idx, rec = buf[0]
             ins = rec[0]
             start = now
-            for r in ins.read_regs():
+            for r in ins.reads:
                 t = rr[r]
                 if t > start:
                     start = t
@@ -353,9 +338,10 @@ class _Core:
                 res = self.mem.access(rec[1], "load", self.mem_mode, start)
                 complete = start + res.latency
                 if is_lt:
-                    eng.on_lt_load(ins, rec, res, now)
-                else:
-                    eng.on_mt_load(self, ins, rec, res, start, now)
+                    if res.hit_level != "L1":
+                        eng.on_lt_miss(rec[1])
+                elif ins.index in load_pcs:
+                    eng.on_mt_load(ins, rec, res, now)
             elif op == "STORE":
                 self.mem.access(rec[1], "store", self.mem_mode, start)
                 complete = start + 1
@@ -366,9 +352,9 @@ class _Core:
 
             squashed = False
             ready = complete
-            if is_mt_dla:
+            if reuse:
                 complete, ready, squashed = eng.on_mt_dispatch(
-                    self, idx, ins, rec, start, complete, now)
+                    self, idx, ins, rec, complete, now)
             if ins.dst is not None:
                 rr[ins.dst] = ready
             if idx == self.wait_resolution:
@@ -399,7 +385,7 @@ class _Core:
                 self.pending_flags.pop(idx, None)
             self.committed += 1
             self.engine.on_mt_commit(self, rec, now, now, now)
-            self.stream.release(idx)
+            self.stream.recs.pop(idx, None)
         self.last_dispatched = n
 
     # -- fetch --------------------------------------------------------------
@@ -413,6 +399,8 @@ class _Core:
         fetched = 0
         eng = self.engine
         is_mt_dla = self.is_mt_dla
+        predictor = self.predictor
+        btb = self.btb
         while fetched < p.fetch_width and len(buf) < self.fb_cap:
             idx = self.fetch_idx
             rec = self.stream.get(idx)
@@ -421,6 +409,7 @@ class _Core:
             ins = rec[0]
             op = ins.opcode
             stop = False
+            redirect = False
             if op == "BR_COND":
                 taken = rec[3]
                 if is_mt_dla:
@@ -432,7 +421,8 @@ class _Core:
                         entry = eng.boq.popleft()
                         eng.boq_popped += 1
                         eng.stats.boq_consumed += 1
-                        eng.process_footnotes(entry, idx, now)
+                        if entry.fq_count:
+                            eng.process_footnotes(entry, idx, now)
                         self.boq_done_idx = idx
                         if entry.pc != ins.index or entry.taken != taken:
                             self.mispredicts += 1
@@ -446,35 +436,36 @@ class _Core:
                 elif self.is_lt and ins.index in self.stream.converted:
                     pass    # statically predicted: never a redirect
                 else:
-                    pred = self.predictor.predict(ins.index)
-                    self.predictor.update(ins.index, taken)
-                    if pred != taken:
+                    pc = ins.index
+                    c = predictor.get(pc, 2)
+                    if taken:
+                        predictor[pc] = c + 1 if c < 3 else 3
+                    else:
+                        predictor[pc] = c - 1 if c > 0 else 0
+                    if (c >= 2) != taken:
                         self.mispredicts += 1
                         if idx not in self.pending_flags:
                             self.pending_flags[idx] = "pred"
                         self.wait_resolution = idx
                         stop = True
-                if taken and not stop:
-                    stop = self._redirect(ins.index, now)
-            elif op in ("BR_UNCOND", "CALL"):
-                stop = self._redirect(ins.index, now)
+                redirect = taken and not stop
+                self.branches += 1
+            elif op == "BR_UNCOND" or op == "CALL":
+                redirect = True
             elif op == "RET":
                 stop = True   # return address stack assumed perfect, 1-group cost
-            if op == "BR_COND":
-                self.branches += 1
+            if redirect:
+                # taken control flow ends the fetch group; cold targets cost extra
+                stop = True
+                if ins.index not in btb:
+                    btb.add(ins.index)
+                    self.fetch_blocked_until = now + 1 + p.btb_penalty
             buf.append((idx, rec))
             self.fetch_idx = idx + 1
             fetched += 1
             if stop:
                 break
         self.last_fetched = fetched
-
-    def _redirect(self, pc: int, now: int) -> bool:
-        """Taken control flow ends the fetch group; cold targets cost extra."""
-        if pc not in self.btb:
-            self.btb.add(pc)
-            self.fetch_blocked_until = now + 1 + self.p.btb_penalty
-        return True
 
     def fetch_ideal(self, now: int) -> None:
         # fetch never misses, never redirects: used only to measure demand
@@ -550,11 +541,17 @@ class Engine:
         self.track_pcs = track_pcs or frozenset()
         self.track_warmup = track_warmup
         self.strided_counts: dict[int, list] = {}
+        # loads T1 observes: the S-bit pcs, when T1 is on
+        self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
+                       else frozenset())
+        self.mt_load_pcs = self.t1_pcs | self.track_pcs    # on_mt_load's pcs
+        # value-reuse training: the innermost loop's iteration index while it
+        # is inside the training window, else None (see on_mt_commit)
+        self.train_iteration: int | None = None
 
         self.lt = None
         if self.dla_on:
             self.version = version
-            self.s_bits = skel.s_bits
             self.lt_stream = LookaheadStream(
                 program, skel, version, uisa.ArchState.initial(program))
             self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt", self)
@@ -564,33 +561,31 @@ class Engine:
             self.recycler = RecycleController(
                 mode=self.features.recycle,
                 static_map=self.features.static_versions)
-            self.lt_total_committed = 0
             self.fn_counts = {"prefetch": 0, "reuse": 0}
             self.boq_occ = [0] * (self.dla.boq_capacity + 1)
         self.fb_occ = [0] * (self.mt.fb_cap + 1)
 
     # -- look-ahead side hooks -------------------------------------------------
 
-    def lt_commit_ok(self, rec) -> bool:
-        ins = rec[0]
-        if ins.opcode == "BR_COND":
-            return len(self.boq) < self.dla.boq_capacity
-        if (self.features.value_reuse and ins.dst is not None
-                and rec[2] is not None and self.vru.should_emit(ins.index)
-                and len(self.fq) >= self.dla.fq_capacity):
-            return False
-        return True
+    def lt_commit(self, rec, now: int) -> bool:
+        """Commit one LT record's outputs; False stalls the LT's commit.
 
-    def on_lt_commit(self, rec, now: int) -> None:
+        A conditional branch pushes its outcome to the BOQ; with value reuse,
+        a value of a pc the slow-instruction filter names goes down as a
+        footnote.  A full BOQ or footnote queue holds the record back.  The
+        core calls this only for branches and, with value reuse, for every
+        record: nothing else has outputs.
+        """
         ins = rec[0]
-        self.lt_total_committed += 1
         if ins.opcode == "BR_COND":
-            e = BoqEntry(ins.index, rec[3])
-            self.boq.append(e)
+            if len(self.boq) >= self.dla.boq_capacity:
+                return False
+            self.boq.append(BoqEntry(ins.index, rec[3]))
             self.boq_pushed += 1
-            return
-        if (self.features.value_reuse and ins.dst is not None
+        elif (self.features.value_reuse and ins.dst is not None
                 and rec[2] is not None and self.vru.should_emit(ins.index)):
+            if len(self.fq) >= self.dla.fq_capacity:
+                return False
             if self.boq:
                 self.fq.append(("reuse", ins.index, ins.dst, rec[2], rec[4]))
                 self.boq[-1].fq_count += 1
@@ -598,16 +593,16 @@ class Engine:
                 self.vru.counters.emitted += 1
             else:
                 self.stats.fq_drops += 1
+        return True
 
-    def on_lt_load(self, ins, rec, res, now: int) -> None:
-        if res.hit_level != "L1":
-            # hint the main thread: this line will likely miss there too
-            if self.boq and len(self.fq) < self.dla.fq_capacity:
-                self.fq.append(("prefetch", rec[1]))
-                self.boq[-1].fq_count += 1
-                self.fn_counts["prefetch"] += 1
-            else:
-                self.stats.fq_drops += 1
+    def on_lt_miss(self, addr: int) -> None:
+        """An LT load missed L1: the main thread will likely miss there too."""
+        if self.boq and len(self.fq) < self.dla.fq_capacity:
+            self.fq.append(("prefetch", addr))
+            self.boq[-1].fq_count += 1
+            self.fn_counts["prefetch"] += 1
+        else:
+            self.stats.fq_drops += 1
 
     # -- main-thread side hooks ----------------------------------------------
 
@@ -617,7 +612,10 @@ class Engine:
             kind = fn[0]
             if kind == "prefetch":
                 if self.features.boq_prefetch_release:
-                    self._queue_prefetch(fn[1])
+                    if len(self.pf_queue) < self.pf_queue_cap:
+                        self.pf_queue.append(fn[1])
+                    else:
+                        self.stats.fq_drops += 1
             elif kind == "reuse":
                 _, pc, dst, value, off = fn
                 if off is not None:
@@ -626,16 +624,21 @@ class Engine:
                         value ^= 1   # fault injection for replay testing
                     self.predictions[branch_idx + off] = (pc, dst, value)
 
-    def on_mt_load(self, core: _Core, ins, rec, res, start: int, now: int) -> None:
+    def on_mt_load(self, ins, rec, res, now: int) -> None:
+        """A main-thread load of a pc in ``mt_load_pcs``."""
         pc = ins.index
-        if self.dla_on and self.features.t1 and pc in self.s_bits:
+        if pc in self.t1_pcs:
             if res.hit_level != "L1" and not res.merged:
                 self.lat_est.note_miss(pc, res.latency)
             addrs = self.t1.observe(pc, rec[1], now, self.lat_est.get(pc),
                                     self.tracker.current)
+            q = self.pf_queue
             for a in addrs:
                 if a >= 0:
-                    self._queue_prefetch(a)
+                    if len(q) < self.pf_queue_cap:
+                        q.append(a)
+                    else:
+                        self.stats.fq_drops += 1
         if pc in self.track_pcs:
             c = self.strided_counts.setdefault(pc, [0, 0, 0, 0])
             c[0] += 1
@@ -645,12 +648,6 @@ class Engine:
                 c[2] += 1
                 c[3] += hit
 
-    def _queue_prefetch(self, addr: int) -> None:
-        if len(self.pf_queue) < self.pf_queue_cap:
-            self.pf_queue.append(addr)
-        else:
-            self.stats.fq_drops += 1
-
     def _issue_prefetches(self, now: int) -> None:
         self.mem.drain(now)
         mshr = self.mem.cfg.mshr
@@ -659,16 +656,15 @@ class Engine:
         while q and len(in_flight) < mshr:
             self.mem.access(q.popleft(), "prefetch", MT, now)
 
-    def on_mt_dispatch(self, core: _Core, idx: int, ins, rec, start: int,
+    def on_mt_dispatch(self, core: _Core, idx: int, ins, rec,
                        complete: int, now: int):
         """Value-prediction application; returns (complete, ready, squashed).
 
+        Called for every main-thread dispatch when value reuse is on.
         ``ready`` is when dependents may read the destination: for a
         confirmed prediction that's right away, even though a load still
         runs to completion for validation.
         """
-        if not (self.dla_on and self.features.value_reuse):
-            return complete, complete, False
         vru = self.vru
         sb = vru.scoreboard
         pred = self.predictions.pop(idx, None)
@@ -703,32 +699,42 @@ class Engine:
 
     def on_mt_commit(self, core: _Core, rec, dispatched: int, complete: int,
                      now: int) -> None:
+        """One main-thread commit.
+
+        The core calls this for BR_COND and CALL (loop tracking), for every
+        record when there is a commit log, and while value reuse trains
+        (``train_iteration`` is set); other commits have nothing to do here.
+        """
         ins = rec[0]
         if self.commit_log is not None:
             self.commit_log.append((ins.index, rec[1], rec[2], rec[3]))
         op = ins.opcode
-        if op not in ("BR_COND", "CALL"):
-            if self.dla_on and self.features.value_reuse:
-                it = self.tracker.iterations.get(self.tracker.current)
-                if it is not None and it <= self.vru.train_iterations:
-                    self.vru.train(ins.index, complete - dispatched, it - 1)
+        if op != "BR_COND" and op != "CALL":
+            if self.train_iteration is not None:
+                self.vru.train(ins.index, complete - dispatched,
+                               self.train_iteration)
             return
         events = self.tracker.observe(ins.index, op, rec[3], ins.target)
         if not events or not self.dla_on:
             return
-        for ev in events:
-            if ev.kind == "enter" and self.features.value_reuse:
+        if self.features.value_reuse:
+            # the tracker's loop state changes only with an event
+            it = self.tracker.iterations.get(self.tracker.current)
+            self.train_iteration = (it - 1 if it is not None
+                                    and it <= self.vru.train_iterations else None)
+        for kind, loop_pc in events:
+            if kind == "enter" and self.features.value_reuse:
                 self.vru.sif.clear()    # training restarts per loop
-            if ev.kind == "exit":
+            if kind == "exit":
                 if self.features.t1:
-                    self.t1.loop_end(ev.loop_pc)
+                    self.t1.loop_end(loop_pc)
                 if self.features.recycle == "dynamic":
-                    self.recycler.on_exit(ev.loop_pc)
+                    self.recycler.on_exit(loop_pc)
             elif self.features.recycle in ("dynamic", "static"):
-                if ev.kind == "enter":
-                    want = self.recycler.on_enter(ev.loop_pc, now, core.committed)
+                if kind == "enter":
+                    want = self.recycler.on_enter(loop_pc, now, core.committed)
                 else:
-                    want = self.recycler.on_progress(ev.loop_pc, now, core.committed)
+                    want = self.recycler.on_progress(loop_pc, now, core.committed)
                 if want is not None and want != self.version:
                     self.request_swap(want, now)
 
@@ -772,7 +778,7 @@ class Engine:
         Only the clock can end an idle stretch: a window head completing, a
         fetch block running out, a reboot falling due, an MSHR freeing up for
         a queued prefetch, or the watchdog and ``max_cycles`` bounds.  A head
-        that is complete but held back by ``lt_commit_ok`` waits on the main
+        that is complete but held back by ``lt_commit`` waits on the main
         thread, not on time.
         """
         wake = min(last_commit_cycle + PROGRESS_WATCHDOG + 1, self.max_cycles)
@@ -912,7 +918,7 @@ class Engine:
                            "instances_warm": c[2], "l1_hits_warm": c[3]}
                       for pc, c in self.strided_counts.items()}
         if self.dla_on:
-            st.lt_committed = self.lt_total_committed
+            st.lt_committed = self.lt.committed
             st.lt_walked = self.lt_stream.walked
             st.footnotes = dict(self.fn_counts)
             st.vreuse = self.vru.counters.to_dict()

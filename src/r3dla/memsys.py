@@ -41,7 +41,7 @@ class CacheConfig:
     l2: LevelConfig = LevelConfig(256 * 1024, 8, 64, 9)
     l3: LevelConfig = LevelConfig(2 * 1024 * 1024, 16, 64, 36)
     dram_latency: int = 200
-    mshr: int = 32
+    mshr: int = 32          # miss-status registers; 0 tracks no fills at all
 
     def __post_init__(self):
         line = self.l1.line
@@ -75,47 +75,39 @@ class AccessResult(NamedTuple):
     merged: bool = False    # joined an outstanding fill; latency is remaining
 
 
+# builds an AccessResult from a full 4-tuple without NamedTuple's Python-level
+# __new__: _result(AccessResult, (latency, hit_level, was_prefetched, merged))
+_result = tuple.__new__
+_PREFETCH_NOOP = AccessResult(0, "L1")       # line present or already in flight
+_PREFETCH_DROPPED = AccessResult(0, "DRAM")  # no free miss-status register
+
+
 class Cache:
-    """One set-associative LRU cache level; tags only."""
+    """One set-associative LRU cache level; tags only.
+
+    Each set is a dict whose key order is the LRU order: a hit or a fill moves
+    the line to the end, and the victim is the first key.
+    """
 
     def __init__(self, cfg: LevelConfig, name: str):
         self.cfg = cfg
         self.name = name
         self.n_sets = cfg.size // (cfg.line * cfg.assoc)
-        self.sets: list[dict] = [dict() for _ in range(self.n_sets)]  # tag -> stamp
+        self.sets: list[dict] = [dict() for _ in range(self.n_sets)]  # tag -> None
         self.pref_lines: list[set] = [set() for _ in range(self.n_sets)]
-        self.stamp = 0
         self.accesses = 0
         self.misses = 0
-
-    def lookup(self, line_addr: int, demand: bool = True) -> bool:
-        si = line_addr % self.n_sets
-        s = self.sets[si]
-        if demand:
-            self.accesses += 1
-        if line_addr in s:
-            self.stamp += 1
-            s[line_addr] = self.stamp
-            return True
-        if demand:
-            self.misses += 1
-        return False
-
-    def was_prefetched(self, line_addr: int) -> bool:
-        return line_addr in self.pref_lines[line_addr % self.n_sets]
-
-    def clear_prefetch_mark(self, line_addr: int) -> None:
-        self.pref_lines[line_addr % self.n_sets].discard(line_addr)
 
     def fill(self, line_addr: int, prefetched: bool = False) -> None:
         si = line_addr % self.n_sets
         s = self.sets[si]
-        if line_addr not in s and len(s) >= self.cfg.assoc:
-            victim = min(s, key=s.get)
+        if line_addr in s:
+            del s[line_addr]
+        elif len(s) >= self.cfg.assoc:
+            victim = next(iter(s))
             del s[victim]
             self.pref_lines[si].discard(victim)
-        self.stamp += 1
-        s[line_addr] = self.stamp
+        s[line_addr] = None
         if prefetched:
             self.pref_lines[si].add(line_addr)
 
@@ -136,6 +128,9 @@ class MemorySystem:
         self.l1 = {MT: Cache(self.cfg.l1, "L1.MT"), LT: Cache(self.cfg.l1, "L1.LT")}
         self.l2 = {MT: Cache(self.cfg.l2, "L2.MT"), LT: Cache(self.cfg.l2, "L2.LT")}
         self.l3 = Cache(self.cfg.l3, "L3")
+        # the lookup order per thread: (hit level, cache)
+        self._levels = {m: (("L1", self.l1[m]), ("L2", self.l2[m]), ("L3", self.l3))
+                        for m in (MT, LT)}
         self.in_flight: dict[tuple, tuple[int, bool]] = {}  # (mode,line) -> (ready, is_pref)
         # (ready, key) per fill put in in_flight; an entry whose key has
         # since left in_flight or been filled again is stale and skipped
@@ -156,82 +151,90 @@ class MemorySystem:
             raise MemError(f"negative address {addr}")
         line_addr = addr // self.line
         demand = kind != "prefetch"
-        l1, l2 = self.l1[mode], self.l2[mode]
-
-        if kind == "prefetch":
-            self.pf_stats.prefetch_issued += 1
-            if l1.lookup(line_addr, demand=False):
-                return AccessResult(0, "L1", False)
-            if (mode, line_addr) in self.in_flight:
-                return AccessResult(0, "L1", False)
-            if len(self.in_flight) >= self.cfg.mshr:
-                self.pf_stats.prefetch_issued -= 1  # dropped, MSHRs full
-                return AccessResult(0, "DRAM", False)
-
+        levels = self._levels[mode]
+        l1 = levels[0][1]
+        in_flight = self.in_flight
         key = (mode, line_addr)
-        pending = self.in_flight.get(key)
+
+        if not demand:
+            self.pf_stats.prefetch_issued += 1
+            s = l1.sets[line_addr % l1.n_sets]
+            if line_addr in s:
+                del s[line_addr]        # the hit refreshes its LRU place
+                s[line_addr] = None
+                return _PREFETCH_NOOP
+            if key in in_flight:
+                return _PREFETCH_NOOP
+            if len(in_flight) >= self.cfg.mshr:
+                self.pf_stats.prefetch_issued -= 1  # dropped, MSHRs full
+                return _PREFETCH_DROPPED
+
+        pending = in_flight.get(key)
         if pending is not None:
             ready, was_pref = pending
             if now >= ready:
-                del self.in_flight[key]
-                pending = None
-            elif demand:
-                # merge with the outstanding fill
+                del in_flight[key]
+            else:
+                # a demand access (a prefetch of an in-flight line returned
+                # above) merges with the outstanding fill
                 if was_pref:
                     self.pf_stats.prefetch_late += 1
-                    self.in_flight[key] = (ready, False)
+                    in_flight[key] = (ready, False)
                 l1.accesses += 1
                 l1.misses += 1
-                return AccessResult(max(1, ready - now), "DRAM", was_pref,
-                                    merged=True)
-            else:
-                return AccessResult(0, "L1", False)
+                return _result(AccessResult,
+                               (max(1, ready - now), "DRAM", was_pref, True))
 
-        lat = self.cfg.l1.hit_latency
-        if l1.lookup(line_addr, demand=demand):
-            hit = "L1"
-            if demand and l1.was_prefetched(line_addr):
-                self.pf_stats.prefetch_useful += 1
-                l1.clear_prefetch_mark(line_addr)
-                was_pref = True
-            else:
-                was_pref = False
-            return AccessResult(lat, hit, was_pref)
-
+        # Walk L1, L2, L3.  A hit moves the line to the end of its set's LRU
+        # order; a demand hit on a line a prefetch brought in counts that
+        # prefetch useful and clears its mark.
+        lat = 0
         was_pref = False
-        lat += self.cfg.l2.hit_latency
-        if l2.lookup(line_addr, demand=demand):
-            hit = "L2"
-            if demand and l2.was_prefetched(line_addr):
-                self.pf_stats.prefetch_useful += 1
-                l2.clear_prefetch_mark(line_addr)
-                was_pref = True
+        depth = 0
+        for hit, cache in levels:
+            lat += cache.cfg.hit_latency
+            si = line_addr % cache.n_sets
+            s = cache.sets[si]
+            if demand:
+                cache.accesses += 1
+            if line_addr in s:
+                del s[line_addr]
+                s[line_addr] = None
+                if demand:
+                    marks = cache.pref_lines[si]
+                    if line_addr in marks:
+                        self.pf_stats.prefetch_useful += 1
+                        marks.discard(line_addr)
+                        was_pref = True
+                break
+            if demand:
+                cache.misses += 1
+            depth += 1
         else:
-            lat += self.cfg.l3.hit_latency
-            if self.l3.lookup(line_addr, demand=demand):
-                hit = "L3"
-                if demand and self.l3.was_prefetched(line_addr):
-                    self.pf_stats.prefetch_useful += 1
-                    self.l3.clear_prefetch_mark(line_addr)
-                    was_pref = True
-            else:
-                hit = "DRAM"
-                lat += self.cfg.dram_latency
-                self.traffic_lines += 1
-                self.l3.fill(line_addr, prefetched=(kind == "prefetch"))
-            l2.fill(line_addr, prefetched=(kind == "prefetch"))
-        l1.fill(line_addr, prefetched=(kind == "prefetch"))
-        # a fill occupies a miss-status register (L1 hits returned above); a
-        # prefetch got here only with one free
-        if not demand or len(self.in_flight) < self.cfg.mshr:
-            self.in_flight[key] = (now + lat, not demand)
+            hit = "DRAM"
+            lat += self.cfg.dram_latency
+            self.traffic_lines += 1
+        if depth == 0:
+            return _result(AccessResult, (lat, "L1", was_pref, False))
+        # fill the levels that missed; a fill occupies a miss-status register,
+        # and a prefetch got here only with one free
+        prefetched = not demand
+        for _, cache in levels[:depth]:
+            cache.fill(line_addr, prefetched)
+        if prefetched or len(in_flight) < self.cfg.mshr:
+            in_flight[key] = (now + lat, prefetched)
             heapq.heappush(self._ready_heap, (now + lat, key))
-        return AccessResult(lat, hit, was_pref)
+        return _result(AccessResult, (lat, hit, was_pref, False))
 
     def drain(self, now: int) -> None:
         """Retire in-flight fills that completed by ``now``."""
-        while (ready := self.earliest_ready()) is not None and ready <= now:
-            del self.in_flight[heapq.heappop(self._ready_heap)[1]]
+        heap = self._ready_heap
+        in_flight = self.in_flight
+        while heap and heap[0][0] <= now:
+            ready, key = heapq.heappop(heap)
+            pending = in_flight.get(key)
+            if pending is not None and pending[0] == ready:
+                del in_flight[key]
 
     def earliest_ready(self) -> int | None:
         """The earliest ready time in ``in_flight``, or None when it is empty."""

@@ -20,71 +20,72 @@ LCT_CAPACITY = 16
 MODES = ("off", "static", "dynamic")
 
 
-@dataclass
-class LoopEvent:
-    kind: str           # "enter", "iterate", "exit"
-    loop_pc: int
-
-
 class LoopTracker:
-    """Commit-stream loop detection; keeps a stack of active loops."""
+    """Commit-stream loop detection; keeps a stack of active loops.
+
+    ``observe`` returns the loop events a committed instruction causes, as
+    ``(kind, loop_pc)`` pairs with kind "enter", "iterate" or "exit".
+    """
 
     def __init__(self):
         self.stack: list[int] = []          # innermost last
+        self.current: int | None = None     # the innermost loop, if any
         self.iterations: dict[int, int] = {}
         self._last_call_target: int | None = None
         self._call_streak_pc: int | None = None
-
-    @property
-    def current(self) -> int | None:
-        return self.stack[-1] if self.stack else None
 
     def iteration_of(self, loop_pc: int) -> int:
         return self.iterations.get(loop_pc, 0)
 
     def observe(self, pc: int, opcode: str, taken: bool,
-                target: int | None) -> list[LoopEvent]:
-        events: list[LoopEvent] = []
+                target: int | None) -> list[tuple[str, int]]:
         if opcode == "BR_COND":
             self._call_streak_pc = None
             if taken and target is not None and target <= pc:
-                events.extend(self._instance(pc))
-            elif not taken and pc in self.stack:
+                if pc == self.current:      # the innermost loop iterates
+                    self.iterations[pc] += 1
+                    return [("iterate", pc)]
+                return self._instance(pc)
+            if not taken and pc in self.stack:
                 # fall-through of a tracked loop branch ends that loop (and
                 # any inner loops still on the stack above it)
+                events = []
                 while self.stack and self.stack[-1] != pc:
                     events.append(self._pop())
                 if self.stack:
                     events.append(self._pop())
+                return events
         elif opcode == "CALL":
             # repeated calls to the same target look like loop iterations
-            if target is not None and target == self._last_call_target:
+            last_target = self._last_call_target
+            self._last_call_target = target
+            if target is not None and target == last_target:
                 if self._call_streak_pc is None:
                     self._call_streak_pc = pc
-                events.extend(self._instance(self._call_streak_pc))
-            else:
-                self._call_streak_pc = None
-            self._last_call_target = target
-        return events
+                return self._instance(self._call_streak_pc)
+            self._call_streak_pc = None
+        return []
 
-    def _instance(self, loop_pc: int) -> list[LoopEvent]:
+    def _instance(self, loop_pc: int) -> list[tuple[str, int]]:
         events = []
         if loop_pc in self.stack:
             # an outer loop iterating means everything inside it finished
             while self.stack[-1] != loop_pc:
                 events.append(self._pop())
             self.iterations[loop_pc] += 1
-            events.append(LoopEvent("iterate", loop_pc))
+            events.append(("iterate", loop_pc))
         else:
             self.stack.append(loop_pc)
+            self.current = loop_pc
             self.iterations[loop_pc] = 1
-            events.append(LoopEvent("enter", loop_pc))
+            events.append(("enter", loop_pc))
         return events
 
-    def _pop(self) -> LoopEvent:
+    def _pop(self) -> tuple[str, int]:
         pc = self.stack.pop()
+        self.current = self.stack[-1] if self.stack else None
         self.iterations.pop(pc, None)
-        return LoopEvent("exit", pc)
+        return ("exit", pc)
 
 
 class LoopConfigTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import uisa
 from .memsys import MemorySystem, CacheConfig, MT
@@ -81,8 +81,14 @@ class ProfileStats:
 
 def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
             cache_config: CacheConfig | None = None) -> ProfileStats:
-    """Run a training input through the memory model and collect statistics."""
-    mem = MemorySystem(cache_config)
+    """Run a training input through the memory model and collect statistics.
+
+    The walk is serial: the clock advances by each access's latency, so every
+    fill is complete before the next access starts.  The profile's cache
+    therefore tracks no outstanding fills (``mshr=0``); a table of them would
+    only hold fills that are already done.
+    """
+    mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
     state = uisa.ArchState.initial(program)
     per_pc: dict[int, PcProfile] = {}
     last_writer: dict[int, int] = {}
@@ -123,7 +129,7 @@ def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
                 p.taken_count += 1
                 if ins.target <= pc:
                     p.backward_taken = True
-        for r in ins.read_regs():
+        for r in ins.reads:
             w = last_writer.get(r)
             if w is not None:
                 per_pc[w].consumer_pcs.add(pc)
@@ -318,7 +324,7 @@ def backward_closure(program: uisa.StaticProgram, seeds,
         if i in converted_branches:
             continue  # converted branches read nothing
         defs_at = reaching[i]
-        for r in ins.read_regs():
+        for r in ins.reads:
             for d in defs_at.get(r, ()):
                 if d not in included:
                     work.append(d)

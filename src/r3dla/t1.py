@@ -83,10 +83,6 @@ class T1Table:
     def __len__(self):
         return len(self.entries)
 
-    def _touch(self, e: T1Entry) -> None:
-        self._tick += 1
-        e.lru = self._tick
-
     def _alloc(self, pc: int, loop_pc: int | None) -> T1Entry:
         if len(self.entries) >= self.capacity:
             victim = min(self.entries.values(), key=lambda e: e.lru)
@@ -100,15 +96,16 @@ class T1Table:
                 loop_pc: int | None = None) -> list[int]:
         """One dynamic instance of an S-bit instruction; returns prefetch addrs."""
         out: list[int] = []
+        self._tick += 1
         e = self.entries.get(pc)
         if e is None:
             e = self._alloc(pc, loop_pc)
             e.last_addr = eff_addr
             e.last_cycle = cycle
-            self._touch(e)
+            e.lru = self._tick
             return out  # never prefetch out of INVALID/first touch
 
-        self._touch(e)
+        e.lru = self._tick
         delta = eff_addr - e.last_addr
         dt = max(1, cycle - e.last_cycle)
         e.last_cycle = cycle
@@ -123,7 +120,7 @@ class T1Table:
                 for k in range(1, self.first_degree + 1):
                     out.append(eff_addr + k * delta)
                 e.next_prefetch = eff_addr + (self.first_degree + 1) * delta
-            self._count(out, steady=False)
+            self.prefetches_issued += len(out)
             return out
 
         if delta != e.stride or delta == 0:
@@ -151,13 +148,10 @@ class T1Table:
             e.next_prefetch = a
         if e.state == TRANSIENT2:
             e.state = STEADY
-        self._count(out, steady=(e.state == STEADY))
-        return out
-
-    def _count(self, out, steady: bool) -> None:
         self.prefetches_issued += len(out)
-        if steady:
+        if e.state == STEADY:
             self.steady_prefetches += len(out)
+        return out
 
     def loop_end(self, loop_pc: int) -> None:
         """A loop terminated: clear the entries it owns."""

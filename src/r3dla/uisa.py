@@ -74,15 +74,6 @@ _ALU_FNS = {"add": operator.add, "sub": operator.sub, "and": operator.and_,
             "or": operator.or_, "xor": operator.xor, "mul": operator.mul}
 
 
-def _alu(subop: str, a: int, b: int) -> int:
-    try:
-        fn = _ALU_FNS[subop]
-    except KeyError:
-        raise UisaError(f"unknown alu subop {subop!r}") from None
-    v = fn(a, b) & WORD_MASK     # wrap to signed 64-bit
-    return v - (1 << 64) if v & SIGN_BIT else v
-
-
 @dataclass(frozen=True)
 class StaticInstr:
     index: int
@@ -94,25 +85,21 @@ class StaticInstr:
     target: int | None = None
     mem_base: int | None = None
     mem_offset: int = 0
-    _reads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # derived from the fields above in __post_init__
+    reads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    is_control: bool = field(init=False, repr=False, compare=False)
+    is_mem: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Set ``reads`` (sources plus address base), ``is_control`` and ``is_mem``."""
+        is_mem = self.opcode in ("LOAD", "STORE")
         reads = self.srcs
-        if self.opcode in ("LOAD", "STORE") and self.mem_base is not None:
+        if is_mem and self.mem_base is not None:
             reads = (*reads, self.mem_base)
-        object.__setattr__(self, "_reads", reads)
-
-    @property
-    def is_control(self) -> bool:
-        return self.opcode in ("BR_COND", "BR_UNCOND", "CALL", "RET")
-
-    @property
-    def is_mem(self) -> bool:
-        return self.opcode in ("LOAD", "STORE")
-
-    def read_regs(self) -> tuple[int, ...]:
-        """Registers read by this instruction (sources plus address base)."""
-        return self._reads
+        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "is_control",
+                           self.opcode in ("BR_COND", "BR_UNCOND", "CALL", "RET"))
+        object.__setattr__(self, "is_mem", is_mem)
 
 
 @dataclass
@@ -388,13 +375,15 @@ def step(state: ArchState, program: StaticProgram,
     ins = program.instrs[pc]
     op = ins.opcode
     regs = state.regs
-    if op == "ALUI":
-        val = _alu(ins.subop, regs[ins.srcs[0]], ins.imm)
-        regs[ins.dst] = val
-        state.pc = pc + 1
-        return None, val, None
-    if op == "ALU" or op == "MUL":
-        val = _alu(ins.subop, regs[ins.srcs[0]], regs[ins.srcs[1]])
+    if op == "ALUI" or op == "ALU" or op == "MUL":
+        srcs = ins.srcs
+        try:
+            fn = _ALU_FNS[ins.subop]
+        except KeyError:
+            raise UisaError(f"unknown alu subop {ins.subop!r}") from None
+        val = fn(regs[srcs[0]], ins.imm if op == "ALUI" else regs[srcs[1]]) & WORD_MASK
+        if val & SIGN_BIT:      # wrap to signed 64-bit
+            val -= 1 << 64
         regs[ins.dst] = val
         state.pc = pc + 1
         return None, val, None

@@ -39,9 +39,10 @@ class SlowInstructionFilter:
         self.array = bytearray(bits)
         self.inserted: set[int] = set()   # for stats/false-positive math only
         self.deleted: set[int] = set()
+        self._positions: dict[int, tuple[int, int]] = {}   # pc -> bit positions
 
     def insert(self, pc: int) -> None:
-        for pos in _bloom_positions(pc):
+        for pos in self._positions.setdefault(pc, _bloom_positions(pc)):
             self.array[pos] = 1
         self.inserted.add(pc)
         self.deleted.discard(pc)
@@ -49,7 +50,11 @@ class SlowInstructionFilter:
     def query(self, pc: int) -> bool:
         if pc in self.deleted:
             return False
-        return all(self.array[pos] for pos in _bloom_positions(pc))
+        pos = self._positions.get(pc)
+        if pos is None:
+            pos = self._positions[pc] = _bloom_positions(pc)
+        array = self.array
+        return array[pos[0]] != 0 and array[pos[1]] != 0
 
     def delete(self, pc: int) -> None:
         # bloom bits cannot be cleared safely; the side set masks the pc
@@ -82,21 +87,22 @@ class Scoreboard:
         self.bits = [False] * nregs
 
     def reset(self) -> None:
-        for i in range(len(self.bits)):
-            self.bits[i] = False
-
-    def all_validated(self, srcs) -> bool:
-        return all(self.bits[r] for r in srcs)
+        self.bits[:] = [False] * len(self.bits)
 
     def apply(self, opcode: str, dst: int | None, srcs,
               has_prediction: bool) -> str:
         """Process one decoded instruction; returns skip/validate/normal."""
+        bits = self.bits
         if has_prediction and opcode in ALU_CLASS:
-            action = "skip" if self.all_validated(srcs) else "validate"
-            self.bits[dst] = True
+            action = "skip"
+            for r in srcs:
+                if not bits[r]:
+                    action = "validate"
+                    break
+            bits[dst] = True
             return action
         if dst is not None:
-            self.bits[dst] = False
+            bits[dst] = False
         return "normal"
 
 

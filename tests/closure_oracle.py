@@ -64,7 +64,7 @@ def oracle_closure(program, seeds, converted=frozenset()):
         ins = program.instrs[i]
         if i in converted:
             continue
-        for r in ins.read_regs():
+        for r in ins.reads:
             for d in defs_reaching(program, preds, i, r):
                 if d not in included:
                     work.append(d)

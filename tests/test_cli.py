@@ -86,6 +86,30 @@ def test_bad_max_cycles_rejected(tmp_path, capsys, max_cycles):
     assert "max_cycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("core", "fetch_width", 0),
+    ("core", "decode_width", "4"),
+    ("core", "window_size", True),
+    ("core", "mispredict_penalty", -1),
+    ("core", "btb_penalty", 2.5),
+    ("dla", "fq_capacity", -1),
+    ("dla", "boq_capacity", 0),
+    ("dla", "reboot_cycles", -3),
+    ("cache", "mshr", 0),
+    ("cache", "dram_latency", None),
+    ("cache.l1", "hit_latency", -1),
+    ("cache.l2", "line", 0),
+])
+def test_bad_numeric_field_rejected(tmp_path, capsys, section, field, value):
+    cfg = base_cfg(engine="dla")
+    d = cfg
+    for part in section.split("."):
+        d = d.setdefault(part, {})
+    d[field] = value
+    assert cli.sim_main(["run", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert f"{section}.{field}" in capsys.readouterr().err
+
+
 def test_bad_static_version_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "workload": {"kind": "mixed_phases"}, "engine": "dla",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -368,8 +369,9 @@ def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
 
 # -- identity: RunStats digests pinned against unintended model changes ---------
 
-def stats_digest(stats):
-    canon = json.dumps(stats.to_dict(), sort_keys=True, separators=(",", ":"))
+def digest(obj):
+    """SHA-256 of ``obj`` as canonical JSON (a ``RunStats.to_dict()`` or a log)."""
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -388,7 +390,8 @@ def identity_programs():
     }
 
 
-# SHA-256 of RunStats.to_dict() as the simulator produced it when these
+# SHA-256 of RunStats.to_dict() (and of one commit log) as the simulator
+# produced them when these
 # values were written down.  A change that is meant to leave the model alone
 # must leave them alone; a model change updates them and says why.
 IDENTITY_DIGESTS = {
@@ -418,31 +421,95 @@ IDENTITY_DIGESTS = {
         "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
     "stride/dla/mshr4":
         "4224d21366adb2e3998ea324c0851d338db0c96e3c7355ddebcbb6ab13001707",
+    "stride/dla/track_pcs":
+        "ebb2a4301a1ae88ee2834be217cf97b3145c848787fcd957faad6d045c5109ab",
+    "chase/dla/commit_log":
+        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+    "chase/dla/commit_log/log":
+        "fc790dfa44805b1a668d11f6d418c80635fe28fff985ed28297462e5beb4d100",
+    "chase/dla/corrupt":
+        "a845fcffd364761bd00c3d7b85af6c752077d1779150aff9572672d0e931ec29",
+    "chase/dla/no_fetch_buffer":
+        "30026466301868041eb4c72313bad55e028e77fd48ae97d3158b838b693e081c",
+    "phases/dla/all_features":
+        "5e84549bd7df7b8923528a8e1a8687df3d8e1b034834f084eafc945477c35e23",
 }
 
 
 def identity_runs():
-    """(key, RunStats) for every identity config."""
+    """(key, RunStats.to_dict() or commit log) for every identity config."""
     programs = identity_programs()
+    skels = {}
     for name, (prog, feats) in programs.items():
-        yield f"{name}/base", engine.run_baseline(prog)
-        yield f"{name}/dla", engine.run_dla(prog, skeleton.build(prog),
-                                            features=feats)
+        skels[name] = skeleton.build(prog)
+        yield f"{name}/base", engine.run_baseline(prog).to_dict()
+        yield f"{name}/dla", engine.run_dla(prog, skels[name],
+                                            features=feats).to_dict()
     prog = programs["branchy"][0]
     for mode in ("ideal_fetch", "ideal_backend"):
-        yield f"branchy/{mode}", engine.run_baseline(prog, mode=mode)
+        yield f"branchy/{mode}", engine.run_baseline(prog, mode=mode).to_dict()
+    # the conditions under which the engine's per-instruction hooks do work
+    prog, feats = programs["stride"]
+    yield "stride/dla/track_pcs", engine.run_dla(
+        prog, skels["stride"], features=feats,
+        track_pcs=skels["stride"].s_bits).to_dict()
+    prog, feats = programs["chase"]
+    log = []
+    yield "chase/dla/commit_log", engine.run_dla(
+        prog, skels["chase"], features=feats, commit_log=log).to_dict()
+    yield "chase/dla/commit_log/log", log
+    yield "chase/dla/corrupt", engine.run_dla(
+        prog, skels["chase"], version=2, features=Features(value_reuse=True),
+        corrupt_rate=0.05, corrupt_seed=7).to_dict()
+    yield "chase/dla/no_fetch_buffer", engine.run_dla(
+        prog, skels["chase"],
+        features=Features(t1=True, value_reuse=True, fetch_buffer=False)).to_dict()
+    yield "phases/dla/all_features", engine.run_dla(
+        programs["phases"][0], skels["phases"],
+        features=Features(t1=True, value_reuse=True, recycle="dynamic")).to_dict()
     # with four MSHRs, fills that are ready but not yet drained hold back
     # misses and prefetches, so the drain cycles show in the results
     cache = CacheConfig(mshr=4)
     yield "stride/base/mshr4", engine.run_baseline(programs["stride"][0],
-                                                   cache_config=cache)
+                                                   cache_config=cache).to_dict()
     for name in ("chase", "stride"):
         prog, feats = programs[name]
         yield f"{name}/dla/mshr4", engine.run_dla(
             prog, skeleton.build(prog, cache_config=cache), cache_config=cache,
-            features=feats)
+            features=feats).to_dict()
 
 
 def test_run_stats_identical_to_recorded_digests():
-    got = {key: stats_digest(stats) for key, stats in identity_runs()}
+    got = {key: digest(obj) for key, obj in identity_runs()}
     assert got == IDENTITY_DIGESTS
+
+
+# -- host cost: Python calls per simulated instruction --------------------------
+
+# Python "call" events per committed MT instruction in a DLA run of the
+# identity programs; the counts repeat exactly.  When these ceilings were set
+# the counts were 9.5 (phases) and 17.0 (branchy), down from 20.6 and 30.5
+# before the engine's hooks were called only when they had work and the small
+# helpers below them became fields or inline code.
+CALLS_PER_INSTRUCTION_CEILING = {"phases": 12.0, "branchy": 21.0}
+
+
+def test_dla_calls_per_instruction_ceiling():
+    programs = identity_programs()
+    for name, ceiling in CALLS_PER_INSTRUCTION_CEILING.items():
+        prog, feats = programs[name]
+        eng = Engine(prog, skel=skeleton.build(prog), features=feats)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            st = eng.run()
+        finally:
+            sys.setprofile(previous)
+        assert calls / st.instructions <= ceiling, (name, calls / st.instructions)

@@ -11,12 +11,12 @@ from r3dla.recycle import (LoopTracker, LoopConfigTable, RecycleController,
 def test_counted_loop_events():
     t = LoopTracker()
     evs = t.observe(pc=5, opcode="BR_COND", taken=True, target=2)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("enter", 5)]
+    assert evs == [("enter", 5)]
     evs = t.observe(5, "BR_COND", True, 2)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("iterate", 5)]
+    assert evs == [("iterate", 5)]
     assert t.iteration_of(5) == 2
     evs = t.observe(5, "BR_COND", False, 2)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("exit", 5)]
+    assert evs == [("exit", 5)]
     assert t.current is None
 
 
@@ -33,7 +33,7 @@ def test_nested_loops():
     assert t.current == 5
     # outer iterating implies the inner loop finished
     evs = t.observe(9, "BR_COND", True, 0)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("exit", 5), ("iterate", 9)]
+    assert evs == [("exit", 5), ("iterate", 9)]
     assert t.current == 9
 
 
@@ -42,7 +42,7 @@ def test_fall_through_pops_inner_loops():
     t.observe(9, "BR_COND", True, 0)
     t.observe(5, "BR_COND", True, 3)
     evs = t.observe(9, "BR_COND", False, 0)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("exit", 5), ("exit", 9)]
+    assert evs == [("exit", 5), ("exit", 9)]
     assert t.stack == []
 
 
@@ -50,9 +50,9 @@ def test_call_streak_pseudo_loop():
     t = LoopTracker()
     assert t.observe(10, "CALL", None, 100) == []      # first call: no streak
     evs = t.observe(10, "CALL", None, 100)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("enter", 10)]
+    assert evs == [("enter", 10)]
     evs = t.observe(10, "CALL", None, 100)
-    assert [(e.kind, e.loop_pc) for e in evs] == [("iterate", 10)]
+    assert evs == [("iterate", 10)]
     assert t.observe(10, "CALL", None, 200) == []      # different target
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from r3dla import uisa, skeleton
+from r3dla import uisa, skeleton, memsys
 
 from closure_oracle import oracle_closure
 
@@ -102,6 +102,25 @@ def test_profile_detects_stride():
     load_pc = next(i for i, ins in enumerate(prog.instrs) if ins.opcode == "LOAD")
     assert prof.per_pc[load_pc].detected_stride() == 64
     assert load_pc in prof.strided_pcs()
+
+
+def test_profile_holds_no_finished_fill(monkeypatch):
+    # the profile walks one access at a time, so each fill is done before the
+    # next access: none may stay behind in its cache's in-flight table
+    made = []
+    init = memsys.MemorySystem.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(memsys.MemorySystem, "__init__", capture)
+    prog = uisa.gen_pointer_chase(length=1000, payload=1, filler=24, rounds=2)
+    prof = skeleton.profile(prog)
+    (mem,) = made
+    assert sum(p.l1_misses for p in prof.per_pc.values()) > 100
+    assert mem.in_flight == {}
+    assert mem.earliest_ready() is None
 
 
 def test_select_seeds_all_alu():

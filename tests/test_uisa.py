@@ -123,7 +123,7 @@ def test_step_returns_addr_value_taken():
     got = [uisa.step(state, prog) for _ in range(4)]
     assert got == [(None, 64, None), (72, 64, None), (72, 64, None),
                    (None, None, True)]
-    assert [ins.read_regs() for ins in prog.instrs[:4]] == [
+    assert [ins.reads for ins in prog.instrs[:4]] == [
         (0,), (1, 1), (1,), (2,)]
 
 
