@@ -19,12 +19,15 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__, uisa, skeleton, fetchq, engine, recycle
 from .memsys import CacheConfig
 from .engine import CoreParams, DlaParams, Features
 
 FEATURE_NAMES = ("t1", "value_reuse", "fetch_buffer", "recycle")
+# the on/off features; a config must give each as JSON true or false
+BOOL_FEATURES = tuple(f.name for f in fields(Features) if type(f.default) is bool)
 
 
 class ConfigError(Exception):
@@ -90,7 +93,7 @@ def _check_int_fields(d: dict, path: str, fields: dict) -> None:
 
 
 def _check_version(v, path: str) -> None:
-    if not isinstance(v, int) or not 0 <= v < skeleton.NUM_VERSIONS:
+    if type(v) is not int or not 0 <= v < skeleton.NUM_VERSIONS:
         _fail(path, f"must be an integer in 0..{skeleton.NUM_VERSIONS - 1}")
 
 
@@ -108,6 +111,9 @@ def validate_config(cfg: dict) -> dict:
                   f"unknown generator {kind!r}; one of {sorted(uisa._GENERATORS)}")
         _expect(wl.get("params", {}), "workload.params")
     feats = _expect(cfg.get("features", {}), "features")
+    for name in BOOL_FEATURES:
+        if name in feats and type(feats[name]) is not bool:
+            _fail(f"features.{name}", f"must be true or false, got {feats[name]!r}")
     if feats.get("recycle", "off") not in recycle.MODES:
         _fail("features.recycle", f"expected one of {recycle.MODES}, "
                                   f"got {feats['recycle']!r}")
@@ -143,7 +149,7 @@ def validate_config(cfg: dict) -> dict:
             _check_int(cfg[key], key, 1)
     _check_version(cfg.get("version", 0), "version")
     mode = cfg.get("mode", "normal")
-    if mode not in ("normal", "ideal_fetch", "ideal_backend"):
+    if mode not in engine.MODES:
         _fail("mode", f"unknown mode {mode!r}")
     if "skeleton" in cfg:
         sk = _expect(cfg["skeleton"], "skeleton")
@@ -173,11 +179,10 @@ def run_config(cfg: dict) -> engine.RunStats:
     prog = build_workload(cfg)
     core = CoreParams.from_dict(cfg["core"]) if "core" in cfg else None
     cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None
-    common = dict(params=core, cache_config=cache,
-                  limit=cfg.get("limit", 10_000_000),
-                  max_cycles=cfg.get("max_cycles", 200_000_000))
+    common = dict(params=core, cache_config=cache)
+    common.update((key, cfg[key]) for key in ("limit", "max_cycles") if key in cfg)
     if cfg.get("engine", "baseline") == "baseline":
-        return engine.run_baseline(prog, mode=cfg.get("mode", "normal"), **common)
+        return engine.Engine(prog, mode=cfg.get("mode", "normal"), **common).run()
     sk_cfg = cfg.get("skeleton", {"auto": True})
     if "path" in sk_cfg:
         skel = skeleton.load_skeleton(sk_cfg["path"], prog)
@@ -185,8 +190,8 @@ def run_config(cfg: dict) -> engine.RunStats:
         skel = skeleton.build(prog, cache_config=cache)
     feats = Features.from_dict(cfg["features"]) if "features" in cfg else None
     dla = DlaParams.from_dict(cfg["dla"]) if "dla" in cfg else None
-    return engine.run_dla(prog, skel, dla=dla, features=feats,
-                          version=cfg.get("version", 0), **common)
+    return engine.Engine(prog, skel=skel, dla=dla, features=feats,
+                         version=cfg.get("version", 0), **common).run()
 
 
 def make_report(cfg: dict, stats: engine.RunStats) -> dict:
@@ -343,12 +348,20 @@ def _load_pair(path: str) -> tuple[fetchq.Distribution, fetchq.Distribution]:
 def cmd_fetchq_analyze(args) -> int:
     demand, supply = _load_pair(args.pair)
     if args.sweep:
-        lo, hi = (int(x) for x in args.sweep.split(":"))
+        try:
+            lo, hi = (int(x) for x in args.sweep.split(":"))
+        except ValueError:
+            lo = hi = 0
+        if not 1 <= lo <= hi:
+            _fail("--sweep", "expected LO:HI integers with 1 <= LO <= HI, "
+                             f"got {args.sweep!r}")
         rows = [{"capacity": n, "expected_bubbles": round(b, 6)}
                 for n, b, _ in fetchq.capacity_sweep(demand, supply,
                                                      range(lo, hi + 1))]
         _write_csv(rows, args.out)
         return 0
+    if args.capacity < 1:
+        _fail("--capacity", f"must be an integer >= 1, got {args.capacity}")
     model = fetchq.QueueModel.solve(demand, supply, args.capacity)
     doc = {"capacity": args.capacity,
            "demand": demand.to_map(), "supply": supply.to_map(),

@@ -39,11 +39,14 @@ from . import uisa
 from .memsys import MemorySystem, CacheConfig, MT, LT
 from .skeleton import SkeletonSet
 from .t1 import T1Table, LatencyEstimator
-from .vreuse import ValueReuseUnit
+from .vreuse import ValueReuseUnit, TRAIN_ITERATIONS
 from .recycle import LoopTracker, RecycleController
 
 PROGRESS_WATCHDOG = 200_000   # cycles without a main-thread commit -> error
 DRAIN_PERIOD = 16
+# baseline-only "ideal_fetch" (perfect fetch) and "ideal_backend" (instant
+# backend) record the fetch buffer's demand and supply histograms
+MODES = ("normal", "ideal_fetch", "ideal_backend")
 
 
 class EngineError(Exception):
@@ -507,9 +510,8 @@ class Engine:
         self.features = features or Features()
         self.skel = skel
         self.dla_on = skel is not None
-        self.limit = limit
         self.max_cycles = max_cycles
-        if mode not in ("normal", "ideal_fetch", "ideal_backend"):
+        if mode not in MODES:
             raise EngineError(f"unknown mode {mode!r}")
         if mode != "normal" and self.dla_on:
             raise EngineError("idealized modes are baseline-only measurements")
@@ -721,7 +723,7 @@ class Engine:
             # the tracker's loop state changes only with an event
             it = self.tracker.iterations.get(self.tracker.current)
             self.train_iteration = (it - 1 if it is not None
-                                    and it <= self.vru.train_iterations else None)
+                                    and it <= TRAIN_ITERATIONS else None)
         for kind, loop_pc in events:
             if kind == "enter" and self.features.value_reuse:
                 self.vru.sif.clear()    # training restarts per loop
@@ -939,33 +941,3 @@ class Engine:
         }
         return st
 
-
-# ---------------------------------------------------------------------------
-# front doors
-
-def run_baseline(program: uisa.StaticProgram, params: CoreParams | None = None,
-                 cache_config: CacheConfig | None = None,
-                 limit: int = 10_000_000, max_cycles: int = 200_000_000,
-                 mode: str = "normal", commit_log: list | None = None) -> RunStats:
-    eng = Engine(program, params=params, cache_config=cache_config,
-                 limit=limit, max_cycles=max_cycles, mode=mode,
-                 commit_log=commit_log)
-    return eng.run()
-
-
-def run_dla(program: uisa.StaticProgram, skel: SkeletonSet,
-            params: CoreParams | None = None,
-            cache_config: CacheConfig | None = None,
-            dla: DlaParams | None = None, features: Features | None = None,
-            version: int = 0,
-            limit: int = 10_000_000, max_cycles: int = 200_000_000,
-            track_pcs: frozenset | None = None, track_warmup: int = 500,
-            commit_log: list | None = None,
-            corrupt_rate: float = 0.0, corrupt_seed: int = 0) -> RunStats:
-    eng = Engine(program, params=params, cache_config=cache_config, skel=skel,
-                 dla=dla, features=features, version=version,
-                 limit=limit, max_cycles=max_cycles,
-                 track_pcs=track_pcs, track_warmup=track_warmup,
-                 commit_log=commit_log,
-                 corrupt_rate=corrupt_rate, corrupt_seed=corrupt_seed)
-    return eng.run()

@@ -89,9 +89,8 @@ class Cache:
     the line to the end, and the victim is the first key.
     """
 
-    def __init__(self, cfg: LevelConfig, name: str):
+    def __init__(self, cfg: LevelConfig):
         self.cfg = cfg
-        self.name = name
         self.n_sets = cfg.size // (cfg.line * cfg.assoc)
         self.sets: list[dict] = [dict() for _ in range(self.n_sets)]  # tag -> None
         self.pref_lines: list[set] = [set() for _ in range(self.n_sets)]
@@ -125,9 +124,9 @@ class MemorySystem:
     def __init__(self, config: CacheConfig | None = None):
         self.cfg = config or CacheConfig()
         self.line = self.cfg.l1.line
-        self.l1 = {MT: Cache(self.cfg.l1, "L1.MT"), LT: Cache(self.cfg.l1, "L1.LT")}
-        self.l2 = {MT: Cache(self.cfg.l2, "L2.MT"), LT: Cache(self.cfg.l2, "L2.LT")}
-        self.l3 = Cache(self.cfg.l3, "L3")
+        self.l1 = {MT: Cache(self.cfg.l1), LT: Cache(self.cfg.l1)}
+        self.l2 = {MT: Cache(self.cfg.l2), LT: Cache(self.cfg.l2)}
+        self.l3 = Cache(self.cfg.l3)
         # the lookup order per thread: (hit level, cache)
         self._levels = {m: (("L1", self.l1[m]), ("L2", self.l2[m]), ("L3", self.l3))
                         for m in (MT, LT)}

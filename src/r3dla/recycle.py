@@ -34,9 +34,6 @@ class LoopTracker:
         self._last_call_target: int | None = None
         self._call_streak_pc: int | None = None
 
-    def iteration_of(self, loop_pc: int) -> int:
-        return self.iterations.get(loop_pc, 0)
-
     def observe(self, pc: int, opcode: str, taken: bool,
                 target: int | None) -> list[tuple[str, int]]:
         if opcode == "BR_COND":
@@ -91,10 +88,8 @@ class LoopTracker:
 class LoopConfigTable:
     """loop pc -> chosen skeleton version, LRU over 16 entries."""
 
-    def __init__(self, capacity: int = LCT_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self._map: dict[int, int] = {}      # insertion order doubles as LRU
-        self.evictions = 0
 
     def get(self, loop_pc: int) -> int | None:
         v = self._map.get(loop_pc)
@@ -106,14 +101,9 @@ class LoopConfigTable:
     def put(self, loop_pc: int, version: int) -> None:
         if loop_pc in self._map:
             del self._map[loop_pc]
-        elif len(self._map) >= self.capacity:
-            oldest = next(iter(self._map))
-            del self._map[oldest]
-            self.evictions += 1
+        elif len(self._map) >= LCT_CAPACITY:
+            del self._map[next(iter(self._map))]
         self._map[loop_pc] = version
-
-    def __len__(self):
-        return len(self._map)
 
 
 @dataclass
@@ -137,18 +127,17 @@ class Measurement:
 class RecycleController:
     """Decides which skeleton version should be active.
 
-    Modes: "off" (stay on default_version), "static" (fixed per-loop map,
-    no measurement), "dynamic" (cycle-and-select).  The engine asks
-    ``desired_version()`` each time the loop context changes and performs
-    the actual swap (which costs a reboot).
+    Modes: "off" (``on_enter`` answers version 0), "static" (fixed per-loop
+    map, version 0 elsewhere, no measurement), "dynamic" (cycle-and-select).
+    The engine asks ``on_enter``/``on_progress`` when the loop context
+    changes and performs the actual swap (which costs a reboot).
     """
 
-    def __init__(self, mode: str = "dynamic", default_version: int = 0,
+    def __init__(self, mode: str = "dynamic",
                  static_map: dict[int, int] | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown recycle mode {mode!r}")
         self.mode = mode
-        self.default_version = default_version
         self.static_map = dict(static_map or {})
         self.lct = LoopConfigTable()
         self.state: dict[int, _CycleState] = {}
@@ -158,9 +147,9 @@ class RecycleController:
 
     def on_enter(self, loop_pc: int, cycle: int, committed: int) -> int:
         if self.mode == "off":
-            return self.default_version
+            return 0
         if self.mode == "static":
-            return self.static_map.get(loop_pc, self.default_version)
+            return self.static_map.get(loop_pc, 0)
         cached = self.lct.get(loop_pc)
         if cached is not None:
             return cached

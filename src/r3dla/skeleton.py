@@ -25,6 +25,7 @@ L1_SEED_THRESHOLD = 0.01
 L2_SEED_THRESHOLD = 0.001
 SLOW_LATENCY_CYCLES = 20
 DEFAULT_BIAS_THRESHOLD = 0.999
+TRAIN_LIMIT = 200_000   # instructions of the training run
 NUM_VERSIONS = 6
 
 EXEC_LATENCY = {"MUL": 3}  # non-memory ops default to 1 cycle
@@ -37,7 +38,6 @@ class PcProfile:
     l2_misses: int = 0
     latency_sum: int = 0
     taken_count: int = 0
-    backward_taken: bool = False
     last_addr: int | None = None
     stride_votes: dict = field(default_factory=dict)
     consumer_pcs: set = field(default_factory=set)
@@ -69,19 +69,9 @@ class PcProfile:
         return None
 
 
-@dataclass
-class ProfileStats:
-    per_pc: dict[int, PcProfile]
-    instructions: int
-    partial: bool = False
-
-    def strided_pcs(self) -> set[int]:
-        return {pc for pc, p in self.per_pc.items() if p.detected_stride() is not None}
-
-
-def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
-            cache_config: CacheConfig | None = None) -> ProfileStats:
-    """Run a training input through the memory model and collect statistics.
+def profile(program: uisa.StaticProgram,
+            cache_config: CacheConfig | None = None) -> dict[int, PcProfile]:
+    """Run a training input through the memory model; statistics per pc.
 
     The walk is serial: the clock advances by each access's latency, so every
     fill is complete before the next access starts.  The profile's cache
@@ -94,12 +84,10 @@ def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
     last_writer: dict[int, int] = {}
     now = 0
     seq = 0
-    partial = True
-    while seq < train_limit:
+    while seq < TRAIN_LIMIT:
         pc = state.pc
         ins = program.instrs[pc]
         if ins.opcode == "HALT":
-            partial = False
             break
         eff_addr, _, taken = uisa.step(state, program, seq)
         seq += 1
@@ -124,18 +112,15 @@ def profile(program: uisa.StaticProgram, train_limit: int = 200_000,
             lat = EXEC_LATENCY.get(ins.opcode, 1)
         p.latency_sum += lat
         now += lat
-        if ins.opcode == "BR_COND":
-            if taken:
-                p.taken_count += 1
-                if ins.target <= pc:
-                    p.backward_taken = True
+        if taken:
+            p.taken_count += 1
         for r in ins.reads:
             w = last_writer.get(r)
             if w is not None:
                 per_pc[w].consumer_pcs.add(pc)
         if ins.dst is not None:
             last_writer[ins.dst] = pc
-    return ProfileStats(per_pc=per_pc, instructions=seq, partial=partial)
+    return per_pc
 
 
 @dataclass
@@ -148,11 +133,11 @@ class SeedVector:
     biased_branch_conversions: frozenset[int]
 
 
-def select_seeds(program: uisa.StaticProgram, prof: ProfileStats,
+def select_seeds(program: uisa.StaticProgram, prof: dict[int, PcProfile],
                  bias_threshold: float = DEFAULT_BIAS_THRESHOLD) -> SeedVector:
     """Classify static instructions into the skeleton seed classes."""
     converted = set()
-    for pc, p in prof.per_pc.items():
+    for pc, p in prof.items():
         ins = program.instrs[pc]
         if ins.opcode == "BR_COND" and p.exec_count > 0:
             if max(p.branch_bias, 1.0 - p.branch_bias) >= bias_threshold:
@@ -160,7 +145,7 @@ def select_seeds(program: uisa.StaticProgram, prof: ProfileStats,
     control = {i.index for i in program.instrs if i.is_control} - converted
     l1, l2, t1 = set(), set(), set()
     vr = set()
-    for pc, p in prof.per_pc.items():
+    for pc, p in prof.items():
         ins = program.instrs[pc]
         if ins.is_mem:
             if p.l1_miss_rate > L1_SEED_THRESHOLD:
@@ -182,9 +167,6 @@ class SkeletonMask:
     version_id: int
     bits: frozenset[int]
     converted_branches: frozenset[int] = frozenset()
-
-    def __contains__(self, pc: int) -> bool:
-        return pc in self.bits
 
     def to_hex(self) -> str:
         v = 0
@@ -336,8 +318,8 @@ def backward_closure(program: uisa.StaticProgram, seeds,
                         converted_branches=converted_branches)
 
 
-def gen_skeleton_versions(program: uisa.StaticProgram, prof: ProfileStats,
-                          bias_threshold: float = DEFAULT_BIAS_THRESHOLD) -> SkeletonSet:
+def gen_skeleton_versions(program: uisa.StaticProgram,
+                          prof: dict[int, PcProfile]) -> SkeletonSet:
     """Build the six fixed version recipes, each individually closed.
 
     v0: control + L1 + L2 targets (default)
@@ -353,7 +335,7 @@ def gen_skeleton_versions(program: uisa.StaticProgram, prof: ProfileStats,
     profile also gives ``bias_dirs``, the majority direction of each branch
     that v4 converts.
     """
-    seeds = select_seeds(program, prof, bias_threshold)
+    seeds = select_seeds(program, prof)
     reaching = reaching_producers(program)
     s_bits = seeds.t1_targets
     ctrl = set(seeds.control) | set(seeds.biased_branch_conversions)
@@ -374,7 +356,7 @@ def gen_skeleton_versions(program: uisa.StaticProgram, prof: ProfileStats,
         close(v0_seeds, 4, converted=seeds.biased_branch_conversions),
         close(ctrl | l2, 5),
     ]
-    directions = {pc: prof.per_pc[pc].branch_bias >= 0.5
+    directions = {pc: prof[pc].branch_bias >= 0.5
                   for pc in seeds.biased_branch_conversions}
     return SkeletonSet(versions, s_bits, directions)
 
@@ -415,9 +397,7 @@ def load_skeleton(path, program: uisa.StaticProgram | None = None) -> SkeletonSe
     return SkeletonSet(versions, frozenset(doc["s_bits"]), directions)
 
 
-def build(program: uisa.StaticProgram, train_limit: int = 200_000,
-          cache_config: CacheConfig | None = None,
-          bias_threshold: float = DEFAULT_BIAS_THRESHOLD) -> SkeletonSet:
+def build(program: uisa.StaticProgram,
+          cache_config: CacheConfig | None = None) -> SkeletonSet:
     """Profile the program and generate all skeleton versions."""
-    prof = profile(program, train_limit, cache_config)
-    return gen_skeleton_versions(program, prof, bias_threshold)
+    return gen_skeleton_versions(program, profile(program, cache_config))

@@ -13,7 +13,7 @@ re-issue covered addresses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TABLE_CAPACITY = 16
 FIRST_DEGREE = 2        # prefetch degree on the first stride computation
@@ -70,18 +70,12 @@ class LatencyEstimator:
 class T1Table:
     """Prefetch table keyed by S-bit instruction pc; LRU over 16 entries."""
 
-    def __init__(self, capacity: int = TABLE_CAPACITY, burst_cap: int = BURST_CAP,
-                 first_degree: int = FIRST_DEGREE):
+    def __init__(self, capacity: int = TABLE_CAPACITY):
         self.capacity = capacity
-        self.burst_cap = burst_cap
-        self.first_degree = first_degree
         self.entries: dict[int, T1Entry] = {}
         self._tick = 0
         self.prefetches_issued = 0
         self.steady_prefetches = 0
-
-    def __len__(self):
-        return len(self.entries)
 
     def _alloc(self, pc: int, loop_pc: int | None) -> T1Entry:
         if len(self.entries) >= self.capacity:
@@ -117,9 +111,9 @@ class T1Table:
             e.last_addr = eff_addr
             if delta != 0:
                 e.state = TRANSIENT2
-                for k in range(1, self.first_degree + 1):
+                for k in range(1, FIRST_DEGREE + 1):
                     out.append(eff_addr + k * delta)
-                e.next_prefetch = eff_addr + (self.first_degree + 1) * delta
+                e.next_prefetch = eff_addr + (FIRST_DEGREE + 1) * delta
             self.prefetches_issued += len(out)
             return out
 
@@ -142,7 +136,7 @@ class T1Table:
         a = e.next_prefetch
         if (target - a) * step >= 0:
             count = abs(target - a) // abs(step) + 1
-            for _ in range(min(count, self.burst_cap)):
+            for _ in range(min(count, BURST_CAP)):
                 out.append(a)
                 a += step
             e.next_prefetch = a

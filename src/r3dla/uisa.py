@@ -32,7 +32,6 @@ lines pre-seeding memory.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass, field
@@ -40,11 +39,6 @@ from dataclasses import dataclass, field
 NUM_REGS = 64
 WORD_MASK = (1 << 64) - 1
 SIGN_BIT = 1 << 63
-
-OPCODES = (
-    "ALUI", "ALU", "MUL", "LOAD", "STORE",
-    "BR_COND", "BR_UNCOND", "CALL", "RET", "HALT",
-)
 
 # mnemonic -> (opcode, subop)
 _ALUI_OPS = {"ADDI": "add", "SUBI": "sub", "ANDI": "and", "ORI": "or", "XORI": "xor"}
@@ -108,9 +102,6 @@ class StaticProgram:
     entry: int = 0
     meta: dict = field(default_factory=dict)
     init_mem: dict[int, int] = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.instrs)
 
     def __eq__(self, other):
         return (isinstance(other, StaticProgram)
@@ -176,26 +167,6 @@ class ArchState:
     def clone(self) -> "ArchState":
         return ArchState(regs=list(self.regs), pc=self.pc,
                          memory=dict(self.memory), call_stack=list(self.call_stack))
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    seq: int
-    pc: int
-    opcode: str
-    eff_addr: int | None = None
-    value: int | None = None
-    taken: bool | None = None
-    target_pc: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({"seq": self.seq, "pc": self.pc, "opcode": self.opcode,
-                           "eff_addr": self.eff_addr, "value": self.value,
-                           "taken": self.taken, "target_pc": self.target_pc})
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        return cls(**json.loads(line))
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +401,6 @@ def step(state: ArchState, program: StaticProgram,
     if op == "HALT":
         raise ExecError(f"seq {seq}: step on HALT")
     raise UisaError(f"unknown opcode {op!r}")
-
-
-def run_trace(program: StaticProgram, limit: int) -> list[TraceEvent]:
-    """Run the program functionally until HALT or limit dynamic instructions."""
-    if limit <= 0:
-        raise UisaError("limit must be positive")
-    state = ArchState.initial(program)
-    trace: list[TraceEvent] = []
-    for seq in range(limit):
-        pc = state.pc
-        ins = program.instrs[pc]
-        if ins.opcode == "HALT":
-            break
-        eff_addr, value, taken = step(state, program, seq)
-        trace.append(TraceEvent(seq, pc, ins.opcode, eff_addr, value, taken,
-                                state.pc if ins.is_control else None))
-    return trace
-
-
-def write_trace(trace: list[TraceEvent], path) -> None:
-    with open(path, "w") as f:
-        for ev in trace:
-            f.write(ev.to_json() + "\n")
-
-
-def read_trace(path) -> list[TraceEvent]:
-    with open(path) as f:
-        return [TraceEvent.from_json(line) for line in f if line.strip()]
 
 
 # ---------------------------------------------------------------------------

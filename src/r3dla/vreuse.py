@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .uisa import NUM_REGS
+
 BLOOM_BITS = 1024
-BLOOM_HASHES = 2
 SLOW_THRESHOLD = 20     # cycles dispatch-to-complete before a pc counts as slow
 TRAIN_ITERATIONS = 8    # loop iterations during which the filter trains
-NUM_REGS = 64
 
 
 def _bloom_positions(pc: int) -> tuple[int, int]:
@@ -34,17 +34,14 @@ def _bloom_positions(pc: int) -> tuple[int, int]:
 class SlowInstructionFilter:
     """Bloom filter over slow pcs; deletions tracked exactly on the side."""
 
-    def __init__(self, bits: int = BLOOM_BITS):
-        self.bits = bits
-        self.array = bytearray(bits)
-        self.inserted: set[int] = set()   # for stats/false-positive math only
+    def __init__(self):
+        self.array = bytearray(BLOOM_BITS)
         self.deleted: set[int] = set()
         self._positions: dict[int, tuple[int, int]] = {}   # pc -> bit positions
 
     def insert(self, pc: int) -> None:
         for pos in self._positions.setdefault(pc, _bloom_positions(pc)):
             self.array[pos] = 1
-        self.inserted.add(pc)
         self.deleted.discard(pc)
 
     def query(self, pc: int) -> bool:
@@ -61,14 +58,8 @@ class SlowInstructionFilter:
         self.deleted.add(pc)
 
     def clear(self) -> None:
-        self.array = bytearray(self.bits)
-        self.inserted.clear()
+        self.array = bytearray(BLOOM_BITS)
         self.deleted.clear()
-
-    def false_positive_rate(self) -> float:
-        n = len(self.inserted - self.deleted)
-        inner = 1.0 - (1.0 - 1.0 / self.bits) ** (BLOOM_HASHES * n)
-        return inner ** BLOOM_HASHES
 
 
 ALU_CLASS = ("ALU", "ALUI", "MUL")
@@ -123,19 +114,16 @@ class ReuseCounters:
 class ValueReuseUnit:
     """Glue: the filter, the scoreboard, and training-window bookkeeping."""
 
-    def __init__(self, slow_threshold: int = SLOW_THRESHOLD,
-                 train_iterations: int = TRAIN_ITERATIONS):
+    def __init__(self):
         self.sif = SlowInstructionFilter()
         self.scoreboard = Scoreboard()
-        self.slow_threshold = slow_threshold
-        self.train_iterations = train_iterations
         self.counters = ReuseCounters()
 
     def train(self, pc: int, latency: int, loop_iteration: int | None) -> None:
         """Observe one committed main-thread instruction during training."""
-        if loop_iteration is None or loop_iteration >= self.train_iterations:
+        if loop_iteration is None or loop_iteration >= TRAIN_ITERATIONS:
             return
-        if latency >= self.slow_threshold:
+        if latency >= SLOW_THRESHOLD:
             self.sif.insert(pc)
 
     def should_emit(self, pc: int) -> bool:

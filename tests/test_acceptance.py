@@ -17,6 +17,7 @@ from r3dla.memsys import CacheConfig
 from r3dla.skeleton import backward_closure
 
 from closure_oracle import oracle_closure
+from reference import reference_trace
 
 
 def report(n, ok, detail):
@@ -24,14 +25,9 @@ def report(n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def reference_trace(prog, limit):
-    return [(ev.pc, ev.eff_addr, ev.value, ev.taken)
-            for ev in uisa.run_trace(prog, limit)]
-
-
 def harvest(prog, params=None):
-    d = engine.run_baseline(prog, params=params, mode="ideal_fetch").demand_hist
-    s = engine.run_baseline(prog, params=params, mode="ideal_backend").supply_hist
+    d = Engine(prog, params=params, mode="ideal_fetch").run().demand_hist
+    s = Engine(prog, params=params, mode="ideal_backend").run().supply_hist
     return (fetchq.Distribution.from_counts(d),
             fetchq.Distribution.from_counts(s))
 
@@ -153,7 +149,7 @@ def test_criterion_03_bubble_properties():
 def test_criterion_04_engine_vs_model():
     prog = uisa.gen_pointer_chase(length=2000, rounds=5)
     demand, supply = harvest(prog)
-    st = engine.run_baseline(prog)
+    st = Engine(prog).run()
     cap = CoreParams().fetch_buffer
     occ = np.zeros(cap + 1)
     for i, c in enumerate(st.fb_occupancy[:cap + 1]):
@@ -166,6 +162,7 @@ def test_criterion_04_engine_vs_model():
 
 # -- 5: BOQ depth law over >= 10^7 instructions ----------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_boq_depth_law():
     # Engine.run checks the law on every cycle it steps and raises
     # EngineError if it breaks; a skipped idle cycle cannot change the BOQ or
@@ -183,7 +180,7 @@ def test_criterion_05_boq_depth_law():
     ]
     for prog, feats in runs:
         skel = skeleton.build(prog)
-        st = engine.run_dla(prog, skel, features=feats)
+        st = Engine(prog, skel=skel, features=feats).run()
         total += st.instructions
     report(5, total >= 10 ** 7,
            f"depth law checked on every stepped cycle over {total} instructions")
@@ -191,6 +188,7 @@ def test_criterion_05_boq_depth_law():
 
 # -- 6: correctness firewall under fuzzing ---------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_firewall_fuzz():
     limit = 100_000
     progs = [
@@ -219,9 +217,9 @@ def test_criterion_06_firewall_fuzz():
         version = rng.randrange(6)      # version 4 exercises LT divergence
         corrupt = rng.choice((0.0, 0.02, 0.05))
         log = []
-        engine.run_dla(prog, skel, features=feats, version=version,
-                       limit=limit, commit_log=log,
-                       corrupt_rate=corrupt, corrupt_seed=cfg_no)
+        Engine(prog, skel=skel, features=feats, version=version,
+               limit=limit, commit_log=log,
+               corrupt_rate=corrupt, corrupt_seed=cfg_no).run()
         assert log == ref[:len(log)] and len(log) == len(ref), \
             f"fuzz config {cfg_no} diverged (version={version}, {feats})"
     report(6, True, "50 fuzz configs x 10^5 instrs bit-identical to the "
@@ -236,9 +234,9 @@ def test_criterion_07_t1_effectiveness():
     cache = CacheConfig(mshr=128)       # enough fill bandwidth for delta=64
     skel = skeleton.build(prog, cache_config=cache)
     load_pc = next(iter(skel.s_bits))
-    st = engine.run_dla(prog, skel, cache_config=cache,
-                        features=Features(t1=True),
-                        track_pcs=skel.s_bits, track_warmup=1000)
+    st = Engine(prog, skel=skel, cache_config=cache,
+                features=Features(t1=True),
+                track_pcs=skel.s_bits, track_warmup=1000).run()
     c = st.strided[load_pc]
     hit_warm = c["l1_hits_warm"] / max(1, c["instances_warm"])
 
@@ -256,8 +254,8 @@ def test_criterion_07_t1_effectiveness():
 
     # offload shrinks the dynamic skeleton: v0 excludes S bits, v3 keeps them
     lt_off = st.lt_committed
-    st_on = engine.run_dla(prog, skel, cache_config=cache, version=3,
-                           features=Features(t1=True))
+    st_on = Engine(prog, skel=skel, cache_config=cache, version=3,
+                   features=Features(t1=True)).run()
     lt_on = st_on.lt_committed
     dt = time.monotonic() - t0
     ok = hit_warm >= 0.95 and steady_exact and lt_off < lt_on and dt < 10
@@ -270,9 +268,9 @@ def test_criterion_07_t1_effectiveness():
 
 def test_criterion_08_dla_speedup():
     prog = uisa.gen_pointer_chase(length=1000, rounds=10, payload=1, filler=24)
-    base = engine.run_baseline(prog)
+    base = Engine(prog).run()
     skel = skeleton.build(prog)
-    dla = engine.run_dla(prog, skel)
+    dla = Engine(prog, skel=skel).run()
     ratio = dla.cycles / base.cycles
     traffic = dla.mem["traffic_lines"] / base.mem["traffic_lines"]
     ok = ratio <= 0.8 and traffic <= 1.05

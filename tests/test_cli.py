@@ -118,6 +118,22 @@ def test_bad_static_version_rejected(tmp_path, capsys):
     assert "features.static_versions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, extra", [
+    ("version", {"version": True}),
+    ("features.static_versions.6",
+     {"features": {"recycle": "static", "static_versions": {"6": True}}}),
+    ("features.t1", {"features": {"t1": "false"}}),
+    ("features.value_reuse", {"features": {"value_reuse": 1}}),
+    ("features.fetch_buffer", {"features": {"fetch_buffer": "true"}}),
+    ("features.boq_prefetch_release", {"features": {"boq_prefetch_release": None}}),
+])
+def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
+    # a bool is no version, and an on/off feature is JSON true or false
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(engine="dla", **extra))
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = {"workload": {"kind": "branchy", "params": {"iters": 50}}, "seed": 1}
     monkeypatch.delenv("R3DLA_SEED", raising=False)
@@ -280,6 +296,22 @@ def test_fetchq_sweep_csv(tmp_path):
     assert len(rows) == 9
     bubbles = [float(r["expected_bubbles"]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(bubbles, bubbles[1:]))
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--sweep", "64:4"], "--sweep"),
+    (["--sweep", "4"], "--sweep"),
+    (["--sweep", "a:b"], "--sweep"),
+    (["--sweep", "0:4"], "--sweep"),
+    (["--capacity", "0"], "--capacity"),
+    (["--capacity", "-3"], "--capacity"),
+])
+def test_fetchq_analyze_bad_args_exit_2(tmp_path, capsys, args, field):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"demand_hist": {"0": 1, "2": 1},
+                                "supply_hist": {"4": 1}}))
+    assert cli.fetchq_main(["analyze", "--pair", str(pair), *args]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_harvest_rejects_dla_config(tmp_path):

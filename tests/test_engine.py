@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import random
 import sys
 
 import pytest
@@ -12,6 +11,8 @@ from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
+from reference import reference_trace
+
 
 def full_skeleton(prog):
     """All six versions contain the whole program (perfect look-ahead)."""
@@ -20,14 +21,9 @@ def full_skeleton(prog):
                        s_bits=frozenset())
 
 
-def reference_trace(prog, limit):
-    return [(ev.pc, ev.eff_addr, ev.value, ev.taken)
-            for ev in uisa.run_trace(prog, limit)]
-
-
 def dla_commit_trace(prog, skel, **kw):
     log = []
-    engine.run_dla(prog, skel, commit_log=log, **kw)
+    Engine(prog, skel=skel, commit_log=log, **kw).run()
     return log
 
 
@@ -37,27 +33,27 @@ def test_dependent_mul_chain_serializes():
     # every MUL reads its predecessor: IPC ~ 1/3 (3-cycle MUL latency)
     body = "\n".join("MUL r1, r1, r2" for _ in range(400))
     prog = uisa.parse_program(f"ADDI r1, r0, 1\nADDI r2, r0, 1\n{body}\nHALT\n")
-    st = engine.run_baseline(prog)
+    st = Engine(prog).run()
     assert st.ipc == pytest.approx(1 / 3, rel=0.1)
 
 
 def test_independent_alu_stream_hits_width():
     lines = [f"ADDI r{1 + (k % 8)}, r0, {k}" for k in range(2000)]
     prog = uisa.parse_program("\n".join(lines) + "\nHALT\n")
-    st = engine.run_baseline(prog)
+    st = Engine(prog).run()
     assert st.ipc == pytest.approx(4.0, rel=0.1)
 
 
 def test_baseline_commit_log_matches_interpreter():
     prog = uisa.gen_branchy(iters=500, streams=2)
     log = []
-    engine.run_baseline(prog, commit_log=log)
+    Engine(prog, commit_log=log).run()
     assert log == reference_trace(prog, 10 ** 6)
 
 
 def test_limit_marks_partial():
     prog = uisa.gen_strided_loop(iters=10_000)
-    st = engine.run_baseline(prog, limit=1000)
+    st = Engine(prog, limit=1000).run()
     assert st.partial
     assert st.instructions == 1000
 
@@ -71,8 +67,8 @@ def test_fetch_buffer_feature_off_degenerates():
 
 def test_ideal_modes_record_histograms():
     prog = uisa.gen_strided_loop(iters=2000)
-    st_d = engine.run_baseline(prog, mode="ideal_fetch")
-    st_s = engine.run_baseline(prog, mode="ideal_backend")
+    st_d = Engine(prog, mode="ideal_fetch").run()
+    st_s = Engine(prog, mode="ideal_backend").run()
     assert sum(st_d.demand_hist.values()) == st_d.cycles
     assert sum(st_s.supply_hist.values()) == st_s.cycles
     assert max(st_s.supply_hist) <= 4       # bounded by fetch width
@@ -94,7 +90,7 @@ def test_unknown_mode_rejected():
 
 def test_perfect_lt_no_boq_mispredicts():
     prog = uisa.gen_branchy(iters=2000, streams=2)
-    st = engine.run_dla(prog, full_skeleton(prog))
+    st = Engine(prog, skel=full_skeleton(prog)).run()
     assert st.boq_mispredicts == 0
     assert st.reboots == 0
     assert st.boq_consumed == st.branches
@@ -137,7 +133,7 @@ def test_biased_branch_divergence_reboots():
         pytest.skip("no branch crossed the bias threshold")
     ref = reference_trace(prog, 10 ** 6)
     log = []
-    st = engine.run_dla(prog, skel, version=4, commit_log=log)
+    st = Engine(prog, skel=skel, version=4, commit_log=log).run()
     assert log == ref
     assert st.boq_mispredicts > 0
     assert st.reboots > 0
@@ -169,13 +165,13 @@ def test_reboot_flushes_queues():
 def test_boq_capacity_backpressures_lt():
     prog = uisa.gen_strided_loop(iters=5000)
     skel = skeleton.build(prog)
-    st = engine.run_dla(prog, skel, dla=DlaParams(boq_capacity=8))
+    st = Engine(prog, skel=skel, dla=DlaParams(boq_capacity=8)).run()
     assert max(i for i, c in enumerate(st.boq_occupancy) if c) <= 8
 
 
 def test_stats_to_dict_schema():
     prog = uisa.gen_strided_loop(iters=500)
-    st = engine.run_dla(prog, skeleton.build(prog), features=Features(t1=True))
+    st = Engine(prog, skel=skeleton.build(prog), features=Features(t1=True)).run()
     d = st.to_dict()
     for key in ("cycles", "instructions", "ipc", "mem", "t1", "vreuse",
                 "footnotes", "reboots", "config"):
@@ -187,8 +183,8 @@ def test_t1_prefetches_improve_hit_rate():
     prog = uisa.gen_strided_loop(stride=64, iters=4000)
     skel = skeleton.build(prog)
     load_pc = next(iter(skel.s_bits))
-    st = engine.run_dla(prog, skel, features=Features(t1=True),
-                        track_pcs=skel.s_bits, track_warmup=500)
+    st = Engine(prog, skel=skel, features=Features(t1=True),
+                track_pcs=skel.s_bits, track_warmup=500).run()
     warm = st.strided[load_pc]
     assert warm["l1_hits_warm"] / warm["instances_warm"] > 0.5
     assert st.mem["prefetch_useful"] > 0
@@ -197,7 +193,7 @@ def test_t1_prefetches_improve_hit_rate():
 def test_value_reuse_produces_confirmations():
     prog = uisa.gen_pointer_chase(length=300, rounds=4, payload=1, filler=24)
     skel = skeleton.build(prog)
-    st = engine.run_dla(prog, skel, version=2, features=Features(value_reuse=True))
+    st = Engine(prog, skel=skel, version=2, features=Features(value_reuse=True)).run()
     assert st.vreuse["emitted"] > 0
     assert st.vreuse["confirmed"] == st.vreuse["emitted"]
     assert st.vreuse["skipped"] > 0         # scoreboard rule fires
@@ -207,7 +203,7 @@ def test_value_reuse_produces_confirmations():
 def test_recycle_dynamic_converges_in_engine():
     prog = uisa.gen_mixed_phases(phase_iters=3000, outer=8)
     skel = skeleton.build(prog)
-    st = engine.run_dla(prog, skel, features=Features(recycle="dynamic"))
+    st = Engine(prog, skel=skel, features=Features(recycle="dynamic")).run()
     assert st.recycle["chosen"]
     assert all(n >= 10_000 for _, _, _, n in st.recycle["measurements"])
 
@@ -357,13 +353,13 @@ def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
     prog = uisa.gen_pointer_chase(length=200, rounds=1)
     slow = CacheConfig(dram_latency=300_000)
     with pytest.raises(EngineError, match="at cycle 200004$"):
-        engine.run_baseline(prog, cache_config=slow)
+        Engine(prog, cache_config=slow).run()
     skel = skeleton.build(prog)
     with pytest.raises(EngineError, match="at cycle 200052$"):
-        engine.run_dla(prog, skel, cache_config=slow)
-    st = engine.run_dla(prog, skel, cache_config=slow, max_cycles=5000)
+        Engine(prog, skel=skel, cache_config=slow).run()
+    st = Engine(prog, skel=skel, cache_config=slow, max_cycles=5000).run()
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 5)
-    st = engine.run_dla(prog, skel, max_cycles=5000)
+    st = Engine(prog, skel=skel, max_cycles=5000).run()
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 63)
 
 
@@ -442,41 +438,42 @@ def identity_runs():
     skels = {}
     for name, (prog, feats) in programs.items():
         skels[name] = skeleton.build(prog)
-        yield f"{name}/base", engine.run_baseline(prog).to_dict()
-        yield f"{name}/dla", engine.run_dla(prog, skels[name],
-                                            features=feats).to_dict()
+        yield f"{name}/base", Engine(prog).run().to_dict()
+        yield f"{name}/dla", Engine(prog, skel=skels[name],
+                                    features=feats).run().to_dict()
     prog = programs["branchy"][0]
     for mode in ("ideal_fetch", "ideal_backend"):
-        yield f"branchy/{mode}", engine.run_baseline(prog, mode=mode).to_dict()
+        yield f"branchy/{mode}", Engine(prog, mode=mode).run().to_dict()
     # the conditions under which the engine's per-instruction hooks do work
     prog, feats = programs["stride"]
-    yield "stride/dla/track_pcs", engine.run_dla(
-        prog, skels["stride"], features=feats,
-        track_pcs=skels["stride"].s_bits).to_dict()
+    yield "stride/dla/track_pcs", Engine(
+        prog, skel=skels["stride"], features=feats,
+        track_pcs=skels["stride"].s_bits).run().to_dict()
     prog, feats = programs["chase"]
     log = []
-    yield "chase/dla/commit_log", engine.run_dla(
-        prog, skels["chase"], features=feats, commit_log=log).to_dict()
+    yield "chase/dla/commit_log", Engine(
+        prog, skel=skels["chase"], features=feats, commit_log=log).run().to_dict()
     yield "chase/dla/commit_log/log", log
-    yield "chase/dla/corrupt", engine.run_dla(
-        prog, skels["chase"], version=2, features=Features(value_reuse=True),
-        corrupt_rate=0.05, corrupt_seed=7).to_dict()
-    yield "chase/dla/no_fetch_buffer", engine.run_dla(
-        prog, skels["chase"],
-        features=Features(t1=True, value_reuse=True, fetch_buffer=False)).to_dict()
-    yield "phases/dla/all_features", engine.run_dla(
-        programs["phases"][0], skels["phases"],
-        features=Features(t1=True, value_reuse=True, recycle="dynamic")).to_dict()
+    yield "chase/dla/corrupt", Engine(
+        prog, skel=skels["chase"], version=2, features=Features(value_reuse=True),
+        corrupt_rate=0.05, corrupt_seed=7).run().to_dict()
+    yield "chase/dla/no_fetch_buffer", Engine(
+        prog, skel=skels["chase"],
+        features=Features(t1=True, value_reuse=True,
+                          fetch_buffer=False)).run().to_dict()
+    yield "phases/dla/all_features", Engine(
+        programs["phases"][0], skel=skels["phases"],
+        features=Features(t1=True, value_reuse=True, recycle="dynamic")).run().to_dict()
     # with four MSHRs, fills that are ready but not yet drained hold back
     # misses and prefetches, so the drain cycles show in the results
     cache = CacheConfig(mshr=4)
-    yield "stride/base/mshr4", engine.run_baseline(programs["stride"][0],
-                                                   cache_config=cache).to_dict()
+    yield "stride/base/mshr4", Engine(programs["stride"][0],
+                                      cache_config=cache).run().to_dict()
     for name in ("chase", "stride"):
         prog, feats = programs[name]
-        yield f"{name}/dla/mshr4", engine.run_dla(
-            prog, skeleton.build(prog, cache_config=cache), cache_config=cache,
-            features=feats).to_dict()
+        yield f"{name}/dla/mshr4", Engine(
+            prog, skel=skeleton.build(prog, cache_config=cache), cache_config=cache,
+            features=feats).run().to_dict()
 
 
 def test_run_stats_identical_to_recorded_digests():

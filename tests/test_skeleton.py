@@ -83,8 +83,8 @@ def test_profile_no_mem_no_misses():
         HALT
     """)
     prof = skeleton.profile(prog)
-    assert all(p.l1_miss_rate == 0.0 for p in prof.per_pc.values())
-    assert not prof.partial
+    assert all(p.l1_miss_rate == 0.0 for p in prof.values())
+    assert prof[2].exec_count == 100     # trained up to the HALT
 
 
 def test_profile_branch_bias():
@@ -92,16 +92,14 @@ def test_profile_branch_bias():
     prof = skeleton.profile(prog)
     br = next(pc for pc, ins in enumerate(prog.instrs)
               if ins.opcode == "BR_COND")
-    assert prof.per_pc[br].branch_bias == pytest.approx(0.999)
-    assert prof.per_pc[br].backward_taken
+    assert prof[br].branch_bias == pytest.approx(0.999)
 
 
 def test_profile_detects_stride():
     prog = uisa.gen_strided_loop(stride=64, iters=500)
     prof = skeleton.profile(prog)
     load_pc = next(i for i, ins in enumerate(prog.instrs) if ins.opcode == "LOAD")
-    assert prof.per_pc[load_pc].detected_stride() == 64
-    assert load_pc in prof.strided_pcs()
+    assert prof[load_pc].detected_stride() == 64
 
 
 def test_profile_holds_no_finished_fill(monkeypatch):
@@ -118,7 +116,7 @@ def test_profile_holds_no_finished_fill(monkeypatch):
     prog = uisa.gen_pointer_chase(length=1000, payload=1, filler=24, rounds=2)
     prof = skeleton.profile(prog)
     (mem,) = made
-    assert sum(p.l1_misses for p in prof.per_pc.values()) > 100
+    assert sum(p.l1_misses for p in prof.values()) > 100
     assert mem.in_flight == {}
     assert mem.earliest_ready() is None
 

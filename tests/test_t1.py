@@ -1,7 +1,7 @@
 """Strided-prefetch FSM tests: state walk, distance math, cursor, LRU."""
 
-from r3dla.t1 import (T1Table, LatencyEstimator, INVALID, TRANSIENT1,
-                      TRANSIENT2, STEADY)
+from r3dla.t1 import (T1Table, LatencyEstimator, BURST_CAP,
+                      TRANSIENT1, TRANSIENT2, STEADY)
 
 
 def test_first_touch_never_prefetches():
@@ -72,7 +72,7 @@ def test_burst_cap():
     t.observe(10, 0, 0, 10_000)
     t.observe(10, 64, 1, 10_000)
     out = t.observe(10, 128, 2, 10_000)     # huge latency -> huge distance
-    assert len(out) <= t.burst_cap
+    assert len(out) <= BURST_CAP
 
 
 def test_cursor_never_reissues_covered_lines():
@@ -104,7 +104,7 @@ def test_lru_eviction_at_capacity():
     t.observe(99, 5000, 11, 200)            # evicts the stalest (pc 1)
     assert 0 in t.entries and 99 in t.entries
     assert 1 not in t.entries
-    assert len(t) == 4
+    assert len(t.entries) == 4
 
 
 def test_stats_counters():

