@@ -151,6 +151,9 @@ def validate_config(cfg: dict) -> dict:
     mode = cfg.get("mode", "normal")
     if mode not in engine.MODES:
         _fail("mode", f"unknown mode {mode!r}")
+    if mode != "normal" and eng == "dla":
+        _fail("mode", f"{mode!r} is a baseline-only measurement; "
+                      "a dla config runs in mode 'normal'")
     if "skeleton" in cfg:
         sk = _expect(cfg["skeleton"], "skeleton")
         if "path" in sk and not os.path.exists(sk["path"]):

@@ -295,9 +295,10 @@ class _Core:
         recs = self.stream.recs
         # the hooks run only for what they act on: the LT's branches (BOQ)
         # and, with value reuse, its reuse footnotes; the MT's loop tracking
-        # (BR_COND, CALL), commit log and value-reuse training
+        # (BR_COND, CALL; DLA runs only), commit log and value-reuse training
         reuse = eng.features.value_reuse
         logging = eng.commit_log is not None
+        track = self.is_mt_dla
         while window and n < width:
             idx, complete, dispatched, rec = window[0]
             if complete > now:
@@ -308,8 +309,8 @@ class _Core:
                 break   # BOQ full or footnote queue full: stall commit
             window.popleft()
             self.committed += 1
-            if not is_lt and (op == "BR_COND" or op == "CALL" or logging
-                              or eng.train_iteration is not None):
+            if not is_lt and ((track and (op == "BR_COND" or op == "CALL"))
+                              or logging or eng.train_iteration is not None):
                 eng.on_mt_commit(self, rec, dispatched, complete, now)
             recs.pop(idx, None)
             n += 1
@@ -539,7 +540,6 @@ class Engine:
         self.corrupt_rate = corrupt_rate
         self._corrupt = random.Random(corrupt_seed) if corrupt_rate > 0 else None
 
-        self.tracker = LoopTracker()
         self.track_pcs = track_pcs or frozenset()
         self.track_warmup = track_warmup
         self.strided_counts: dict[int, list] = {}
@@ -557,6 +557,7 @@ class Engine:
             self.lt_stream = LookaheadStream(
                 program, skel, version, uisa.ArchState.initial(program))
             self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt", self)
+            self.tracker = LoopTracker()
             self.vru = ValueReuseUnit()
             self.t1 = T1Table()
             self.lat_est = LatencyEstimator(default=float(self.mem.cfg.cold_latency()))
@@ -703,9 +704,11 @@ class Engine:
                      now: int) -> None:
         """One main-thread commit.
 
-        The core calls this for BR_COND and CALL (loop tracking), for every
-        record when there is a commit log, and while value reuse trains
-        (``train_iteration`` is set); other commits have nothing to do here.
+        The core calls this for BR_COND and CALL in DLA runs (loop
+        tracking), for every record when there is a commit log, and while
+        value reuse trains (``train_iteration`` is set); other commits have
+        nothing to do here.  Only the DLA units act on loop events, so a
+        baseline run does not track loops.
         """
         ins = rec[0]
         if self.commit_log is not None:
@@ -716,8 +719,10 @@ class Engine:
                 self.vru.train(ins.index, complete - dispatched,
                                self.train_iteration)
             return
+        if not self.dla_on:
+            return
         events = self.tracker.observe(ins.index, op, rec[3], ins.target)
-        if not events or not self.dla_on:
+        if not events:
             return
         if self.features.value_reuse:
             # the tracker's loop state changes only with an event

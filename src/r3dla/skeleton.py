@@ -73,54 +73,62 @@ def profile(program: uisa.StaticProgram,
             cache_config: CacheConfig | None = None) -> dict[int, PcProfile]:
     """Run a training input through the memory model; statistics per pc.
 
-    The walk is serial: the clock advances by each access's latency, so every
-    fill is complete before the next access starts.  The profile's cache
-    therefore tracks no outstanding fills (``mshr=0``); a table of them would
-    only hold fills that are already done.
+    The walk is serial: every fill is complete before the next access starts.
+    The profile's cache therefore tracks no outstanding fills (``mshr=0``); a
+    table of them would only hold fills that are already done.  With no fill
+    tracked, an access's result does not depend on when it is made, so the
+    walk keeps no clock.  A non-memory instruction's latency is fixed by its
+    opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
+    ``exec_count`` after the walk; a memory instruction's is summed from the
+    cache model's latencies.  Only pcs that ran are in the result.
     """
     mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
+    access = mem.access
+    step = uisa.step
+    instrs = program.instrs
     state = uisa.ArchState.initial(program)
-    per_pc: dict[int, PcProfile] = {}
-    last_writer: dict[int, int] = {}
-    now = 0
+    profs = [PcProfile() for _ in instrs]
+    # the PcProfile of the last instruction that wrote each register
+    last_writer: list[PcProfile | None] = [None] * uisa.NUM_REGS
     seq = 0
     while seq < TRAIN_LIMIT:
         pc = state.pc
-        ins = program.instrs[pc]
-        if ins.opcode == "HALT":
+        ins = instrs[pc]
+        op = ins.opcode
+        if op == "HALT":
             break
-        eff_addr, _, taken = uisa.step(state, program, seq)
+        eff_addr, _, taken = step(state, program, seq)
         seq += 1
-        p = per_pc.get(pc)
-        if p is None:
-            p = per_pc[pc] = PcProfile()
+        p = profs[pc]
         p.exec_count += 1
-        lat = 1
         if ins.is_mem:
-            res = mem.access(eff_addr, "load" if ins.opcode == "LOAD" else "store",
-                             MT, now)
-            lat = res.latency
-            if res.hit_level != "L1":
+            lat, level, _, _ = access(eff_addr, "load" if op == "LOAD" else "store", MT)
+            p.latency_sum += lat
+            if level != "L1":
                 p.l1_misses += 1
-            if res.hit_level in ("L3", "DRAM"):
-                p.l2_misses += 1
-            if p.last_addr is not None:
-                d = eff_addr - p.last_addr
-                p.stride_votes[d] = p.stride_votes.get(d, 0) + 1
+                if level != "L2":
+                    p.l2_misses += 1
+            last = p.last_addr
+            if last is not None:
+                votes = p.stride_votes
+                d = eff_addr - last
+                votes[d] = votes.get(d, 0) + 1
             p.last_addr = eff_addr
-        else:
-            lat = EXEC_LATENCY.get(ins.opcode, 1)
-        p.latency_sum += lat
-        now += lat
-        if taken:
+        elif taken:
             p.taken_count += 1
         for r in ins.reads:
-            w = last_writer.get(r)
+            w = last_writer[r]
             if w is not None:
-                per_pc[w].consumer_pcs.add(pc)
+                w.consumer_pcs.add(pc)
         if ins.dst is not None:
-            last_writer[ins.dst] = pc
-    return per_pc
+            last_writer[ins.dst] = p
+    ran = {}
+    for pc, (ins, p) in enumerate(zip(instrs, profs)):
+        if p.exec_count:
+            if not ins.is_mem:
+                p.latency_sum = p.exec_count * EXEC_LATENCY.get(ins.opcode, 1)
+            ran[pc] = p
+    return ran
 
 
 @dataclass

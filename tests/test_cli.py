@@ -79,6 +79,14 @@ def test_bad_recycle_mode_rejected(tmp_path, capsys):
     assert "features.recycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["ideal_fetch", "ideal_backend"])
+def test_dla_config_with_idealized_mode_rejected(tmp_path, capsys, mode):
+    # the engine runs the idealized modes only without a look-ahead thread
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(engine="dla", mode=mode))
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert "mode: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_cycles", ["abc", 0, -5, 1.5, True])
 def test_bad_max_cycles_rejected(tmp_path, capsys, max_cycles):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(max_cycles=max_cycles))

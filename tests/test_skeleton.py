@@ -2,12 +2,14 @@
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from r3dla import uisa, skeleton, memsys
 
 from closure_oracle import oracle_closure
+from reference import reference_profile
 
 
 # -- closure -----------------------------------------------------------------
@@ -119,6 +121,41 @@ def test_profile_holds_no_finished_fill(monkeypatch):
     assert sum(p.l1_misses for p in prof.values()) > 100
     assert mem.in_flight == {}
     assert mem.earliest_ready() is None
+
+
+def _assert_profile_matches_reference(prog):
+    got = skeleton.profile(prog)
+    want = reference_profile(prog)
+    assert got.keys() == want.keys()
+    for pc, p in want.items():
+        assert asdict(got[pc]) == asdict(p), pc
+    assert skeleton.build(prog) == skeleton.gen_skeleton_versions(prog, want)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("strided_loop", {"stride": 8, "iters": 300}),
+    ("pointer_chase", {"length": 200, "payload": 1, "filler": 4, "rounds": 2}),
+    ("branchy", {"iters": 100, "streams": 2}),
+    ("mixed_phases", {"outer": 1, "phase_iters": 300}),
+])
+def test_profile_matches_reference_on_generators(kind, params):
+    _assert_profile_matches_reference(uisa.gen_workload(kind, params, seed=3))
+
+
+def test_profile_matches_reference_on_random_programs():
+    # stores, counted loops and registers read before any write
+    rng = random.Random(23)
+    for _ in range(50):
+        _assert_profile_matches_reference(
+            uisa.random_program(rng, rng.randrange(10, 120)))
+
+
+def test_profile_matches_reference_at_train_limit(monkeypatch):
+    monkeypatch.setattr(skeleton, "TRAIN_LIMIT", 700)
+    for prog in (uisa.gen_strided_loop(stride=8, iters=1000),
+                 uisa.gen_mixed_phases(outer=1, phase_iters=300, seed=2)):
+        _assert_profile_matches_reference(prog)
+        assert sum(p.exec_count for p in skeleton.profile(prog).values()) == 700
 
 
 def test_select_seeds_all_alu():
