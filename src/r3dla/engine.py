@@ -27,6 +27,17 @@ supply histograms, the main thread's fetch bubbles at the idle cycle's rate,
 BOQ empty stalls if the main thread starved, and the last periodic cache
 drain of the stretch.  Every ``RunStats`` field is the same as stepping each
 cycle.
+
+In the cycles that do run, an idle unit or stage costs one test.  Value
+reuse acts at main-thread dispatch only on a pending prediction or a set
+scoreboard bit (the scoreboard is not ``clean``), and at look-ahead commit
+only on a non-branch while the slow-instruction filter is ``armed``.  Commit
+returns when the window head is not complete, dispatch when the fetch buffer
+is empty (crediting the fetch bubbles), fetch when the buffer is full, and
+the main thread's fetch when it is still on the branch that found the BOQ
+empty and the BOQ still is (counting the stall).  Each skipped path would
+change nothing; ``test_fast_paths_match_slow_paths`` forces it and compares
+the results.
 """
 
 from __future__ import annotations
@@ -103,7 +114,11 @@ class Features:
 # dynamic distance from the preceding conditional branch in the walk
 # (meaningful on the look-ahead side, None on the main-thread side).  A
 # stream builds each record once; the core's fetch buffer and window carry
-# it as (idx, rec) until commit pops it from the stream's ``recs``.
+# it as (idx, rec).  The main thread reads a record again after a value-reuse
+# replay or a retry on an empty BOQ, so ``MainStream`` keeps it in ``recs``
+# until commit pops it.  The look-ahead thread never reads one twice (it never
+# replays, and a reboot builds a new stream), so ``LookaheadStream`` hands
+# each record out once, in order, and keeps none.
 
 class MainStream:
     """Lazy architectural trace of the full program."""
@@ -143,7 +158,8 @@ class LookaheadStream:
     Masked-out instructions are skipped without executing (their dynamic
     slot still counts toward branch offsets).  The walk is ``done`` at HALT
     or when stale state makes an instruction fail to execute; the engine
-    reboots it.
+    reboots it.  ``get`` takes the indices in order: each call asks for
+    ``next`` (again, once the walk is done, to get None).
     """
 
     def __init__(self, program: uisa.StaticProgram, skel: SkeletonSet,
@@ -154,22 +170,21 @@ class LookaheadStream:
         self.converted = mask.converted_branches
         self.bias_dirs = skel.bias_dirs
         self.state = state
-        self.recs: dict[int, tuple] = {}
         self.next = 0
         self.done = False
         self.since_branch = 0
         self.walked = 0
 
     def get(self, idx: int):
-        recs = self.recs
-        if idx in recs:
-            return recs[idx]
+        if idx != self.next:
+            raise EngineError(f"look-ahead stream asked for record {idx}, "
+                              f"but its next record is {self.next}")
         program = self.program
         instrs = program.instrs
         bits = self.bits
         converted = self.converted
         state = self.state
-        while idx >= self.next and not self.done:
+        while not self.done:
             pc = state.pc
             ins = instrs[pc]
             op = ins.opcode
@@ -180,12 +195,12 @@ class LookaheadStream:
             if pc in converted:
                 taken = self.bias_dirs[pc]
                 state.pc = ins.target if taken else pc + 1
-                recs[self.next] = (ins, None, None, taken, None)
-                self.next += 1
+                self.next = idx + 1
                 self.since_branch = 0
-            elif pc in bits or ins.is_control:
+                return (ins, None, None, taken, None)
+            if pc in bits or ins.is_control:
                 try:
-                    eff_addr, value, taken = uisa.step(state, program, self.next)
+                    eff_addr, value, taken = uisa.step(state, program, idx)
                 except uisa.ExecError:
                     self.done = True
                     break
@@ -193,12 +208,11 @@ class LookaheadStream:
                 off = self.since_branch
                 if op == "BR_COND":
                     self.since_branch = 0
-                recs[self.next] = (ins, eff_addr, value, taken, off)
-                self.next += 1
-            else:
-                state.pc = pc + 1   # masked out: free slot, no record
-                self.since_branch += 1
-        return recs.get(idx)
+                self.next = idx + 1
+                return (ins, eff_addr, value, taken, off)
+            state.pc = pc + 1   # masked out: free slot, no record
+            self.since_branch += 1
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -283,37 +297,45 @@ class _Core:
         self.last_fetched = 0
         self.last_dispatched = 0
         self.boq_starved_at = -1
+        self.starved_idx = -1     # the MT branch that last found the BOQ empty
 
     # -- commit ---------------------------------------------------------------
 
     def commit(self, now: int) -> None:
         window = self.window
+        if not window or window[0][1] > now:
+            return
         n = 0
         width = self.p.commit_width
         eng = self.engine
         is_lt = self.is_lt
-        recs = self.stream.recs
         # the hooks run only for what they act on: the LT's branches (BOQ)
-        # and, with value reuse, its reuse footnotes; the MT's loop tracking
-        # (BR_COND, CALL; DLA runs only), commit log and value-reuse training
-        reuse = eng.features.value_reuse
-        logging = eng.commit_log is not None
-        track = self.is_mt_dla
+        # and, while the slow-instruction filter is armed, its reuse
+        # footnotes; the MT's loop tracking (BR_COND, CALL; DLA runs only),
+        # commit log and value-reuse training.  Only the MT's commit, after
+        # the LT's in a cycle, arms the filter.
+        if is_lt:
+            emit = eng.features.value_reuse and eng.vru.sif.armed
+        else:
+            recs = self.stream.recs
+            logging = eng.commit_log is not None
+            track = self.is_mt_dla
         while window and n < width:
             idx, complete, dispatched, rec = window[0]
             if complete > now:
                 break
             op = rec[0].opcode
-            if (is_lt and (reuse or op == "BR_COND")
+            if (is_lt and (emit or op == "BR_COND")
                     and not eng.lt_commit(rec, now)):
                 break   # BOQ full or footnote queue full: stall commit
             window.popleft()
             self.committed += 1
-            if not is_lt and ((track and (op == "BR_COND" or op == "CALL"))
-                              or logging or eng.train_iteration is not None):
-                eng.on_mt_commit(self, rec, dispatched, complete, now)
-            recs.pop(idx, None)
             n += 1
+            if not is_lt:
+                if ((track and (op == "BR_COND" or op == "CALL"))
+                        or logging or eng.train_iteration is not None):
+                    eng.on_mt_commit(self, rec, dispatched, complete, now)
+                recs.pop(idx, None)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -323,10 +345,20 @@ class _Core:
         buf = self.fetch_buffer
         space = p.window_size - len(window)
         demand = space if space < p.decode_width else p.decode_width
+        is_lt = self.is_lt
+        if not buf:
+            if not is_lt:
+                self.fetch_bubbles += demand
+            self.last_dispatched = 0
+            return
         n = 0
         eng = self.engine
-        is_lt = self.is_lt
+        # value reuse acts only on a pending prediction or a set scoreboard
+        # bit: without either, on_mt_dispatch would change nothing
         reuse = self.is_mt_dla and eng.features.value_reuse
+        if reuse:
+            predictions = eng.predictions
+            sb = eng.vru.scoreboard
         load_pcs = eng.mt_load_pcs
         rr = self.reg_ready
         while n < demand and buf:
@@ -356,7 +388,7 @@ class _Core:
 
             squashed = False
             ready = complete
-            if reuse:
+            if reuse and (idx in predictions or not sb.clean):
                 complete, ready, squashed = eng.on_mt_dispatch(
                     self, idx, ins, rec, complete, now)
             if ins.dst is not None:
@@ -396,12 +428,18 @@ class _Core:
 
     def fetch(self, now: int) -> None:
         self.last_fetched = 0
-        if self.wait_resolution is not None or now < self.fetch_blocked_until:
+        buf = self.fetch_buffer
+        if (self.wait_resolution is not None or now < self.fetch_blocked_until
+                or len(buf) >= self.fb_cap):
+            return
+        eng = self.engine
+        if self.starved_idx == self.fetch_idx > self.boq_done_idx and not eng.boq:
+            # still on the branch that found the BOQ empty, and it still is
+            eng.stats.boq_empty_stalls += 1
+            self.boq_starved_at = now
             return
         p = self.p
-        buf = self.fetch_buffer
         fetched = 0
-        eng = self.engine
         is_mt_dla = self.is_mt_dla
         predictor = self.predictor
         btb = self.btb
@@ -421,6 +459,7 @@ class _Core:
                         if not eng.boq:
                             eng.stats.boq_empty_stalls += 1
                             self.boq_starved_at = now
+                            self.starved_idx = idx
                             break
                         entry = eng.boq.popleft()
                         eng.boq_popped += 1
@@ -576,8 +615,8 @@ class Engine:
         A conditional branch pushes its outcome to the BOQ; with value reuse,
         a value of a pc the slow-instruction filter names goes down as a
         footnote.  A full BOQ or footnote queue holds the record back.  The
-        core calls this only for branches and, with value reuse, for every
-        record: nothing else has outputs.
+        core calls this only for branches and, while value reuse's filter is
+        ``armed``, for every record: nothing else has outputs.
         """
         ins = rec[0]
         if ins.opcode == "BR_COND":
@@ -663,8 +702,9 @@ class Engine:
                        complete: int, now: int):
         """Value-prediction application; returns (complete, ready, squashed).
 
-        Called for every main-thread dispatch when value reuse is on.
-        ``ready`` is when dependents may read the destination: for a
+        Called when value reuse is on and ``idx`` has a pending prediction
+        or the scoreboard is not ``clean``; otherwise it would change
+        nothing.  ``ready`` is when dependents may read the destination: for a
         confirmed prediction that's right away, even though a load still
         runs to completion for validation.
         """
@@ -814,8 +854,12 @@ class Engine:
         cycle = 0
         last_commit_cycle = 0
         last_committed = 0
-        record_demand = self.mode == "ideal_fetch"
-        record_supply = self.mode == "ideal_backend"
+        # an idealized mode records one histogram: ideal_fetch the dispatch
+        # demand, ideal_backend the fetch supply
+        ideal = self.mode != "normal"
+        if ideal:
+            record_supply = self.mode == "ideal_backend"
+            hist = stats.supply_hist if record_supply else stats.demand_hist
         dla = self.dla_on
         while cycle < self.max_cycles:
             cycle += 1
@@ -829,23 +873,21 @@ class Engine:
                 lt.dispatch(cycle)
                 lt.fetch(cycle)
             self.fb_occ[len(mt.fetch_buffer)] += 1
-            if self.mode == "ideal_backend":
-                mt.dispatch_ideal_backend(cycle)
+            if ideal:
+                if record_supply:
+                    mt.dispatch_ideal_backend(cycle)
+                    mt.fetch(cycle)
+                    n = mt.last_fetched
+                else:
+                    mt.commit(cycle)
+                    mt.dispatch(cycle)
+                    mt.fetch_ideal(cycle)
+                    n = mt.last_dispatched
+                hist[n] = hist.get(n, 0) + 1
             else:
                 mt.commit(cycle)
                 mt.dispatch(cycle)
-            if self.mode == "ideal_fetch":
-                mt.fetch_ideal(cycle)
-            else:
                 mt.fetch(cycle)
-            if record_demand:
-                h = stats.demand_hist
-                n = mt.last_dispatched
-                h[n] = h.get(n, 0) + 1
-            if record_supply:
-                h = stats.supply_hist
-                n = mt.last_fetched
-                h[n] = h.get(n, 0) + 1
             if dla:
                 # queue depth law: pushes minus pops since the last flush
                 if self.boq_pushed - self.boq_popped != len(self.boq):
@@ -893,10 +935,8 @@ class Engine:
                 if k > 0:
                     self.fb_occ[len(mt.fetch_buffer)] += k
                     mt.fetch_bubbles += k * (mt.fetch_bubbles - mt_bubbles)
-                    if record_demand:
-                        stats.demand_hist[0] += k
-                    if record_supply:
-                        stats.supply_hist[0] += k
+                    if ideal:
+                        hist[0] += k
                     if dla:
                         self.boq_occ[len(self.boq)] += k
                         if mt.boq_starved_at == cycle:

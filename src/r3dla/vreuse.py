@@ -10,6 +10,10 @@ treats them as value predictions.  Two pieces live here:
     ALU-class instruction whose sources are all backed by validated
     predictions can skip execution entirely, which is where the win beyond
     plain latency hiding comes from.
+
+Each piece says in one field whether it holds anything: a filter is
+``armed`` from an insert until it is cleared, and a scoreboard is ``clean``
+while no bit is set.  The engine reads these to leave an idle unit alone.
 """
 
 from __future__ import annotations
@@ -38,14 +42,16 @@ class SlowInstructionFilter:
         self.array = bytearray(BLOOM_BITS)
         self.deleted: set[int] = set()
         self._positions: dict[int, tuple[int, int]] = {}   # pc -> bit positions
+        self.armed = False      # an insert since the last clear
 
     def insert(self, pc: int) -> None:
         for pos in self._positions.setdefault(pc, _bloom_positions(pc)):
             self.array[pos] = 1
         self.deleted.discard(pc)
+        self.armed = True
 
     def query(self, pc: int) -> bool:
-        if pc in self.deleted:
+        if not self.armed or pc in self.deleted:
             return False
         pos = self._positions.get(pc)
         if pos is None:
@@ -60,6 +66,7 @@ class SlowInstructionFilter:
     def clear(self) -> None:
         self.array = bytearray(BLOOM_BITS)
         self.deleted.clear()
+        self.armed = False
 
 
 ALU_CLASS = ("ALU", "ALUI", "MUL")
@@ -76,9 +83,11 @@ class Scoreboard:
 
     def __init__(self, nregs: int = NUM_REGS):
         self.bits = [False] * nregs
+        self.clean = True       # no bit set; apply without a prediction is a no-op
 
     def reset(self) -> None:
         self.bits[:] = [False] * len(self.bits)
+        self.clean = True
 
     def apply(self, opcode: str, dst: int | None, srcs,
               has_prediction: bool) -> str:
@@ -91,6 +100,7 @@ class Scoreboard:
                     action = "validate"
                     break
             bits[dst] = True
+            self.clean = False
             return action
         if dst is not None:
             bits[dst] = False

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from r3dla import uisa, skeleton, engine
+from r3dla import uisa, skeleton, engine, vreuse
 from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
@@ -146,6 +146,24 @@ def test_boq_depth_law_raises():
     eng.boq_pushed += 1         # a push the queue never saw
     with pytest.raises(EngineError, match="depth accounting broke at cycle 1"):
         eng.run()
+
+
+def test_lookahead_stream_hands_out_records_in_order():
+    # a real check, not an assert: the stream keeps no record to hand out twice
+    prog = uisa.gen_branchy(iters=20)
+    skel = skeleton.build(prog)
+    stream = engine.LookaheadStream(prog, skel, 0, uisa.ArchState.initial(prog))
+    assert stream.get(0) is not None
+    assert stream.get(1) is not None
+    with pytest.raises(EngineError, match=r"record 1, but its next record is 2"):
+        stream.get(1)
+    with pytest.raises(EngineError, match=r"record 5, but its next record is 2"):
+        stream.get(5)
+    idx = 2
+    while stream.get(idx) is not None:
+        idx += 1
+    assert stream.done and stream.next == idx
+    assert stream.get(idx) is None          # asking again at the end is in order
 
 
 def test_reboot_flushes_queues():
@@ -346,6 +364,67 @@ def test_idle_skip_matches_per_cycle_oracle(monkeypatch, case):
     assert fast == slow
 
 
+# -- fast paths vs the slow paths they skip ------------------------------------
+
+def forced(value):
+    """A class-level property that reads ``value`` and ignores writes."""
+    return property(lambda self: value, lambda self, v: None)
+
+
+# each run has value reuse on; ``reached`` checks the unit did what is named
+FAST_PATH_CASES = {
+    **{case: SKIP_CASES[case] for case in ("chase-dla-t1-reuse",
+                                           "chase-reuse-replays")},
+    "branchy-reuse-idle": (
+        lambda: engine_factory(uisa.gen_branchy(iters=500, streams=2),
+                               features=Features(value_reuse=True)),
+        lambda d: d["footnotes"]["reuse"] == 0),
+    "phases-all-features": (
+        lambda: engine_factory(uisa.gen_mixed_phases(phase_iters=1000, outer=3),
+                               features=Features(t1=True, value_reuse=True,
+                                                 recycle="dynamic")),
+        lambda d: d["vreuse"]["confirmed"] > 0),
+}
+
+
+@pytest.mark.parametrize("case", list(FAST_PATH_CASES))
+def test_fast_paths_match_slow_paths(monkeypatch, case):
+    """An idle unit or stage is skipped after one test; forcing every such
+    test to fail runs the full path and must give the same results."""
+    make_factory, reached = FAST_PATH_CASES[case]
+    factory = make_factory()
+    # the calls each fast path saves: value reuse at MT dispatch, a reuse
+    # footnote check at LT commit, a stream read on an empty BOQ
+    calls = dict.fromkeys(("on_mt_dispatch", "lt_commit", "get"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for owner, name in ((Engine, "on_mt_dispatch"), (Engine, "lt_commit"),
+                        (engine.MainStream, "get")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+
+    def outcome():
+        calls.update(dict.fromkeys(calls, 0))
+        eng = factory()
+        stats = eng.run().to_dict()
+        return (stats, eng.mt.fetch_bubbles, eng.mt.boq_starved_at), dict(calls)
+
+    fast, fast_calls = outcome()
+    monkeypatch.setattr(vreuse.Scoreboard, "clean", forced(False), raising=False)
+    monkeypatch.setattr(vreuse.SlowInstructionFilter, "armed", forced(True),
+                        raising=False)
+    monkeypatch.setattr(engine._Core, "starved_idx", forced(-2), raising=False)
+    slow, slow_calls = outcome()
+    assert reached(fast[0])
+    for name in calls:      # each forced path ran where the fast one did not
+        assert slow_calls[name] > fast_calls[name], name
+    assert fast == slow
+
+
 @pytest.mark.parametrize("wake", ["skip", "step"])
 def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
     if wake == "step":
@@ -484,13 +563,17 @@ def test_run_stats_identical_to_recorded_digests():
 # -- host cost: Python calls per simulated instruction --------------------------
 
 # Python "call" events per committed MT instruction in a baseline or DLA run
-# of the identity programs; the counts repeat exactly.  When the DLA ceilings
-# were set the counts were 9.5 (phases) and 17.0 (branchy), down from 20.6 and
-# 30.5 before the engine's hooks were called only when they had work and the
-# small helpers below them became fields or inline code.  The baseline counts
-# were 4.09 (phases) and 5.14 (branchy) when their ceilings were set, down
-# from 4.49 and 5.64 before baseline runs stopped tracking loops.
-CALLS_PER_INSTRUCTION_CEILING = {("phases", "dla"): 12.0, ("branchy", "dla"): 21.0,
+# of the identity programs; the counts repeat exactly.  When the phases DLA
+# ceiling was set the count was 9.5, down from 20.6 before the engine's hooks
+# were called only when they had work and the small helpers below them became
+# fields or inline code.  The branchy and chase DLA counts were 12.6 and 8.0
+# when their ceilings were set, down from 17.0 and 9.4 before an idle
+# value-reuse unit and a main thread retrying on an empty BOQ stopped costing
+# calls.  The baseline counts were 4.09 (phases) and
+# 5.14 (branchy) when their ceilings were set, down from 4.49 and 5.64 before
+# baseline runs stopped tracking loops.
+CALLS_PER_INSTRUCTION_CEILING = {("phases", "dla"): 12.0, ("branchy", "dla"): 14.0,
+                                 ("chase", "dla"): 8.8,
                                  ("phases", "base"): 4.3, ("branchy", "base"): 5.4}
 
 

@@ -34,6 +34,18 @@ def test_filter_clear():
     assert not any(f.query(pc) for pc in range(1000))   # no false positives either
 
 
+def test_filter_armed_from_insert_until_clear():
+    f = SlowInstructionFilter()
+    assert not f.armed
+    f.insert(42)
+    assert f.armed
+    f.delete(42)                # a delete masks the pc, the filter stays armed
+    assert f.armed and not f.query(42)
+    f.insert(43)
+    f.clear()
+    assert not f.armed and not f.query(43)
+
+
 def test_filter_false_positive_rate_small():
     f = SlowInstructionFilter()
     rng = random.Random(0)
@@ -89,15 +101,34 @@ def test_scoreboard_reset():
     assert not any(sb.bits)
 
 
+def test_scoreboard_clean_until_a_predicted_alu_op():
+    sb = Scoreboard()
+    assert sb.clean
+    sb.apply("LOAD", 2, (1,), has_prediction=True)     # clears, sets nothing
+    sb.apply("ALU", 3, (1,), has_prediction=False)
+    assert sb.clean
+    sb.apply("MUL", 1, (0,), has_prediction=True)
+    assert not sb.clean
+    sb.apply("ALU", 1, (0,), has_prediction=False)     # bit cleared, flag kept
+    assert not sb.clean
+    sb.reset()
+    assert sb.clean
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_scoreboard_skip_soundness(seed):
     """An instruction is only ever skipped when it has a prediction and every
-    source bit was set by a predicted ALU-class producer (no clears since)."""
+    source bit was set by a predicted ALU-class producer (no clears since);
+    a clean scoreboard has no bit set."""
     rng = random.Random(seed)
     sb = Scoreboard(nregs=8)
     shadow = [False] * 8
     for _ in range(60):
+        if rng.random() < 0.05:     # a taken branch or a replay
+            sb.reset()
+            shadow = [False] * 8
+            assert sb.clean
         op = rng.choice(ALU_CLASS + ("LOAD", "STORE"))
         dst = rng.randrange(8) if op != "STORE" else None
         srcs = tuple(rng.randrange(8) for _ in range(rng.randint(1, 2)))
@@ -112,6 +143,8 @@ def test_scoreboard_skip_soundness(seed):
         elif dst is not None:
             shadow[dst] = False
         assert sb.bits == shadow
+        if sb.clean:
+            assert not any(sb.bits)
 
 
 # -- unit glue ---------------------------------------------------------------
