@@ -178,7 +178,10 @@ def build_workload(cfg: dict) -> uisa.StaticProgram:
     return uisa.gen_workload(wl["kind"], wl.get("params"), seed=seed)
 
 
-def run_config(cfg: dict) -> engine.RunStats:
+def run_config(cfg: dict, skeletons: dict | None = None) -> engine.RunStats:
+    """Run one config.  A multi-run command passes one ``skeletons`` dict to
+    all its runs, keyed by (program hash, cache config), so each skeleton it
+    needs is built once; without it every DLA run builds its own."""
     prog = build_workload(cfg)
     core = CoreParams.from_dict(cfg["core"]) if "core" in cfg else None
     cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None
@@ -189,8 +192,13 @@ def run_config(cfg: dict) -> engine.RunStats:
     sk_cfg = cfg.get("skeleton", {"auto": True})
     if "path" in sk_cfg:
         skel = skeleton.load_skeleton(sk_cfg["path"], prog)
-    else:
+    elif skeletons is None:
         skel = skeleton.build(prog, cache_config=cache)
+    else:
+        key = (skeleton.program_hash(prog), cache)
+        skel = skeletons.get(key)
+        if skel is None:
+            skel = skeletons[key] = skeleton.build(prog, cache_config=cache)
     feats = Features.from_dict(cfg["features"]) if "features" in cfg else None
     dla = DlaParams.from_dict(cfg["dla"]) if "dla" in cfg else None
     return engine.Engine(prog, skel=skel, dla=dla, features=feats,
@@ -252,8 +260,9 @@ def cmd_compare(args) -> int:
                 f"{p}: workload differs from {args.configs[0]} (use --force)")
     rows = []
     ref = None
+    skeletons = {}
     for path, cfg in zip(args.configs, cfgs):
-        st = run_config(cfg)
+        st = run_config(cfg, skeletons)
         row = _summary_row(cfg.get("name", path), st)
         if ref is None:
             ref = row
@@ -282,11 +291,12 @@ def cmd_sweep(args) -> int:
         except json.JSONDecodeError:
             values.append(tok)
     rows = []
+    skeletons = {}
     for v in values:
         c = json.loads(json.dumps(cfg))
         _set_path(c, args.param, v)
         c = validate_config(c)
-        st = run_config(c)
+        st = run_config(c, skeletons)
         row = _summary_row(f"{args.param}={v}", st)
         rows.append(row)
     _write_csv(rows, args.out)
@@ -297,6 +307,7 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("engine") != "dla":
         raise ConfigError("engine: ablate needs a dla config")
+    skeletons = {}
 
     def run_with(feature_set: set[str]) -> int:
         c = json.loads(json.dumps(cfg))
@@ -305,7 +316,7 @@ def cmd_ablate(args) -> int:
             on = name in feature_set
             feats[name] = ("dynamic" if on else "off") if name == "recycle" else on
         c["features"] = feats
-        return run_config(c).cycles
+        return run_config(c, skeletons).cycles
 
     none_cycles = run_with(set())
     all_cycles = run_with(set(FEATURE_NAMES))

@@ -115,41 +115,54 @@ class Features:
 # (meaningful on the look-ahead side, None on the main-thread side).  A
 # stream builds each record once; the core's fetch buffer and window carry
 # it as (idx, rec).  The main thread reads a record again after a value-reuse
-# replay or a retry on an empty BOQ, so ``MainStream`` keeps it in ``recs``
-# until commit pops it.  The look-ahead thread never reads one twice (it never
-# replays, and a reboot builds a new stream), so ``LookaheadStream`` hands
-# each record out once, in order, and keeps none.
+# replay or a retry on an empty BOQ, so ``MainStream`` keeps it until commit
+# pops it.  The uncommitted records are contiguous, oldest first, so they sit
+# in a deque that commit pops at the left; record ``idx`` is ``next - idx``
+# places from its right end.  The look-ahead thread never reads one twice (it
+# never replays, and a reboot builds a new stream), so ``LookaheadStream``
+# hands each record out once, in order, and keeps none.
 
 class MainStream:
-    """Lazy architectural trace of the full program."""
+    """Lazy architectural trace of the full program.
+
+    ``recs`` holds the uncommitted records, ``next - len(recs)`` to
+    ``next - 1``.  ``get`` takes an index up to ``next``: an older one is a
+    re-read, and ``next`` itself steps one record (or gives None once the
+    walk has halted).
+    """
 
     def __init__(self, program: uisa.StaticProgram, limit: int):
         self.program = program
         self.state = uisa.ArchState.initial(program)
-        self.recs: dict[int, tuple] = {}
+        self.recs: deque[tuple] = deque()
         self.next = 0
         self.halted = False
         self.hit_limit = False
         self.limit = limit
 
     def get(self, idx: int):
-        recs = self.recs
-        if idx in recs:
-            return recs[idx]
+        back = self.next - idx
+        if back > 0:
+            return self.recs[-back]
+        if back:
+            raise EngineError(f"main stream asked for record {idx}, "
+                              f"but its next record is {self.next}")
+        if self.halted:
+            return None
         program = self.program
         state = self.state
-        while idx >= self.next and not self.halted:
-            ins = program.instrs[state.pc]
-            if ins.opcode == "HALT":
-                self.halted = True
-                break
-            if self.next >= self.limit:
-                self.halted = True
-                self.hit_limit = True
-                break
-            recs[self.next] = (ins, *uisa.step(state, program, self.next), None)
-            self.next += 1
-        return recs.get(idx)
+        ins = program.instrs[state.pc]
+        if ins.opcode == "HALT":
+            self.halted = True
+            return None
+        if idx >= self.limit:
+            self.halted = True
+            self.hit_limit = True
+            return None
+        rec = (ins, *uisa.step(state, program, idx), None)
+        self.recs.append(rec)
+        self.next = idx + 1
+        return rec
 
 
 class LookaheadStream:
@@ -335,7 +348,7 @@ class _Core:
                 if ((track and (op == "BR_COND" or op == "CALL"))
                         or logging or eng.train_iteration is not None):
                     eng.on_mt_commit(self, rec, dispatched, complete, now)
-                recs.pop(idx, None)
+                recs.popleft()
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -413,6 +426,8 @@ class _Core:
         # backend absorbs everything instantly; used only to measure supply
         buf = self.fetch_buffer
         n = len(buf)
+        recs = self.stream.recs
+        logging = self.engine.commit_log is not None
         while buf:
             idx, rec = buf.popleft()
             if idx == self.wait_resolution:
@@ -420,8 +435,9 @@ class _Core:
                 self.wait_resolution = None
                 self.pending_flags.pop(idx, None)
             self.committed += 1
-            self.engine.on_mt_commit(self, rec, now, now, now)
-            self.stream.recs.pop(idx, None)
+            if logging:     # a baseline commit's only hook (see commit)
+                self.engine.on_mt_commit(self, rec, now, now, now)
+            recs.popleft()
         self.last_dispatched = n
 
     # -- fetch --------------------------------------------------------------

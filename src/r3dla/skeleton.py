@@ -69,6 +69,65 @@ class PcProfile:
         return None
 
 
+class _Run:
+    """A straight-line run of the training walk, worked out once per start pc.
+
+    ``body`` holds (instr, its ``PcProfile`` if it is a memory op, else
+    None).  ``live_in`` holds (register, reader pc) for the reads whose
+    producer comes before the run; ``pairs`` holds (producer ``PcProfile``,
+    reader pc) for the reads fed inside it; ``writers`` holds (register,
+    ``PcProfile``) for the run's last writer of each register.  ``branch`` is
+    the ``PcProfile`` of a conditional branch that ends the run.
+    """
+
+    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "whole",
+                 "count")
+
+    def __init__(self, body, live_in, pairs, writers, branch, whole):
+        self.body = body
+        self.live_in = live_in
+        self.pairs = pairs
+        self.writers = writers
+        self.branch = branch
+        self.whole = whole      # ends where the program's control flow ends it
+        self.count = 0          # executions
+
+
+def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
+                  start: int, cap: int) -> _Run:
+    """The run from ``start`` to the first control instruction (inclusive),
+    the instruction before HALT, or the program's last one, but at most
+    ``cap`` instructions long; a run cut short by ``cap`` is not ``whole``."""
+    body = []
+    live_in = {}
+    pairs = {}
+    writers = {}        # register -> pc of the run's last writer so far
+    n = len(instrs)
+    pc = start
+    while True:
+        ins = instrs[pc]
+        for r in ins.reads:
+            w = writers.get(r)
+            if w is None:
+                live_in[r, pc] = None
+            else:
+                pairs[w, pc] = None
+        if ins.dst is not None:
+            writers[ins.dst] = pc
+        body.append((ins, profs[pc] if ins.is_mem else None))
+        pc += 1
+        if ins.is_control or pc == n or instrs[pc].opcode == "HALT":
+            whole = True
+            break
+        if len(body) == cap:
+            whole = False
+            break
+    branch = profs[ins.index] if ins.opcode == "BR_COND" else None
+    return _Run(body, tuple(live_in),
+                tuple((profs[w], reader) for w, reader in pairs),
+                tuple((r, profs[w]) for r, w in writers.items()), branch, whole)
+
+
 def profile(program: uisa.StaticProgram,
             cache_config: CacheConfig | None = None) -> dict[int, PcProfile]:
     """Run a training input through the memory model; statistics per pc.
@@ -81,6 +140,16 @@ def profile(program: uisa.StaticProgram,
     opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
     ``exec_count`` after the walk; a memory instruction's is summed from the
     cache model's latencies.  Only pcs that ran are in the result.
+
+    The walk goes one straight-line run (``_Run``) at a time.  What in a run
+    does not depend on the data -- its register producers and consumers --
+    is worked out when the run is first reached; each execution then steps
+    its instructions, sends its memory ops through the cache, and feeds only
+    its live-in reads to their producers.  Within a run, a read's producer
+    is the same on every execution, so those pairs are added once, after the
+    run's first walk.  Each pc's ``exec_count`` is summed from its runs'
+    counts.  A run that would pass ``TRAIN_LIMIT`` is built anew with a cap,
+    so the walk stops exactly at the limit.
     """
     mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
     access = mem.access
@@ -90,38 +159,53 @@ def profile(program: uisa.StaticProgram,
     profs = [PcProfile() for _ in instrs]
     # the PcProfile of the last instruction that wrote each register
     last_writer: list[PcProfile | None] = [None] * uisa.NUM_REGS
+    runs: list[_Run | None] = [None] * len(instrs)      # by start pc
+    built: list[_Run] = []
+    limit = TRAIN_LIMIT
     seq = 0
-    while seq < TRAIN_LIMIT:
+    while seq < limit:
         pc = state.pc
-        ins = instrs[pc]
-        op = ins.opcode
-        if op == "HALT":
-            break
-        eff_addr, _, taken = step(state, program, seq)
-        seq += 1
-        p = profs[pc]
-        p.exec_count += 1
-        if ins.is_mem:
-            lat, level, _, _ = access(eff_addr, "load" if op == "LOAD" else "store", MT)
-            p.latency_sum += lat
-            if level != "L1":
-                p.l1_misses += 1
-                if level != "L2":
-                    p.l2_misses += 1
-            last = p.last_addr
-            if last is not None:
-                votes = p.stride_votes
-                d = eff_addr - last
-                votes[d] = votes.get(d, 0) + 1
-            p.last_addr = eff_addr
-        elif taken:
-            p.taken_count += 1
-        for r in ins.reads:
+        run = runs[pc]
+        new = run is None or len(run.body) > limit - seq
+        if new:
+            if instrs[pc].opcode == "HALT":
+                break
+            run = _straight_run(instrs, profs, pc, limit - seq)
+            built.append(run)
+            if run.whole:
+                runs[pc] = run
+        for r, reader in run.live_in:
             w = last_writer[r]
             if w is not None:
-                w.consumer_pcs.add(pc)
-        if ins.dst is not None:
-            last_writer[ins.dst] = p
+                w.consumer_pcs.add(reader)
+        for ins, p in run.body:
+            eff_addr, _, taken = step(state, program, seq)
+            seq += 1
+            if p is not None:
+                lat, level, _, _ = access(
+                    eff_addr, "load" if ins.opcode == "LOAD" else "store", MT)
+                p.latency_sum += lat
+                if level != "L1":
+                    p.l1_misses += 1
+                    if level != "L2":
+                        p.l2_misses += 1
+                last = p.last_addr
+                if last is not None:
+                    votes = p.stride_votes
+                    d = eff_addr - last
+                    votes[d] = votes.get(d, 0) + 1
+                p.last_addr = eff_addr
+        if taken:       # the last step's: only a conditional branch sets it
+            run.branch.taken_count += 1
+        for r, p in run.writers:
+            last_writer[r] = p
+        run.count += 1
+        if new:
+            for p, reader in run.pairs:
+                p.consumer_pcs.add(reader)
+    for run in built:
+        for ins, _ in run.body:
+            profs[ins.index].exec_count += run.count
     ran = {}
     for pc, (ins, p) in enumerate(zip(instrs, profs)):
         if p.exec_count:

@@ -228,6 +228,53 @@ def test_ablate_emits_feature_rows(tmp_path):
         assert float(r["speedup_last"]) > 0
 
 
+def count_builds(monkeypatch):
+    """Patch ``skeleton.build`` to note the program hash of each call."""
+    calls = []
+    real = skeleton.build
+
+    def counted(program, *args, **kw):
+        calls.append(skeleton.program_hash(program))
+        return real(program, *args, **kw)
+    monkeypatch.setattr(skeleton, "build", counted)
+    return calls
+
+
+def test_ablate_builds_the_skeleton_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("R3DLA_SEED", raising=False)
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"workload": {"kind": "branchy", "params": {"iters": 200}},
+                     "engine": "dla", "seed": 1})
+    builds = count_builds(monkeypatch)
+    shared, own = tmp_path / "shared.csv", tmp_path / "own.csv"
+    assert cli.sim_main(["ablate", "--config", cfg, "--out", str(shared)]) == 0
+    assert len(builds) == 1
+    # the same rows as runs that each build their own skeleton
+    real = cli.run_config
+    monkeypatch.setattr(cli, "run_config", lambda c, skeletons=None: real(c))
+    assert cli.sim_main(["ablate", "--config", cfg, "--out", str(own)]) == 0
+    assert len(builds) == 11
+    assert shared.read_text() == own.read_text()
+    monkeypatch.setattr(cli, "run_config", real)
+    monkeypatch.setenv("R3DLA_SEED", "2")
+    assert cli.sim_main(["ablate", "--config", cfg]) == 0
+    assert len(builds) == 12
+    assert builds[-1] != builds[0]
+
+
+def test_sweep_and_compare_share_skeletons(tmp_path, monkeypatch):
+    builds = count_builds(monkeypatch)
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(engine="dla"))
+    assert cli.sim_main(["sweep", "--config", cfg, "--param",
+                         "core.fetch_buffer", "--values", "8,16,32"]) == 0
+    assert len(builds) == 1
+    # a cache that differs needs a skeleton of its own
+    other = write_cfg(tmp_path, "d.json",
+                      base_cfg(engine="dla", cache={"dram_latency": 100}))
+    assert cli.sim_main(["compare", cfg, cfg, other]) == 0
+    assert len(builds) == 3
+
+
 # -- skel / fetchq ---------------------------------------------------------------
 
 def test_skel_build_round_trips(tmp_path, capsys):

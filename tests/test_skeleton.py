@@ -158,6 +158,60 @@ def test_profile_matches_reference_at_train_limit(monkeypatch):
         assert sum(p.exec_count for p in skeleton.profile(prog).values()) == 700
 
 
+# the chase program's first run is pcs 0-36 (37 instructions, to the loop
+# branch); every later one is the 34-instruction loop body from pc 3
+RUN_CHASE = dict(length=50, payload=1, filler=24, rounds=2)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 10, 37, 38, 39, 60, 700])
+def test_profile_matches_reference_when_train_limit_cuts_a_run(monkeypatch, limit):
+    # inside the first run, at its end, inside the loop body's first visit,
+    # and inside a later visit
+    monkeypatch.setattr(skeleton, "TRAIN_LIMIT", limit)
+    prog = uisa.gen_pointer_chase(**RUN_CHASE)
+    _assert_profile_matches_reference(prog)
+    assert sum(p.exec_count for p in skeleton.profile(prog).values()) == limit
+
+
+def test_profile_raises_like_reference_inside_a_run():
+    # the fourth LOAD reads address -8, in the middle of its run
+    prog = uisa.parse_program("""
+        ADDI r1, r0, 40
+        ADDI r2, r0, 10
+    loop:
+        ADDI r3, r3, 1
+        LOAD r4, 0(r1)
+        ADDI r1, r1, -16
+        ADDI r2, r2, -1
+        BNEZ r2, loop
+        HALT
+    """)
+    with pytest.raises(uisa.ExecError) as want:
+        reference_profile(prog)
+    with pytest.raises(uisa.ExecError) as got:
+        skeleton.profile(prog)
+    assert "negative address -8" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("prog,starts", [
+    (uisa.gen_pointer_chase(**RUN_CHASE), [0, 3]),
+    (uisa.gen_strided_loop(iters=300), [0, 2]),
+])
+def test_profile_builds_each_run_once(monkeypatch, prog, starts):
+    built = []
+    real = skeleton._straight_run
+
+    def counted(instrs, profs, start, cap):
+        built.append(start)
+        return real(instrs, profs, start, cap)
+
+    monkeypatch.setattr(skeleton, "_straight_run", counted)
+    prof = skeleton.profile(prog)
+    assert sorted(built) == starts
+    assert prof[starts[-1]].exec_count > len(built)     # the loop body repeats
+
+
 def test_select_seeds_all_alu():
     prog = uisa.parse_program("""
         ADDI r1, r0, 10
