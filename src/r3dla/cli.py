@@ -192,9 +192,9 @@ def run_config(cfg: dict, skeletons: dict | None = None) -> engine.RunStats:
     sk_cfg = cfg.get("skeleton", {"auto": True})
     if "path" in sk_cfg:
         skel = skeleton.load_skeleton(sk_cfg["path"], prog)
-    elif skeletons is None:
-        skel = skeleton.build(prog, cache_config=cache)
     else:
+        if skeletons is None:
+            skeletons = {}
         key = (skeleton.program_hash(prog), cache)
         skel = skeletons.get(key)
         if skel is None:

@@ -116,19 +116,18 @@ class Features:
 # stream builds each record once; the core's fetch buffer and window carry
 # it as (idx, rec).  The main thread reads a record again after a value-reuse
 # replay or a retry on an empty BOQ, so ``MainStream`` keeps it until commit
-# pops it.  The uncommitted records are contiguous, oldest first, so they sit
-# in a deque that commit pops at the left; record ``idx`` is ``next - idx``
-# places from its right end.  The look-ahead thread never reads one twice (it
-# never replays, and a reboot builds a new stream), so ``LookaheadStream``
-# hands each record out once, in order, and keeps none.
+# pops it.  The look-ahead thread never reads one twice (it never replays,
+# and a reboot builds a new stream), so ``LookaheadStream`` hands each record
+# out once, in order, and keeps none.
 
 class MainStream:
     """Lazy architectural trace of the full program.
 
-    ``recs`` holds the uncommitted records, ``next - len(recs)`` to
-    ``next - 1``.  ``get`` takes an index up to ``next``: an older one is a
-    re-read, and ``next`` itself steps one record (or gives None once the
-    walk has halted).
+    The uncommitted records are contiguous, oldest first, so ``recs`` is a
+    deque that commit pops at the left, and record ``idx`` is ``next - idx``
+    places from its right end.  ``get`` takes an index up to ``next``: an
+    older one is a re-read, and ``next`` itself steps one record (or gives
+    None once the walk has halted).
     """
 
     def __init__(self, program: uisa.StaticProgram, limit: int):

@@ -80,24 +80,23 @@ class _Run:
     the ``PcProfile`` of a conditional branch that ends the run.
     """
 
-    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "whole",
-                 "count")
+    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "count")
 
-    def __init__(self, body, live_in, pairs, writers, branch, whole):
+    def __init__(self, body, live_in, pairs, writers, branch):
         self.body = body
         self.live_in = live_in
         self.pairs = pairs
         self.writers = writers
         self.branch = branch
-        self.whole = whole      # ends where the program's control flow ends it
         self.count = 0          # executions
 
 
 def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
-                  start: int, cap: int) -> _Run:
+                  start: int, cap: int) -> tuple[_Run, bool]:
     """The run from ``start`` to the first control instruction (inclusive),
     the instruction before HALT, or the program's last one, but at most
-    ``cap`` instructions long; a run cut short by ``cap`` is not ``whole``."""
+    ``cap`` instructions long; and whether it is whole, i.e. not cut short
+    by ``cap``."""
     body = []
     live_in = {}
     pairs = {}
@@ -125,7 +124,7 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
     branch = profs[ins.index] if ins.opcode == "BR_COND" else None
     return _Run(body, tuple(live_in),
                 tuple((profs[w], reader) for w, reader in pairs),
-                tuple((r, profs[w]) for r, w in writers.items()), branch, whole)
+                tuple((r, profs[w]) for r, w in writers.items()), branch), whole
 
 
 def profile(program: uisa.StaticProgram,
@@ -170,9 +169,9 @@ def profile(program: uisa.StaticProgram,
         if new:
             if instrs[pc].opcode == "HALT":
                 break
-            run = _straight_run(instrs, profs, pc, limit - seq)
+            run, whole = _straight_run(instrs, profs, pc, limit - seq)
             built.append(run)
-            if run.whole:
+            if whole:
                 runs[pc] = run
         for r, reader in run.live_in:
             w = last_writer[r]
