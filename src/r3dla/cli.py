@@ -166,22 +166,44 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def workload_seed(cfg: dict) -> int | None:
+    """The seed a generated workload is built with (``R3DLA_SEED`` wins);
+    None for a program file."""
+    wl = cfg["workload"]
+    if "program_file" in wl:
+        return None
+    env_seed = os.environ.get("R3DLA_SEED")
+    if env_seed is not None:
+        return int(env_seed)
+    return cfg.get("seed", wl.get("seed", 0))
+
+
 def build_workload(cfg: dict) -> uisa.StaticProgram:
     wl = cfg["workload"]
     if "program_file" in wl:
         with open(wl["program_file"]) as f:
             return uisa.parse_program(f.read(), name=wl["program_file"])
-    seed = cfg.get("seed", wl.get("seed", 0))
-    env_seed = os.environ.get("R3DLA_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return uisa.gen_workload(wl["kind"], wl.get("params"), seed=seed)
+    return uisa.gen_workload(wl["kind"], wl.get("params"), seed=workload_seed(cfg))
 
 
 def run_config(cfg: dict, skeletons: dict | None = None) -> engine.RunStats:
     """Run one config.  A multi-run command passes one ``skeletons`` dict to
     all its runs, keyed by (program hash, cache config), so each skeleton it
-    needs is built once; without it every DLA run builds its own."""
+    needs is built once; without it every DLA run builds its own.
+
+    An ``EngineError`` or ``ExecError`` is raised again with the same type,
+    its message prefixed by what reproduces the run: the config's name,
+    the workload seed and ``config_hash(cfg)``."""
+    try:
+        return _run_config(cfg, skeletons)
+    except (engine.EngineError, uisa.ExecError) as e:
+        seed = workload_seed(cfg)
+        at_seed = "" if seed is None else f", seed {seed}"
+        raise type(e)(f"config {cfg.get('name', '<unnamed>')!r}{at_seed}, "
+                      f"config_hash {config_hash(cfg)}: {e}") from e
+
+
+def _run_config(cfg: dict, skeletons: dict | None) -> engine.RunStats:
     prog = build_workload(cfg)
     core = CoreParams.from_dict(cfg["core"]) if "core" in cfg else None
     cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None

@@ -38,6 +38,16 @@ the main thread's fetch when it is still on the branch that found the BOQ
 empty and the BOQ still is (counting the stall).  Each skipped path would
 change nothing; ``test_fast_paths_match_slow_paths`` forces it and compares
 the results.
+
+Who references what: the ``Engine`` owns its cores (``mt``, ``lt``), and
+each core holds the ``MemorySystem`` and its stream.  A core's stages call
+the engine's hooks through ``_Core.engine``, which ``Engine.run`` sets when
+it starts and clears when it returns or raises.  It is a plain reference,
+not a weak proxy, because perfbench's tracer keys a dict on ``core.engine``
+inside its stage wrappers, and a proxy cannot be hashed.  Outside ``run``
+nothing points back at the engine, so a finished run is freed by reference
+counting as soon as its caller drops it, not at a later pass of the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -281,7 +291,7 @@ class _Core:
     """One in-order-fetch, out-of-order-complete timing core."""
 
     def __init__(self, params: CoreParams, mem: MemorySystem, mem_mode: str,
-                 stream, role: str, engine: "Engine"):
+                 stream, role: str):
         self.p = params
         self.mem = mem
         self.mem_mode = mem_mode
@@ -289,7 +299,7 @@ class _Core:
         # role is "baseline", "mt" (main thread of a DLA run) or "lt"
         self.is_lt = role == "lt"
         self.is_mt_dla = role == "mt"
-        self.engine = engine
+        self.engine: Engine | None = None     # set only while Engine.run runs
         self.window: deque = deque()          # (idx, complete, dispatched, rec)
         self.fetch_buffer: deque = deque()    # (idx, rec)
         self.fb_cap = params.fetch_buffer
@@ -581,7 +591,7 @@ class Engine:
                                       "fetch_buffer": self.params.decode_width})
         self.mt_stream = MainStream(program, limit)
         self.mt = _Core(mt_params, self.mem, MT, self.mt_stream,
-                        "mt" if self.dla_on else "baseline", self)
+                        "mt" if self.dla_on else "baseline")
 
         self.boq: deque[BoqEntry] = deque()
         self.fq: deque[tuple] = deque()
@@ -610,7 +620,7 @@ class Engine:
             self.version = version
             self.lt_stream = LookaheadStream(
                 program, skel, version, uisa.ArchState.initial(program))
-            self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt", self)
+            self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt")
             self.tracker = LoopTracker()
             self.vru = ValueReuseUnit()
             self.t1 = T1Table()
@@ -862,6 +872,16 @@ class Engine:
         return wake
 
     def run(self) -> RunStats:
+        cores = (self.mt, self.lt) if self.dla_on else (self.mt,)
+        for core in cores:
+            core.engine = self
+        try:
+            return self._simulate()
+        finally:
+            for core in cores:
+                core.engine = None
+
+    def _simulate(self) -> RunStats:
         mt = self.mt
         lt = self.lt
         stats = self.stats

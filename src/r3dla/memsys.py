@@ -11,6 +11,12 @@ An in-flight table per line approximates MSHR behavior: a demand access to
 a line whose fill is still outstanding merges with it and waits out the
 remaining latency.  A heap of fill-ready times beside the table lets a
 drain retire only the fills that are ready.
+
+Each cache level keeps its prefetch marks in one set of line addresses
+(``Cache.pref_lines``), not one set per cache set: a line address maps to
+exactly one cache set, so a mark is cleared with its line on eviction or on
+the demand hit that counts it useful, as before.  The default hierarchy has
+3,328 cache sets, and each set is then one dict instead of a dict and a set.
 """
 
 from __future__ import annotations
@@ -86,29 +92,30 @@ class Cache:
     """One set-associative LRU cache level; tags only.
 
     Each set is a dict whose key order is the LRU order: a hit or a fill moves
-    the line to the end, and the victim is the first key.
+    the line to the end, and the victim is the first key.  ``pref_lines``
+    holds the line addresses, across all sets, that a prefetch filled and no
+    demand access has hit since; evicting a line drops its mark.
     """
 
     def __init__(self, cfg: LevelConfig):
         self.cfg = cfg
         self.n_sets = cfg.size // (cfg.line * cfg.assoc)
         self.sets: list[dict] = [dict() for _ in range(self.n_sets)]  # tag -> None
-        self.pref_lines: list[set] = [set() for _ in range(self.n_sets)]
+        self.pref_lines: set[int] = set()
         self.accesses = 0
         self.misses = 0
 
     def fill(self, line_addr: int, prefetched: bool = False) -> None:
-        si = line_addr % self.n_sets
-        s = self.sets[si]
+        s = self.sets[line_addr % self.n_sets]
         if line_addr in s:
             del s[line_addr]
         elif len(s) >= self.cfg.assoc:
             victim = next(iter(s))
             del s[victim]
-            self.pref_lines[si].discard(victim)
+            self.pref_lines.discard(victim)
         s[line_addr] = None
         if prefetched:
-            self.pref_lines[si].add(line_addr)
+            self.pref_lines.add(line_addr)
 
 
 @dataclass
@@ -192,19 +199,16 @@ class MemorySystem:
         depth = 0
         for hit, cache in levels:
             lat += cache.cfg.hit_latency
-            si = line_addr % cache.n_sets
-            s = cache.sets[si]
+            s = cache.sets[line_addr % cache.n_sets]
             if demand:
                 cache.accesses += 1
             if line_addr in s:
                 del s[line_addr]
                 s[line_addr] = None
-                if demand:
-                    marks = cache.pref_lines[si]
-                    if line_addr in marks:
-                        self.pf_stats.prefetch_useful += 1
-                        marks.discard(line_addr)
-                        was_pref = True
+                if demand and line_addr in cache.pref_lines:
+                    self.pf_stats.prefetch_useful += 1
+                    cache.pref_lines.discard(line_addr)
+                    was_pref = True
                 break
             if demand:
                 cache.misses += 1

@@ -125,30 +125,34 @@ class StaticProgram:
             raise UisaError("program must have exactly one reachable HALT")
 
     def _count_reachable_halts(self) -> int:
+        """Count the HALTs reachable from ``entry``; raise ``UisaError`` if a
+        reachable instruction falls through past the last one."""
+        n = len(self.instrs)
+        if not 0 <= self.entry < n:
+            raise UisaError(f"entry {self.entry} is outside the program")
         seen = set()
         stack = [self.entry]
         halts = 0
         while stack:
             i = stack.pop()
-            if i in seen or not (0 <= i < len(self.instrs)):
+            if i in seen:
                 continue
             seen.add(i)
             ins = self.instrs[i]
-            if ins.opcode == "HALT":
+            op = ins.opcode
+            if op == "HALT":
                 halts += 1
                 continue
-            if ins.opcode == "BR_UNCOND":
-                stack.append(ins.target)
-            elif ins.opcode == "BR_COND":
-                stack.append(ins.target)
-                stack.append(i + 1)
-            elif ins.opcode == "CALL":
-                stack.append(ins.target)
-                stack.append(i + 1)
-            elif ins.opcode == "RET":
-                pass  # return edges handled by CALL fall-through above
-            else:
-                stack.append(i + 1)
+            if op in ("BR_UNCOND", "BR_COND", "CALL"):
+                stack.append(ins.target)    # validate checked it is in range
+            # RET has no successor here: return edges are the CALL
+            # fall-throughs
+            if op in ("BR_UNCOND", "RET"):
+                continue
+            if i + 1 == n:
+                raise UisaError(f"instr {i} ({op}): control runs past the "
+                                f"end of the program")
+            stack.append(i + 1)
         return halts
 
 

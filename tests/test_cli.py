@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from r3dla import cli, skeleton
+from r3dla import cli, engine, skeleton
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -65,6 +65,25 @@ def test_bad_nested_field_path(tmp_path, capsys):
                     {"workload": {"kind": "no_such_generator"}})
     assert cli.sim_main(["run", "--config", cfg]) == 2
     assert "workload.kind" in capsys.readouterr().err
+
+
+def test_runtime_error_names_the_run(tmp_path, capsys, monkeypatch):
+    """A run that raises exits 1 with what reproduces it: name, seed,
+    config hash, and the cycle the engine stopped at."""
+    doc = {"name": "slow-dram", "seed": 5,
+           "workload": {"kind": "pointer_chase",
+                        "params": {"length": 200, "rounds": 1}},
+           "cache": {"dram_latency": 300_000}}
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    monkeypatch.delenv("R3DLA_SEED", raising=False)
+    assert cli.sim_main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: config 'slow-dram', seed 5, config_hash "
+                   f"{cli.config_hash(doc)}: no commit progress for 200000 "
+                   f"cycles at cycle 200004\n")
+    monkeypatch.setenv("R3DLA_SEED", "7")      # the seed the run really used
+    with pytest.raises(engine.EngineError, match=r"'slow-dram', seed 7, "):
+        cli.run_config(doc)
 
 
 def test_bad_version_rejected(tmp_path):

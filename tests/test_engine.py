@@ -1,12 +1,14 @@
 """Timing engine tests: pipeline bounds, the correctness firewall, reboots."""
 
+import gc
 import hashlib
 import json
 import sys
+import weakref
 
 import pytest
 
-from r3dla import uisa, skeleton, engine, vreuse
+from r3dla import cli, uisa, skeleton, engine, vreuse
 from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
@@ -440,6 +442,70 @@ def test_watchdog_and_max_cycles_fire_on_the_same_cycle(monkeypatch, wake):
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 5)
     st = Engine(prog, skel=skel, max_cycles=5000).run()
     assert (st.cycles, st.partial, st.instructions) == (5000, True, 63)
+
+
+# -- run lifetime: a finished run is freed by reference counting ----------------
+
+LIFETIME_CASES = {
+    "baseline": {"workload": {"kind": "strided_loop",
+                              "params": {"stride": 8, "iters": 500}}},
+    "dla-t1-reuse-recycle": {
+        "workload": {"kind": "mixed_phases",
+                     "params": {"outer": 1, "phase_iters": 300}},
+        "engine": "dla",
+        "features": {"t1": True, "value_reuse": True, "recycle": "dynamic"}},
+    "ideal_fetch": {"workload": {"kind": "branchy",
+                                 "params": {"iters": 100, "streams": 2}},
+                    "mode": "ideal_fetch"},
+    "ideal_backend": {"workload": {"kind": "branchy",
+                                   "params": {"iters": 100, "streams": 2}},
+                      "mode": "ideal_backend"},
+    "watchdog": {"workload": {"kind": "pointer_chase",
+                              "params": {"length": 200, "rounds": 1}},
+                 "cache": {"dram_latency": 300_000}},
+}
+
+
+@pytest.mark.parametrize("case", list(LIFETIME_CASES))
+def test_finished_run_leaves_no_cyclic_garbage(monkeypatch, case):
+    """A run's engine, cores and caches are freed when the caller drops
+    them, without the cyclic collector, also when the run raises."""
+    cfg = cli.validate_config(LIFETIME_CASES[case])
+    engines = []
+    run = Engine.run
+
+    def recording_run(self):
+        engines.append(weakref.ref(self))
+        return run(self)
+
+    monkeypatch.setattr(Engine, "run", recording_run)
+
+    def run_once():
+        try:
+            cli.run_config(cfg)
+        except EngineError as e:
+            return str(e)
+        return None
+
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        error = run_once()
+        engine_alive = engines[0]() is not None
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert len(engines) == 1
+    assert (error is not None) == (case == "watchdog")
+    if error is not None:
+        assert error.endswith("at cycle 200004")
+    assert found == 0
+    assert not engine_alive
 
 
 # -- identity: RunStats digests pinned against unintended model changes ---------

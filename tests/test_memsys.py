@@ -75,6 +75,35 @@ def test_prefetch_then_demand_is_useful():
     assert mem.pf_stats.prefetch_useful == 1
 
 
+def test_prefetch_marks_clear_on_eviction_and_on_demand_hit():
+    """Each level keeps one set of the line addresses a prefetch filled."""
+    mem = MemorySystem(small_config())
+    levels = (mem.l1[MT], mem.l2[MT], mem.l3)
+    mem.access(0x8000, "prefetch", MT, now=0)
+    mem.drain(1000)
+    assert all(c.pref_lines == {0x8000 // 64} for c in levels)
+    # eight demand lines in the same set at every level (a multiple of the
+    # L3's 32 sets apart) evict the prefetched line from all three
+    for k in range(1, 9):
+        mem.access(0x8000 + k * 32 * 64, "load", MT, now=1000 * k)
+        mem.drain(1000 * k + 500)
+    assert not any(c.pref_lines for c in levels)
+    # the demand miss that brings the line back counts no prefetch
+    res = mem.access(0x8000, "load", MT, now=20_000)
+    assert (res.hit_level, res.was_prefetched) == ("DRAM", False)
+    assert mem.pf_stats.prefetch_useful == 0
+
+    mem.access(0x9000, "prefetch", MT, now=30_000)
+    mem.drain(31_000)
+    res = mem.access(0x9000, "load", MT, now=31_000)
+    assert (res.hit_level, res.was_prefetched) == ("L1", True)
+    assert 0x9000 // 64 not in mem.l1[MT].pref_lines
+    # the hit cleared the mark: the next hit is not counted again
+    res = mem.access(0x9000, "load", MT, now=31_001)
+    assert (res.hit_level, res.was_prefetched) == ("L1", False)
+    assert mem.pf_stats.prefetch_useful == 1
+
+
 def test_useless_prefetches():
     mem = MemorySystem()
     for i in range(10):

@@ -64,6 +64,32 @@ def test_validate_dangling_target():
         uisa.StaticProgram(instrs=ins).validate()
 
 
+@pytest.mark.parametrize("text, pc, op", [
+    ("BEQZ r0, L2\nHALT\nL2: ADDI r1, r0, 1\n", 2, "ALUI"),   # taken path
+    ("JMP L3\nHALT\nF: RET\nL3: CALL F\n", 3, "CALL"),     # its return
+])
+def test_validate_rejects_a_path_past_the_last_instruction(text, pc, op):
+    """A reachable path that runs off the end is named, not left to fail
+    later with an IndexError in the profiler or the engine."""
+    with pytest.raises(uisa.UisaError,
+                       match=rf"instr {pc} \({op}\): control runs past the end"):
+        uisa.parse_program(text)
+
+
+def test_validate_rejects_entry_outside_program():
+    prog = uisa.StaticProgram(instrs=[uisa.StaticInstr(0, "HALT")], entry=1)
+    with pytest.raises(uisa.UisaError, match="entry 1 is outside"):
+        prog.validate()
+
+
+def test_generated_programs_validate():
+    for seed in range(100):
+        rng = random.Random(seed)
+        uisa.random_program(rng, n_instrs=rng.randrange(4, 120)).validate()
+    for kind in uisa._GENERATORS:
+        uisa.gen_workload(kind, seed=1).validate()
+
+
 def test_print_parse_round_trip_generators():
     progs = [
         uisa.gen_strided_loop(stride=64, iters=10),
