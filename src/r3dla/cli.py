@@ -7,8 +7,8 @@ Three console scripts live here:
   fetchq  analyze | harvest                 (fetch buffer model)
 
 Configs are JSON; validation errors name the offending field path.  Exit
-codes: 0 ok, 1 runtime error, 2 config error.  ``R3DLA_SEED`` overrides the
-workload seed for quick reproduction runs.
+codes: 0 ok, 1 runtime error, 2 config error, which includes a non-integer
+``R3DLA_SEED`` (it overrides the workload seed) and a bad workload param.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
 from dataclasses import fields
 
 from . import __version__, uisa, skeleton, fetchq, engine, recycle
-from .memsys import CacheConfig
+from .memsys import CacheConfig, LevelConfig, MemError
 from .engine import CoreParams, DlaParams, Features
 
 FEATURE_NAMES = ("t1", "value_reuse", "fetch_buffer", "recycle")
@@ -86,10 +87,13 @@ def _check_int(v, path: str, minimum: int) -> None:
         _fail(path, f"must be an integer >= {minimum}, got {v!r}")
 
 
-def _check_int_fields(d: dict, path: str, fields: dict) -> None:
+def _check_int_fields(d: dict, path: str, fields: dict, required=False) -> None:
     for name, minimum in fields.items():
         if name in d:
             _check_int(d[name], f"{path}.{name}", minimum)
+    missing = [name for name in fields if name not in d]
+    if required and missing:
+        _fail(path, f"missing {', '.join(missing)}")
 
 
 def _check_version(v, path: str) -> None:
@@ -109,7 +113,9 @@ def validate_config(cfg: dict) -> dict:
         if kind not in uisa._GENERATORS:
             _fail("workload.kind",
                   f"unknown generator {kind!r}; one of {sorted(uisa._GENERATORS)}")
-        _expect(wl.get("params", {}), "workload.params")
+        _check_keys(_expect(wl.get("params", {}), "workload.params"),
+                    "workload.params",
+                    inspect.signature(uisa._GENERATORS[kind]).parameters)
     feats = _expect(cfg.get("features", {}), "features")
     for name in BOOL_FEATURES:
         if name in feats and type(feats[name]) is not bool:
@@ -135,11 +141,17 @@ def validate_config(cfg: dict) -> dict:
         _check_int_fields(cache, "cache", INT_FIELDS["cache"])
         for level in ("l1", "l2", "l3"):
             if level in cache:
-                _check_int_fields(_expect(cache[level], f"cache.{level}"),
-                                  f"cache.{level}", CACHE_LEVEL_INT_FIELDS)
+                path = f"cache.{level}"
+                lv = _expect(cache[level], path)
+                _check_keys(lv, path, CACHE_LEVEL_INT_FIELDS)
+                _check_int_fields(lv, path, CACHE_LEVEL_INT_FIELDS, required=True)
+                try:
+                    LevelConfig(**lv)
+                except MemError as e:
+                    _fail(f"{path}.size", str(e))
         try:
             CacheConfig.from_dict(cache)
-        except Exception as e:
+        except MemError as e:
             _fail("cache", str(e))
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
@@ -174,7 +186,10 @@ def workload_seed(cfg: dict) -> int | None:
         return None
     env_seed = os.environ.get("R3DLA_SEED")
     if env_seed is not None:
-        return int(env_seed)
+        try:
+            return int(env_seed)
+        except ValueError:
+            _fail("R3DLA_SEED", f"not an integer: {env_seed!r}")
     return cfg.get("seed", wl.get("seed", 0))
 
 
@@ -183,7 +198,10 @@ def build_workload(cfg: dict) -> uisa.StaticProgram:
     if "program_file" in wl:
         with open(wl["program_file"]) as f:
             return uisa.parse_program(f.read(), name=wl["program_file"])
-    return uisa.gen_workload(wl["kind"], wl.get("params"), seed=workload_seed(cfg))
+    try:
+        return uisa.gen_workload(wl["kind"], wl.get("params"), seed=workload_seed(cfg))
+    except uisa.UisaError as e:
+        raise ConfigError(f"workload.params: {e}") from None
 
 
 def run_config(cfg: dict, skeletons: dict | None = None) -> engine.RunStats:

@@ -268,7 +268,6 @@ class RunStats:
     fq_drops: int = 0
     vreuse: dict = field(default_factory=dict)
     t1: dict = field(default_factory=dict)
-    strided: dict = field(default_factory=dict)
     mem: dict = field(default_factory=dict)
     boq_occupancy: list = field(default_factory=list)
     fb_occupancy: list = field(default_factory=list)
@@ -381,7 +380,7 @@ class _Core:
         if reuse:
             predictions = eng.predictions
             sb = eng.vru.scoreboard
-        load_pcs = eng.mt_load_pcs
+        t1_pcs = eng.t1_pcs
         rr = self.reg_ready
         while n < demand and buf:
             idx, rec = buf[0]
@@ -398,7 +397,7 @@ class _Core:
                 if is_lt:
                     if res.hit_level != "L1":
                         eng.on_lt_miss(rec[1])
-                elif ins.index in load_pcs:
+                elif ins.index in t1_pcs:
                     eng.on_mt_load(ins, rec, res, now)
             elif op == "STORE":
                 self.mem.access(rec[1], "store", self.mem_mode, start)
@@ -564,8 +563,6 @@ class Engine:
                  limit: int = 10_000_000,
                  max_cycles: int = 200_000_000,
                  mode: str = "normal",
-                 track_pcs: frozenset | None = None,
-                 track_warmup: int = 500,
                  commit_log: list | None = None,
                  corrupt_rate: float = 0.0, corrupt_seed: int = 0):
         program.validate()
@@ -604,13 +601,9 @@ class Engine:
         self.corrupt_rate = corrupt_rate
         self._corrupt = random.Random(corrupt_seed) if corrupt_rate > 0 else None
 
-        self.track_pcs = track_pcs or frozenset()
-        self.track_warmup = track_warmup
-        self.strided_counts: dict[int, list] = {}
-        # loads T1 observes: the S-bit pcs, when T1 is on
+        # the loads T1 observes (on_mt_load's pcs): the S-bit pcs, when T1 is on
         self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
                        else frozenset())
-        self.mt_load_pcs = self.t1_pcs | self.track_pcs    # on_mt_load's pcs
         # value-reuse training: the innermost loop's iteration index while it
         # is inside the training window, else None (see on_mt_commit)
         self.train_iteration: int | None = None
@@ -692,28 +685,19 @@ class Engine:
                     self.predictions[branch_idx + off] = (pc, dst, value)
 
     def on_mt_load(self, ins, rec, res, now: int) -> None:
-        """A main-thread load of a pc in ``mt_load_pcs``."""
+        """A main-thread load of a pc in ``t1_pcs``: T1 observes it."""
         pc = ins.index
-        if pc in self.t1_pcs:
-            if res.hit_level != "L1" and not res.merged:
-                self.lat_est.note_miss(pc, res.latency)
-            addrs = self.t1.observe(pc, rec[1], now, self.lat_est.get(pc),
-                                    self.tracker.current)
-            q = self.pf_queue
-            for a in addrs:
-                if a >= 0:
-                    if len(q) < self.pf_queue_cap:
-                        q.append(a)
-                    else:
-                        self.stats.fq_drops += 1
-        if pc in self.track_pcs:
-            c = self.strided_counts.setdefault(pc, [0, 0, 0, 0])
-            c[0] += 1
-            hit = 1 if res.hit_level == "L1" else 0
-            c[1] += hit
-            if c[0] > self.track_warmup:
-                c[2] += 1
-                c[3] += hit
+        if res.hit_level != "L1" and not res.merged:
+            self.lat_est.note_miss(pc, res.latency)
+        addrs = self.t1.observe(pc, rec[1], now, self.lat_est.get(pc),
+                                self.tracker.current)
+        q = self.pf_queue
+        for a in addrs:
+            if a >= 0:
+                if len(q) < self.pf_queue_cap:
+                    q.append(a)
+                else:
+                    self.stats.fq_drops += 1
 
     def _issue_prefetches(self, now: int) -> None:
         self.mem.drain(now)
@@ -996,9 +980,6 @@ class Engine:
         st.mispredicts = self.mt.mispredicts
         st.mem = self.mem.stats(self.mt.committed)
         st.fb_occupancy = self.fb_occ
-        st.strided = {pc: {"instances": c[0], "l1_hits": c[1],
-                           "instances_warm": c[2], "l1_hits_warm": c[3]}
-                      for pc, c in self.strided_counts.items()}
         if self.dla_on:
             st.lt_committed = self.lt.committed
             st.lt_walked = self.lt_stream.walked

@@ -40,6 +40,11 @@ class LevelConfig:
     line: int
     hit_latency: int
 
+    def __post_init__(self):
+        sets = self.size // (self.line * self.assoc)
+        if self.size % (self.line * self.assoc) or sets & (sets - 1):
+            raise MemError("cache size must be a power-of-two multiple of line*assoc")
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -50,13 +55,8 @@ class CacheConfig:
     mshr: int = 32          # miss-status registers; 0 tracks no fills at all
 
     def __post_init__(self):
-        line = self.l1.line
-        for lv in (self.l1, self.l2, self.l3):
-            if lv.line != line:
-                raise MemError("line sizes must match across levels")
-            sets = lv.size // (lv.line * lv.assoc)
-            if lv.size % (lv.line * lv.assoc) or sets & (sets - 1):
-                raise MemError("cache size must be a power-of-two multiple of line*assoc")
+        if not self.l1.line == self.l2.line == self.l3.line:
+            raise MemError("line sizes must match across levels")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CacheConfig":

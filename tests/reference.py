@@ -1,5 +1,5 @@
 """Functional references shared by the tests: the engine's commit log and the
-skeleton profile."""
+skeleton profile; and a count of the main-thread loads that T1 observes."""
 
 from dataclasses import replace
 
@@ -66,3 +66,30 @@ def reference_profile(program, cache_config=None):
         if ins.dst is not None:
             last_writer[ins.dst] = pc
     return per_pc
+
+
+def run_counting_t1_loads(eng, warmup):
+    """Run ``eng`` and count, per pc, the main-thread loads that reach T1's
+    hook ``Engine.on_mt_load`` and how many of them hit L1.  The ``_warm``
+    counts leave out each pc's first ``warmup`` loads.  Returns the
+    ``RunStats`` and ``{pc: {"instances", "l1_hits", "instances_warm",
+    "l1_hits_warm"}}``; a run in which no load reached the hook (T1 off, or
+    no S-bit loads) fails instead of returning an empty count."""
+    counts = {}
+    hook = eng.on_mt_load
+
+    def counting_hook(ins, rec, res, now):
+        c = counts.setdefault(ins.index, [0, 0, 0, 0])
+        hit = res.hit_level == "L1"
+        c[0] += 1
+        c[1] += hit
+        if c[0] > warmup:
+            c[2] += 1
+            c[3] += hit
+        hook(ins, rec, res, now)
+
+    eng.on_mt_load = counting_hook      # the cores look the hook up per call
+    stats = eng.run()
+    assert counts, "no main-thread load reached Engine.on_mt_load"
+    keys = ("instances", "l1_hits", "instances_warm", "l1_hits_warm")
+    return stats, {pc: dict(zip(keys, c)) for pc, c in counts.items()}

@@ -17,7 +17,7 @@ from r3dla.memsys import CacheConfig
 from r3dla.skeleton import backward_closure
 
 from closure_oracle import oracle_closure
-from reference import reference_trace
+from reference import reference_trace, run_counting_t1_loads
 
 
 def report(n, ok, detail):
@@ -234,10 +234,10 @@ def test_criterion_07_t1_effectiveness():
     cache = CacheConfig(mshr=128)       # enough fill bandwidth for delta=64
     skel = skeleton.build(prog, cache_config=cache)
     load_pc = next(iter(skel.s_bits))
-    st = Engine(prog, skel=skel, cache_config=cache,
-                features=Features(t1=True),
-                track_pcs=skel.s_bits, track_warmup=1000).run()
-    c = st.strided[load_pc]
+    st, counts = run_counting_t1_loads(
+        Engine(prog, skel=skel, cache_config=cache, features=Features(t1=True)),
+        warmup=1000)
+    c = counts[load_pc]
     hit_warm = c["l1_hits_warm"] / max(1, c["instances_warm"])
 
     # steady-state prefetch addresses are exactly A + n*delta

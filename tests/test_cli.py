@@ -126,6 +126,10 @@ def test_bad_max_cycles_rejected(tmp_path, capsys, max_cycles):
     ("cache", "dram_latency", None),
     ("cache.l1", "hit_latency", -1),
     ("cache.l2", "line", 0),
+    # a level's size that is no power-of-two multiple of line*assoc
+    ("cache", "l1", {"size": 1000, "assoc": 4, "line": 64, "hit_latency": 3}),
+    # a level without line and hit_latency
+    ("cache", "l1", {"size": 32768, "assoc": 4}),
 ])
 def test_bad_numeric_field_rejected(tmp_path, capsys, section, field, value):
     cfg = base_cfg(engine="dla")
@@ -153,6 +157,11 @@ def test_bad_static_version_rejected(tmp_path, capsys):
     ("features.value_reuse", {"features": {"value_reuse": 1}}),
     ("features.fetch_buffer", {"features": {"fetch_buffer": "true"}}),
     ("features.boq_prefetch_release", {"features": {"boq_prefetch_release": None}}),
+    # a param the generator does not take, and one it rejects
+    ("workload.params.bogus",
+     {"workload": {"kind": "strided_loop", "params": {"bogus": 1}}}),
+    ("workload.params",
+     {"workload": {"kind": "strided_loop", "params": {"iters": -5}}}),
 ])
 def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     # a bool is no version, and an on/off feature is JSON true or false
@@ -161,13 +170,17 @@ def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     assert field in capsys.readouterr().err
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_seed_env_override(tmp_path, capsys, monkeypatch):
     cfg = {"workload": {"kind": "branchy", "params": {"iters": 50}}, "seed": 1}
     monkeypatch.delenv("R3DLA_SEED", raising=False)
     p1 = cli.build_workload(cfg)
     monkeypatch.setenv("R3DLA_SEED", "2")
     p2 = cli.build_workload(cfg)
     assert p1 != p2
+    # a seed that is no integer is a config error that names the variable
+    monkeypatch.setenv("R3DLA_SEED", "abc")
+    assert cli.sim_main(["run", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert "R3DLA_SEED" in capsys.readouterr().err
 
 
 # -- sim compare ---------------------------------------------------------------

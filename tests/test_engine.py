@@ -13,7 +13,7 @@ from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
-from reference import reference_trace
+from reference import reference_trace, run_counting_t1_loads
 
 
 def full_skeleton(prog):
@@ -193,9 +193,14 @@ def test_stats_to_dict_schema():
     prog = uisa.gen_strided_loop(iters=500)
     st = Engine(prog, skel=skeleton.build(prog), features=Features(t1=True)).run()
     d = st.to_dict()
-    for key in ("cycles", "instructions", "ipc", "mem", "t1", "vreuse",
-                "footnotes", "reboots", "config"):
-        assert key in d
+    # the exact key set, so that a report field added or dropped is named here
+    assert set(d) == {
+        "cycles", "instructions", "ipc", "partial", "fetch_bubbles",
+        "branches", "mispredicts", "boq_consumed", "boq_empty_stalls",
+        "boq_mispredicts", "reboots", "reboot_reasons", "version_swaps",
+        "lt_committed", "lt_walked", "footnotes", "fq_drops", "vreuse", "t1",
+        "mem", "boq_occupancy", "fb_occupancy", "demand_hist", "supply_hist",
+        "recycle", "config"}
     assert d["instructions"] == 5 * 500 + 2
 
 
@@ -203,9 +208,9 @@ def test_t1_prefetches_improve_hit_rate():
     prog = uisa.gen_strided_loop(stride=64, iters=4000)
     skel = skeleton.build(prog)
     load_pc = next(iter(skel.s_bits))
-    st = Engine(prog, skel=skel, features=Features(t1=True),
-                track_pcs=skel.s_bits, track_warmup=500).run()
-    warm = st.strided[load_pc]
+    st, counts = run_counting_t1_loads(
+        Engine(prog, skel=skel, features=Features(t1=True)), warmup=500)
+    warm = counts[load_pc]
     assert warm["l1_hits_warm"] / warm["instances_warm"] > 0.5
     assert st.mem["prefetch_useful"] > 0
 
@@ -537,43 +542,41 @@ def identity_programs():
 # must leave them alone; a model change updates them and says why.
 IDENTITY_DIGESTS = {
     "chase/base":
-        "1f561cb4929b15413964db026d03e64bd9f7f91e033c597b10a9782c0dd85673",
+        "ce7038d4c773e66d8faad098eb6faf9999e91ace9d8af3b189863ee0a2a0b783",
     "chase/dla":
-        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+        "610d3620cd5c2992642df926e3009288684ddff70efc08e7731b7e687661a0ee",
     "stride/base":
-        "78bdc3aef3d2cf506f93ce97545eadedf123a3ac33d8e2fe57faae338bf033f8",
+        "c8ada1917df232bdedc79041056bf3a0a5036c1c8d8e2544a7de23d8f1d0db32",
     "stride/dla":
-        "3d5cb5bdee440f135fcab2d5d1e611e2ddc18d9f5e9758f38cc6d5a241362939",
+        "8738e2bf41100cd9a0c63d0405f98e28289a647e332c4dfd2eea85959af6d619",
     "phases/base":
-        "5376d7243dd15c85fe66980b73574fe2e5c6a2a3b1ba026ad1b0a6a9ac2577e4",
+        "55627daf1dc36e1800bb626fd29099d3abcd5fdb3db4e3a1225f7d2b6ef5fa13",
     "phases/dla":
-        "2b10310a87fb2a12647e4df8ecb3d904d1b2106b3d8f9e71813770988982a9d6",
+        "4aecbba28a183a538df222042b21ef560d9da5cc91b7d1ff72a29b9a0c1bdc82",
     "branchy/base":
-        "fd92889f6a52eb9fb0d340d7c7647a636497d0915fc8c512334af69382a304c8",
+        "08694176471d194038bfbd6e16ebc7b9b85df6923da68e019b4a67049eea81d0",
     "branchy/dla":
-        "bd13743c47c0fc5d0420070267d06c0b2779490502c84119390177f6b148a496",
+        "0cb86b3956d4aeb27150e0d6866f83a9121c9657b911d51e8b4091ecf49c9ac9",
     "branchy/ideal_fetch":
-        "8afd8fc509f734b3a170e92689b15e1e806643c2fb6bbbdca10c7d2c3b0de95c",
+        "ce8f2e0a4dac9687afe6fe413e2da11621a3d415dd29826bb98cbcf71404389e",
     "branchy/ideal_backend":
-        "92477baf8a62b109f4afac65352108d645cb54f1de4156afd226d2062608bf93",
+        "3c030d86299d49a49a50b1922466370af40eea52c4dffeb7eaaa484fe310c9d1",
     "stride/base/mshr4":
-        "928706004b798255901652b3ca9dea325c01b9be35da9cb9e738cef6cc611809",
+        "2cabaa96b721cf279e529e0d5dcd1dc3524a62540bb67afeb166feac179a68c3",
     "chase/dla/mshr4":
-        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+        "610d3620cd5c2992642df926e3009288684ddff70efc08e7731b7e687661a0ee",
     "stride/dla/mshr4":
-        "4224d21366adb2e3998ea324c0851d338db0c96e3c7355ddebcbb6ab13001707",
-    "stride/dla/track_pcs":
-        "ebb2a4301a1ae88ee2834be217cf97b3145c848787fcd957faad6d045c5109ab",
+        "7d3080c695b359b82a310540d53f74baf8ef79d98d8a3857ac926a352e275b61",
     "chase/dla/commit_log":
-        "075505204b3baee55b06e2ec92de8c7af4beb8bec202e9292592c355181035f7",
+        "610d3620cd5c2992642df926e3009288684ddff70efc08e7731b7e687661a0ee",
     "chase/dla/commit_log/log":
         "fc790dfa44805b1a668d11f6d418c80635fe28fff985ed28297462e5beb4d100",
     "chase/dla/corrupt":
-        "a845fcffd364761bd00c3d7b85af6c752077d1779150aff9572672d0e931ec29",
+        "e11f3398af44c460607b99c45b86e1a9048a63ab2caae33d9c21858c4ef3d3d3",
     "chase/dla/no_fetch_buffer":
-        "30026466301868041eb4c72313bad55e028e77fd48ae97d3158b838b693e081c",
+        "39924349281adc52ce24d41ffc685fbe8eb9b5ac232d9c84fc08fac3e09a35a7",
     "phases/dla/all_features":
-        "5e84549bd7df7b8923528a8e1a8687df3d8e1b034834f084eafc945477c35e23",
+        "1796dd906694f4b6ee5496a0a47cd9d54513f1516d8de6a019b83f326bc57a5c",
 }
 
 
@@ -590,10 +593,6 @@ def identity_runs():
     for mode in ("ideal_fetch", "ideal_backend"):
         yield f"branchy/{mode}", Engine(prog, mode=mode).run().to_dict()
     # the conditions under which the engine's per-instruction hooks do work
-    prog, feats = programs["stride"]
-    yield "stride/dla/track_pcs", Engine(
-        prog, skel=skels["stride"], features=feats,
-        track_pcs=skels["stride"].s_bits).run().to_dict()
     prog, feats = programs["chase"]
     log = []
     yield "chase/dla/commit_log", Engine(
