@@ -67,6 +67,8 @@ def load_config(path: str) -> dict:
 TOP_KEYS = {"workload", "core", "cache", "engine", "dla", "features",
             "skeleton", "version", "limit", "max_cycles", "mode", "seed",
             "name"}
+WORKLOAD_KEYS = {"kind", "params", "program_file", "seed"}
+CACHE_KEYS = {f.name for f in fields(CacheConfig)}
 
 
 # smallest legal value of each integer config field: widths, sizes and
@@ -105,17 +107,28 @@ def validate_config(cfg: dict) -> dict:
     _expect(cfg, "<config>")
     _check_keys(cfg, "", TOP_KEYS)
     wl = _expect(cfg.get("workload"), "workload")
+    _check_keys(wl, "workload", WORKLOAD_KEYS)
+    for path, d in (("seed", cfg), ("workload.seed", wl)):
+        if "seed" in d and type(d["seed"]) is not int:
+            _fail(path, f"must be an integer, got {d['seed']!r}")
     if "program_file" in wl:
-        if not os.path.exists(wl["program_file"]):
-            _fail("workload.program_file", f"no such file {wl['program_file']!r}")
+        path = _expect(wl["program_file"], "workload.program_file", str)
+        if not os.path.exists(path):
+            _fail("workload.program_file", f"no such file {path!r}")
     else:
         kind = wl.get("kind")
-        if kind not in uisa._GENERATORS:
+        if not isinstance(kind, str) or kind not in uisa._GENERATORS:
             _fail("workload.kind",
                   f"unknown generator {kind!r}; one of {sorted(uisa._GENERATORS)}")
-        _check_keys(_expect(wl.get("params", {}), "workload.params"),
-                    "workload.params",
+        params = _expect(wl.get("params", {}), "workload.params")
+        _check_keys(params, "workload.params",
                     inspect.signature(uisa._GENERATORS[kind]).parameters)
+        if "seed" in params:
+            _fail("workload.params.seed", 'give the seed as the config\'s "seed" '
+                                          "(R3DLA_SEED overrides it)")
+        for name, v in params.items():
+            if type(v) is not int:      # every generator param is an int
+                _fail(f"workload.params.{name}", f"must be an integer, got {v!r}")
     feats = _expect(cfg.get("features", {}), "features")
     for name in BOOL_FEATURES:
         if name in feats and type(feats[name]) is not bool:
@@ -126,11 +139,16 @@ def validate_config(cfg: dict) -> dict:
     static = _expect(feats.get("static_versions", {}),
                      "features.static_versions")
     for loop_pc, v in static.items():
+        try:
+            int(loop_pc)
+        except ValueError:
+            _fail(f"features.static_versions.{loop_pc}", "a loop pc must be an integer")
         _check_version(v, f"features.static_versions.{loop_pc}")
     for section, cls in (("core", CoreParams), ("dla", DlaParams),
                          ("features", Features)):
         if section in cfg:
             d = _expect(cfg[section], section)
+            _check_keys(d, section, {f.name for f in fields(cls)})
             _check_int_fields(d, section, INT_FIELDS.get(section, {}))
             try:
                 cls.from_dict(d)
@@ -138,6 +156,7 @@ def validate_config(cfg: dict) -> dict:
                 _fail(section, str(e))
     if "cache" in cfg:
         cache = _expect(cfg["cache"], "cache")
+        _check_keys(cache, "cache", CACHE_KEYS)
         _check_int_fields(cache, "cache", INT_FIELDS["cache"])
         for level in ("l1", "l2", "l3"):
             if level in cache:
@@ -168,8 +187,11 @@ def validate_config(cfg: dict) -> dict:
                       "a dla config runs in mode 'normal'")
     if "skeleton" in cfg:
         sk = _expect(cfg["skeleton"], "skeleton")
-        if "path" in sk and not os.path.exists(sk["path"]):
-            _fail("skeleton.path", f"no such file {sk['path']!r}")
+        _check_keys(sk, "skeleton", ("auto", "path"))
+        if "path" in sk:
+            path = _expect(sk["path"], "skeleton.path", str)
+            if not os.path.exists(path):
+                _fail("skeleton.path", f"no such file {path!r}")
     return cfg
 
 

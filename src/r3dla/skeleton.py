@@ -26,6 +26,7 @@ L2_SEED_THRESHOLD = 0.001
 SLOW_LATENCY_CYCLES = 20
 DEFAULT_BIAS_THRESHOLD = 0.999
 TRAIN_LIMIT = 200_000   # instructions of the training run
+COMPILE_AFTER = 16      # executions of a run before the profile compiles it
 NUM_VERSIONS = 6
 
 EXEC_LATENCY = {"MUL": 3}  # non-memory ops default to 1 cycle
@@ -77,10 +78,13 @@ class _Run:
     producer comes before the run; ``pairs`` holds (producer ``PcProfile``,
     reader pc) for the reads fed inside it; ``writers`` holds (register,
     ``PcProfile``) for the run's last writer of each register.  ``branch`` is
-    the ``PcProfile`` of a conditional branch that ends the run.
+    the ``PcProfile`` of a conditional branch that ends the run.  ``fn`` is
+    the run compiled by ``_compile_run``, once it is hot; ``fed`` is the
+    walk's writer generation when the run last fed its live-in reads.
     """
 
-    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "count")
+    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "count",
+                 "fn", "fed")
 
     def __init__(self, body, live_in, pairs, writers, branch):
         self.body = body
@@ -89,6 +93,8 @@ class _Run:
         self.writers = writers
         self.branch = branch
         self.count = 0          # executions
+        self.fn = None
+        self.fed = -1
 
 
 def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
@@ -127,6 +133,99 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
                 tuple((r, profs[w]) for r, w in writers.items()), branch), whole
 
 
+# the Python source of each ALU subop and branch condition in a compiled run
+_ALU_SRC = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^", "mul": "*"}
+_COND_SRC = {"eqz": "r[{0}] == 0", "nez": "r[{0}] != 0",
+             "lt": "r[{0}] < r[{1}]", "ge": "r[{0}] >= r[{1}]"}
+
+
+def _compile_run(run: _Run, program: uisa.StaticProgram, access):
+    """One Python function that walks ``run`` as ``profile`` does: it steps
+    each instruction like ``uisa.step``, sends each memory op through
+    ``access`` and updates its ``PcProfile``, sets ``state.pc`` and returns
+    the direction of a conditional branch that ends the run (else None).
+    Called as ``fn(state, seq)``, with ``seq`` the walk's count at the run's
+    first instruction.
+
+    Returns None for a run with an opcode or subop outside the tables here;
+    it stays on ``uisa.step``.  An instruction that faults sets ``state.pc``
+    to itself and calls ``uisa.step``, which raises the interpreter's error.
+    The source holds only ``int()`` values and text from the tables above.
+    """
+    lo, hi, mask = -uisa.SIGN_BIT, uisa.SIGN_BIT, uisa.WORD_MASK
+    src = []
+    names, objs = [], []        # the function's free variables, by name
+    for k, (ins, p) in enumerate(run.body):
+        op = ins.opcode
+        pc = int(ins.index)
+        if op in ("ALUI", "ALU", "MUL"):
+            sym = _ALU_SRC.get(ins.subop)
+            if sym is None:
+                return None
+            b = int(ins.imm) if op == "ALUI" else f"r[{int(ins.srcs[1])}]"
+            src += [f"v = r[{int(ins.srcs[0])}] {sym} ({b})",
+                    f"if not {lo} <= v < {hi}:",       # wrap to signed 64-bit
+                    f"    v = ((v + {hi}) & {mask}) - {hi}",
+                    f"r[{int(ins.dst)}] = v"]
+        elif op == "LOAD" or op == "STORE":
+            src += [f"a = r[{int(ins.mem_base)}] + {int(ins.mem_offset)}",
+                    "if a < 0:",
+                    f"    state.pc = {pc}",
+                    f"    step(state, program, seq + {k})"]
+            if op == "LOAD":
+                src += [f"r[{int(ins.dst)}] = m.get(a, 0)",
+                        "lat, level, _, _ = access(a, 'load', MT)"]
+            else:
+                src += [f"m[a] = r[{int(ins.srcs[0])}]",
+                        "lat, level, _, _ = access(a, 'store', MT)"]
+            # a compiled run has run before, so each of its memory ops has a
+            # last_addr; stride_votes is never replaced, only updated
+            names += [f"p{k}", f"votes{k}"]
+            objs += [p, p.stride_votes]
+            src += [f"p = p{k}",
+                    "p.latency_sum += lat",
+                    "if level != 'L1':",
+                    "    p.l1_misses += 1",
+                    "    if level != 'L2':",
+                    "        p.l2_misses += 1",
+                    "d = a - p.last_addr",
+                    f"votes{k}[d] = votes{k}.get(d, 0) + 1",
+                    "p.last_addr = a"]
+        elif op == "BR_COND":
+            cond = _COND_SRC.get(ins.subop)
+            if cond is None:
+                return None
+            src += [f"t = {cond.format(*(int(x) for x in ins.srcs))}",
+                    f"state.pc = {int(ins.target)} if t else {pc + 1}",
+                    "return t"]
+        elif op == "BR_UNCOND":
+            src.append(f"state.pc = {int(ins.target)}")
+        elif op == "CALL":
+            src += [f"state.call_stack.append({pc + 1})",
+                    f"state.pc = {int(ins.target)}"]
+        elif op == "RET":
+            src += ["if not state.call_stack:",
+                    f"    state.pc = {pc}",
+                    f"    step(state, program, seq + {k})",
+                    "state.pc = state.call_stack.pop()"]
+        else:
+            return None
+    if not ins.is_control:
+        src.append(f"state.pc = {pc + 1}")
+    text = "\n".join(
+        [f"def make({', '.join(['access', 'MT', 'step', 'program', *names])}):",
+         "    def run(state, seq):",
+         "        r = state.regs",
+         "        m = state.memory"]
+        + ["        " + line for line in src]
+        + ["    return run"])
+    ns = {}
+    exec(compile(text, f"<run from pc {run.body[0][0].index}>", "exec"), ns)
+    # popped: left in ``ns``, its own globals, it would form a reference cycle
+    make = ns.pop("make")
+    return make(access, MT, uisa.step, program, *objs)
+
+
 def profile(program: uisa.StaticProgram,
             cache_config: CacheConfig | None = None) -> dict[int, PcProfile]:
     """Run a training input through the memory model; statistics per pc.
@@ -146,18 +245,29 @@ def profile(program: uisa.StaticProgram,
     its instructions, sends its memory ops through the cache, and feeds only
     its live-in reads to their producers.  Within a run, a read's producer
     is the same on every execution, so those pairs are added once, after the
-    run's first walk.  Each pc's ``exec_count`` is summed from its runs'
-    counts.  A run that would pass ``TRAIN_LIMIT`` is built anew with a cap,
-    so the walk stops exactly at the limit.
+    run's first walk.  The live-in reads are fed again only when a register's
+    last writer has changed since the run last fed them: the walk counts
+    those changes in a generation number.  Each pc's ``exec_count`` is summed
+    from its runs' counts.  A run that would pass ``TRAIN_LIMIT`` is built
+    anew with a cap, so the walk stops exactly at the limit.
+
+    A run steps with ``uisa.step`` until it has run ``COMPILE_AFTER`` times;
+    then ``_compile_run`` turns it into one Python function, which does the
+    same work without a call and an opcode dispatch per instruction.
+    Compiling costs tens of microseconds per instruction, so a cold run
+    stays on ``uisa.step``, and so does the capped last run.
     """
     mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
     access = mem.access
     step = uisa.step
+    compile_after = COMPILE_AFTER
     instrs = program.instrs
     state = uisa.ArchState.initial(program)
     profs = [PcProfile() for _ in instrs]
     # the PcProfile of the last instruction that wrote each register
     last_writer: list[PcProfile | None] = [None] * uisa.NUM_REGS
+    generation = 0      # changes of last_writer so far
+    prev = None         # the run that ran last
     runs: list[_Run | None] = [None] * len(instrs)      # by start pc
     built: list[_Run] = []
     limit = TRAIN_LIMIT
@@ -173,35 +283,48 @@ def profile(program: uisa.StaticProgram,
             built.append(run)
             if whole:
                 runs[pc] = run
-        for r, reader in run.live_in:
-            w = last_writer[r]
-            if w is not None:
-                w.consumer_pcs.add(reader)
-        for ins, p in run.body:
-            eff_addr, _, taken = step(state, program, seq)
-            seq += 1
-            if p is not None:
-                lat, level, _, _ = access(
-                    eff_addr, "load" if ins.opcode == "LOAD" else "store", MT)
-                p.latency_sum += lat
-                if level != "L1":
-                    p.l1_misses += 1
-                    if level != "L2":
-                        p.l2_misses += 1
-                last = p.last_addr
-                if last is not None:
-                    votes = p.stride_votes
-                    d = eff_addr - last
-                    votes[d] = votes.get(d, 0) + 1
-                p.last_addr = eff_addr
+        if run.fed != generation:
+            for r, reader in run.live_in:
+                w = last_writer[r]
+                if w is not None:
+                    w.consumer_pcs.add(reader)
+            run.fed = generation
+        fn = run.fn
+        if fn is not None:
+            taken = fn(state, seq)
+            seq += len(run.body)
+        else:
+            for ins, p in run.body:
+                eff_addr, _, taken = step(state, program, seq)
+                seq += 1
+                if p is not None:
+                    lat, level, _, _ = access(
+                        eff_addr, "load" if ins.opcode == "LOAD" else "store", MT)
+                    p.latency_sum += lat
+                    if level != "L1":
+                        p.l1_misses += 1
+                        if level != "L2":
+                            p.l2_misses += 1
+                    last = p.last_addr
+                    if last is not None:
+                        votes = p.stride_votes
+                        d = eff_addr - last
+                        votes[d] = votes.get(d, 0) + 1
+                    p.last_addr = eff_addr
         if taken:       # the last step's: only a conditional branch sets it
             run.branch.taken_count += 1
-        for r, p in run.writers:
-            last_writer[r] = p
+        if run is not prev:     # a run that repeats writes what it wrote
+            for r, p in run.writers:
+                if last_writer[r] is not p:
+                    last_writer[r] = p
+                    generation += 1
+            prev = run
         run.count += 1
         if new:
             for p, reader in run.pairs:
                 p.consumer_pcs.add(reader)
+        if run.count == compile_after and runs[pc] is run:
+            run.fn = _compile_run(run, program, access)
     for run in built:
         for ins, _ in run.body:
             profs[ins.index].exec_count += run.count

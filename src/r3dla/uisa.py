@@ -415,6 +415,8 @@ def gen_strided_loop(stride: int = 64, iters: int = 100, base: int = 0x10000,
     """Loop whose LOAD walks base, base+stride, ...  Body is 5 instructions."""
     if iters <= 0 or stride == 0:
         raise UisaError("strided_loop: iters must be > 0 and stride nonzero")
+    if min(base, base + stride * (iters - 1)) < 0:
+        raise UisaError("strided_loop: the loop would load from a negative address")
     text = f"""
         ADDI r1, r0, {base}
         ADDI r2, r0, {iters}
@@ -447,8 +449,10 @@ def gen_pointer_chase(length: int = 1000, seed: int = 0, node_spread: int = 64,
     """
     if length <= 1:
         raise UisaError("pointer_chase: length must be > 1")
-    if payload_lines & (payload_lines - 1):
+    if payload_lines < 1 or payload_lines & (payload_lines - 1):
         raise UisaError("pointer_chase: payload_lines must be a power of two")
+    if min(base, base + (length - 1) * node_spread, payload_base) < 0:
+        raise UisaError("pointer_chase: a node or payload address would be negative")
     rng = random.Random(seed)
     order = list(range(length))
     rng.shuffle(order)
@@ -536,6 +540,9 @@ def gen_mixed_phases(phase_iters: int = 3000, outer: int = 8, seed: int = 0,
     """
     if phase_iters <= 0 or outer <= 0:
         raise UisaError("mixed_phases: phase_iters and outer must be > 0")
+    base = 0x10000      # phase A's first load
+    if base + stride * (phase_iters - 1) < 0:
+        raise UisaError("mixed_phases: phase A would load from a negative address")
     rng = random.Random(seed)
     chase_len = 256
     chase_base = 0x800000
@@ -547,7 +554,7 @@ def gen_mixed_phases(phase_iters: int = 3000, outer: int = 8, seed: int = 0,
     lines = [
         f"ADDI r20, r0, {outer}",
         "outer:",
-        f"ADDI r1, r0, 0x10000",
+        f"ADDI r1, r0, {base}",
         f"ADDI r2, r0, {phase_iters}",
         "phase_a:",
         "LOAD r3, 0(r1)",
@@ -587,8 +594,9 @@ def gen_workload(kind: str, params: dict | None = None, seed: int = 0) -> Static
     if kind not in _GENERATORS:
         raise UisaError(f"unknown workload kind {kind!r}")
     params = dict(params or {})
-    params.setdefault("seed", seed)
-    return _GENERATORS[kind](**params)
+    if "seed" in params:
+        raise UisaError("the seed is gen_workload's seed argument, not a param")
+    return _GENERATORS[kind](**params, seed=seed)
 
 
 def random_program(rng: random.Random, n_instrs: int = 50) -> StaticProgram:

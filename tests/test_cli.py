@@ -1,11 +1,20 @@
 """Command line tests: configs, reports, exit codes, determinism."""
 
+import contextlib
+import copy
 import csv
+import inspect
+import io
 import json
+import os
+import re
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from r3dla import cli, engine, skeleton
+from r3dla import cli, engine, skeleton, uisa
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -162,6 +171,23 @@ def test_bad_static_version_rejected(tmp_path, capsys):
      {"workload": {"kind": "strided_loop", "params": {"bogus": 1}}}),
     ("workload.params",
      {"workload": {"kind": "strided_loop", "params": {"iters": -5}}}),
+    # unknown keys in the workload block and at the top of the cache block
+    ("workload.parms",
+     {"workload": {"kind": "strided_loop", "parms": {"iters": 5}}}),
+    ("cache.bogus", {"cache": {"bogus": 1}}),
+    ("skeleton.bogus", {"skeleton": {"bogus": 1}}),
+    ("core.bogus", {"core": {"bogus": 1}}),
+    # a param of the wrong type names itself
+    ("workload.params.iters",
+     {"workload": {"kind": "strided_loop", "params": {"iters": "5"}}}),
+    ("workload.params.iters",
+     {"workload": {"kind": "strided_loop", "params": {"iters": 5.5}}}),
+    ("workload.params.iters",
+     {"workload": {"kind": "strided_loop", "params": {"iters": True}}}),
+    ("seed", {"seed": "5"}),
+    # a param that would make the program load from a negative address
+    ("workload.params",
+     {"workload": {"kind": "strided_loop", "params": {"base": -64}}}),
 ])
 def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     # a bool is no version, and an on/off feature is JSON true or false
@@ -181,6 +207,125 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("R3DLA_SEED", "abc")
     assert cli.sim_main(["run", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
     assert "R3DLA_SEED" in capsys.readouterr().err
+
+
+def test_seed_is_not_a_workload_param(tmp_path, capsys, monkeypatch):
+    # the config's "seed" is the one seed, and R3DLA_SEED overrides it
+    cfg = {"workload": {"kind": "branchy", "params": {"iters": 50, "seed": 3}}}
+    monkeypatch.setenv("R3DLA_SEED", "5")
+    assert cli.sim_main(["run", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: workload.params.seed: ")
+    assert '"seed"' in err and "R3DLA_SEED" in err
+
+
+def test_every_generator_param_is_an_int():
+    # validate_config checks every workload param as an integer
+    for gen in uisa._GENERATORS.values():
+        for p in inspect.signature(gen).parameters.values():
+            assert p.annotation == "int", (gen.__name__, p.name)
+
+
+# -- config mutations: every bad config exits 2 and names its path --------------
+
+SMALL_CONFIGS = [
+    {"name": "stride-dla", "seed": 3, "engine": "dla", "version": 1,
+     "limit": 400, "max_cycles": 100_000,
+     "workload": {"kind": "strided_loop", "params": {"stride": 8, "iters": 60}},
+     "features": {"t1": True, "value_reuse": False, "recycle": "dynamic"},
+     "core": {"window_size": 32, "fetch_width": 2},
+     "dla": {"boq_capacity": 64, "reboot_cycles": 8},
+     "cache": {"l1": {"size": 4096, "assoc": 2, "line": 64, "hit_latency": 2},
+               "mshr": 4, "dram_latency": 50}},
+    {"workload": {"kind": "pointer_chase",
+                  "params": {"length": 20, "payload": 1, "filler": 2}},
+     "limit": 300},
+    {"workload": {"kind": "branchy", "params": {"iters": 20, "streams": 1}},
+     "mode": "ideal_fetch", "limit": 300},
+    {"engine": "dla", "limit": 300,
+     "workload": {"kind": "mixed_phases",
+                  "params": {"phase_iters": 20, "outer": 2, "stride": 64}},
+     "features": {"recycle": "static", "static_versions": {"7": 2}}},
+]
+WRONG_TYPES = ["5", 5, 1.5, True, None, [1], {"a": 1}]
+
+
+def _paths(d, prefix=()):
+    """Every key path in a nested config, parents before children."""
+    for k, v in d.items():
+        yield (*prefix, k)
+        if isinstance(v, dict):
+            yield from _paths(v, (*prefix, k))
+
+
+def _get(cfg, path):
+    for k in path:
+        cfg = cfg[k]
+    return cfg
+
+
+@st.composite
+def mutated_configs(draw):
+    """(config, dotted path): a small valid config with one key dropped,
+    given a value of another type or out of range, or one unknown key
+    added (the path is then the new key's)."""
+    cfg = copy.deepcopy(draw(st.sampled_from(SMALL_CONFIGS)))
+    how = draw(st.sampled_from(("drop", "type", "range", "unknown")))
+    if how == "unknown":
+        parents = [()] + [p for p in _paths(cfg)
+                          if isinstance(_get(cfg, p), dict)]
+        path = (*draw(st.sampled_from(parents)), "bogus")
+        value = 1
+    else:
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        old = _get(cfg, path)
+        if how == "type":
+            value = draw(st.sampled_from(
+                [v for v in WRONG_TYPES if type(v) is not type(old)]))
+        elif how == "range":
+            value = draw(st.sampled_from([-1, 0, -10**6] if type(old) is int
+                                         else ["bogus", -1]))
+    parent = _get(cfg, path[:-1])
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg, ".".join(path)
+
+
+def _sim_run(cfg, tmp):
+    path = os.path.join(tmp, "c.json")
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.sim_main(["run", "--config", path,
+                             "--out", os.path.join(tmp, "r.json")])
+    return code, err.getvalue()
+
+
+def test_small_configs_run():
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, cfg in enumerate(SMALL_CONFIGS):
+            assert _sim_run(cfg, tmp) == (0, ""), i
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_configs())
+def test_mutated_config_exits_0_or_names_its_path(case):
+    """A config with one bad field is run or refused: exit 0, or exit 2 with
+    the mutated path (or a block that holds it) named first on stderr."""
+    cfg, mutated = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ):
+        os.environ.pop("R3DLA_SEED", None)
+        code, err = _sim_run(cfg, tmp)
+    assert code in (0, 2), err
+    if code == 2:
+        m = re.fullmatch(r"config error: ([\w.]+): [^\n]+\n", err)
+        assert m, err
+        named = m.group(1)
+        assert mutated == named or mutated.startswith(named + "."), err
 
 
 # -- sim compare ---------------------------------------------------------------

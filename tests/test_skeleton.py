@@ -1,10 +1,12 @@
 """Skeleton tests: profiling, seed selection, backward closure vs an oracle."""
 
+import gc
 import json
 import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from r3dla import uisa, skeleton, memsys
 
@@ -132,12 +134,15 @@ def _assert_profile_matches_reference(prog):
     assert skeleton.build(prog) == skeleton.gen_skeleton_versions(prog, want)
 
 
-@pytest.mark.parametrize("kind,params", [
+GENERATOR_CASES = [
     ("strided_loop", {"stride": 8, "iters": 300}),
     ("pointer_chase", {"length": 200, "payload": 1, "filler": 4, "rounds": 2}),
     ("branchy", {"iters": 100, "streams": 2}),
     ("mixed_phases", {"outer": 1, "phase_iters": 300}),
-])
+]
+
+
+@pytest.mark.parametrize("kind,params", GENERATOR_CASES)
 def test_profile_matches_reference_on_generators(kind, params):
     _assert_profile_matches_reference(uisa.gen_workload(kind, params, seed=3))
 
@@ -163,7 +168,10 @@ def test_profile_matches_reference_at_train_limit(monkeypatch):
 RUN_CHASE = dict(length=50, payload=1, filler=24, rounds=2)
 
 
-@pytest.mark.parametrize("limit", [1, 3, 10, 37, 38, 39, 60, 700])
+CUT_LIMITS = [1, 3, 10, 37, 38, 39, 60, 700]
+
+
+@pytest.mark.parametrize("limit", CUT_LIMITS)
 def test_profile_matches_reference_when_train_limit_cuts_a_run(monkeypatch, limit):
     # inside the first run, at its end, inside the loop body's first visit,
     # and inside a later visit
@@ -210,6 +218,210 @@ def test_profile_builds_each_run_once(monkeypatch, prog, starts):
     prof = skeleton.profile(prog)
     assert sorted(built) == starts
     assert prof[starts[-1]].exec_count > len(built)     # the loop body repeats
+
+
+@pytest.mark.parametrize("compile_after", [1, 10**9])
+def test_profile_matches_reference_at_any_compile_threshold(monkeypatch,
+                                                            compile_after):
+    """The reference tests above run at the default ``COMPILE_AFTER`` (16);
+    these run them with every memoized run compiled after its first walk,
+    and with none compiled."""
+    monkeypatch.setattr(skeleton, "COMPILE_AFTER", compile_after)
+    for kind, params in GENERATOR_CASES:
+        test_profile_matches_reference_on_generators(kind, params)
+    test_profile_matches_reference_on_random_programs()
+    test_profile_raises_like_reference_inside_a_run()
+    test_profile_matches_reference_at_train_limit(monkeypatch)
+    for limit in CUT_LIMITS:
+        test_profile_matches_reference_when_train_limit_cuts_a_run(monkeypatch,
+                                                                   limit)
+
+
+def test_profile_compiles_each_hot_run_once(monkeypatch):
+    # the first run (pcs 0-36) runs once and is never compiled; the loop
+    # body (from pc 3, 34 instructions) runs 99 times: the first
+    # COMPILE_AFTER on uisa.step, the rest compiled
+    compiled, steps = [], []
+    real_compile, real_step = skeleton._compile_run, uisa.step
+
+    def counted_compile(run, program, access):
+        compiled.append(run.body[0][0].index)
+        return real_compile(run, program, access)
+
+    def counted_step(state, program, seq=0):
+        steps.append(seq)
+        return real_step(state, program, seq)
+
+    monkeypatch.setattr(skeleton, "_compile_run", counted_compile)
+    monkeypatch.setattr(uisa, "step", counted_step)
+    prof = skeleton.profile(uisa.gen_pointer_chase(**RUN_CHASE))
+    assert compiled == [3]
+    assert len(steps) == 37 + skeleton.COMPILE_AFTER * 34
+    assert prof[3].exec_count == 1 + 99
+
+
+def test_profile_leaves_an_unknown_branch_condition_to_the_interpreter(
+        monkeypatch):
+    # uisa.step runs a BR_COND subop it does not know as "ge"; the compiler
+    # has no entry for it, so the run stays on uisa.step
+    monkeypatch.setattr(skeleton, "COMPILE_AFTER", 1)
+    prog = uisa.parse_program("""
+        ADDI r1, r0, 20
+    loop:
+        ADDI r1, r1, -1
+        BGE r1, r0, loop
+        HALT
+    """)
+    odd = uisa.StaticInstr(2, "BR_COND", "odd", srcs=(1, 0), target=1)
+    prog = uisa.StaticProgram(prog.instrs[:2] + [odd] + prog.instrs[3:])
+    run, whole = skeleton._straight_run(
+        prog.instrs, [skeleton.PcProfile() for _ in prog.instrs], 1, 10)
+    assert whole and skeleton._compile_run(run, prog, None) is None
+    _assert_profile_matches_reference(prog)
+    assert skeleton.profile(prog)[2].taken_count == 20
+
+
+def test_build_leaves_no_cyclic_garbage():
+    """A compiled run's function and its namespace form no reference cycle:
+    a build's garbage is freed by reference counting."""
+    prog = uisa.gen_mixed_phases(outer=2, phase_iters=300)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        skel = skeleton.build(prog)
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == 0
+    assert skel.versions[0].bits
+
+
+# -- compiled runs ---------------------------------------------------------------
+
+LEVELS = ("L1", "L2", "L3", "DRAM")
+REG = st.integers(0, 7)
+# small addresses, 64-bit extremes, and values past 64 bits (a LOAD of a
+# .data word can put one in a register)
+VALUE = st.one_of(st.integers(0, 300), st.integers(-8, 8),
+                  st.sampled_from([uisa.SIGN_BIT - 1, -uisa.SIGN_BIT,
+                                   uisa.SIGN_BIT >> 1, uisa.WORD_MASK]),
+                  st.integers(-2**70, 2**70))
+
+
+@st.composite
+def straight_runs(draw):
+    """(program, state): a straight-line run from pc 0 -- ALU ops, loads and
+    stores, ended by a control instruction or by the HALT after it -- and
+    the architectural state it starts from."""
+    body = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("ALUI", "ALU", "MUL", "LOAD", "STORE")))
+        if kind == "ALUI":
+            ins = uisa.StaticInstr(i, "ALUI", draw(st.sampled_from(
+                ("add", "sub", "and", "or", "xor"))), dst=draw(REG),
+                srcs=(draw(REG),), imm=draw(VALUE))
+        elif kind in ("ALU", "MUL"):
+            sub = "mul" if kind == "MUL" else draw(st.sampled_from(
+                ("add", "sub", "and", "or", "xor")))
+            ins = uisa.StaticInstr(i, kind, sub, dst=draw(REG),
+                                   srcs=(draw(REG), draw(REG)))
+        elif kind == "LOAD":
+            ins = uisa.StaticInstr(i, "LOAD", dst=draw(REG), mem_base=draw(REG),
+                                   mem_offset=draw(st.integers(-16, 16)))
+        else:
+            ins = uisa.StaticInstr(i, "STORE", srcs=(draw(REG),),
+                                   mem_base=draw(REG),
+                                   mem_offset=draw(st.integers(-16, 16)))
+        body.append(ins)
+    n = len(body)
+    target = draw(st.integers(0, n + 1))
+    end = draw(st.sampled_from(("eqz", "nez", "lt", "ge", "JMP", "CALL", "RET",
+                                None)))
+    if end in ("eqz", "nez"):
+        body.append(uisa.StaticInstr(n, "BR_COND", end, srcs=(draw(REG),),
+                                     target=target))
+    elif end in ("lt", "ge"):
+        body.append(uisa.StaticInstr(n, "BR_COND", end,
+                                     srcs=(draw(REG), draw(REG)), target=target))
+    elif end == "JMP":
+        body.append(uisa.StaticInstr(n, "BR_UNCOND", target=target))
+    elif end is not None:
+        body.append(uisa.StaticInstr(n, end, target=target if end == "CALL" else None))
+    if not body:
+        body.append(uisa.StaticInstr(0, "ALUI", "add", dst=1, srcs=(1,), imm=1))
+    body.append(uisa.StaticInstr(len(body), "HALT"))
+    regs = [0] * uisa.NUM_REGS
+    regs[:8] = draw(st.lists(VALUE, min_size=8, max_size=8))
+    state = uisa.ArchState(
+        regs=regs, pc=0,
+        memory=draw(st.dictionaries(st.integers(0, 320), VALUE, max_size=6)),
+        call_stack=draw(st.lists(st.integers(0, 9), max_size=2)))
+    return uisa.StaticProgram(body), state
+
+
+def fake_access(log):
+    """An access whose latency and level follow from the address."""
+    def access(addr, kind, mode):
+        log.append((addr, kind, mode))
+        return addr % 7, LEVELS[addr % 4], False, False
+    return access
+
+
+@settings(max_examples=300, deadline=None)
+@given(straight_runs(), st.integers(0, 10**6))
+def test_compiled_run_matches_stepping(case, seq):
+    """A compiled run leaves the same registers, memory, pc and call stack
+    as ``uisa.step`` on each of its instructions, returns the same branch
+    direction, makes the same accesses, updates each memory op's
+    ``PcProfile`` as ``profile``'s stepping loop does, and faults with the
+    interpreter's error at the same instruction."""
+    prog, start = case
+    profs = [skeleton.PcProfile(last_addr=0) for _ in prog.instrs]
+    run, whole = skeleton._straight_run(prog.instrs, profs, 0, len(prog.instrs))
+    assert whole and len(run.body) == len(prog.instrs) - 1
+    got_log = []
+    fn = skeleton._compile_run(run, prog, fake_access(got_log))
+    assert fn is not None
+
+    want = start.clone()
+    want_log = []
+    want_profs = {}
+    want_taken = want_error = None
+    try:
+        for k, (ins, p) in enumerate(run.body):
+            addr, _, want_taken = uisa.step(want, prog, seq + k)
+            if p is not None:
+                kind = ins.opcode.lower()
+                want_log.append((addr, kind, memsys.MT))
+                lat, level = addr % 7, LEVELS[addr % 4]
+                w = want_profs.setdefault(ins.index, skeleton.PcProfile(last_addr=0))
+                w.latency_sum += lat
+                w.l1_misses += level != "L1"
+                w.l2_misses += level in ("L3", "DRAM")
+                d = addr - w.last_addr
+                w.stride_votes[d] = w.stride_votes.get(d, 0) + 1
+                w.last_addr = addr
+    except uisa.ExecError as e:
+        want_error = str(e)
+
+    got = start.clone()
+    got_taken = got_error = None
+    try:
+        got_taken = fn(got, seq)
+    except uisa.ExecError as e:
+        got_error = str(e)
+    assert got_error == want_error
+    assert got == want
+    if want_error is None:
+        assert got_taken is want_taken
+    assert got_log == want_log
+    for pc, p in enumerate(profs):
+        assert asdict(p) == asdict(want_profs.get(pc, skeleton.PcProfile(last_addr=0)))
 
 
 def test_select_seeds_all_alu():

@@ -241,6 +241,23 @@ def test_gen_workload_dispatch():
     assert p.meta["kind"] == "strided_loop"
     with pytest.raises(uisa.UisaError, match="unknown workload"):
         uisa.gen_workload("nope")
+    # one seed: a seed among the params would beat the seed argument
+    with pytest.raises(uisa.UisaError, match="seed argument"):
+        uisa.gen_workload("branchy", {"iters": 5, "seed": 3}, seed=4)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("strided_loop", {"base": -8}),
+    ("strided_loop", {"base": 64, "stride": -8, "iters": 10}),
+    ("pointer_chase", {"base": 640, "node_spread": -64, "length": 20}),
+    ("pointer_chase", {"payload_base": -64, "length": 20}),
+    ("pointer_chase", {"payload_lines": 0, "length": 20}),
+    ("mixed_phases", {"stride": -64, "phase_iters": 2000}),
+])
+def test_generators_refuse_negative_addresses(kind, params):
+    # each of these would make the program load from a negative address
+    with pytest.raises(uisa.UisaError, match=kind):
+        uisa.gen_workload(kind, params)
 
 
 def test_mixed_phases_runs_to_halt():
