@@ -106,6 +106,8 @@ def _check_version(v, path: str) -> None:
 def validate_config(cfg: dict) -> dict:
     _expect(cfg, "<config>")
     _check_keys(cfg, "", TOP_KEYS)
+    if "name" in cfg:
+        _expect(cfg["name"], "name", str)
     wl = _expect(cfg.get("workload"), "workload")
     _check_keys(wl, "workload", WORKLOAD_KEYS)
     for path, d in (("seed", cfg), ("workload.seed", wl)):

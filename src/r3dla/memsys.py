@@ -17,11 +17,18 @@ Each cache level keeps its prefetch marks in one set of line addresses
 exactly one cache set, so a mark is cleared with its line on eviction or on
 the demand hit that counts it useful, as before.  The default hierarchy has
 3,328 cache sets, and each set is then one dict instead of a dict and a set.
+
+``serial_walk`` is the main thread's demand path alone, for a caller that
+makes one access at a time and waits out each fill (the skeleton profile):
+the same L1/L2/L3 sets and LRU order as ``MemorySystem`` with ``mshr=0``,
+and no in-flight table, prefetch marks or counters, which such a walk
+never changes or reads.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -268,3 +275,62 @@ class MemorySystem:
         out["prefetch_late"] = self.pf_stats.prefetch_late
         out["traffic_lines"] = self.traffic_lines
         return out
+
+
+def serial_walk(cfg: CacheConfig) -> Callable[[int], tuple[int, str]]:
+    """The main thread's demand accesses, one at a time, for a serial walk.
+
+    Returns ``access(addr) -> (latency, hit_level)``, which gives what
+    ``MemorySystem(replace(cfg, mshr=0)).access(addr, kind, MT, now)`` gives
+    for a load or a store at any ``now``: with no miss-status register, no
+    fill is ever in flight, and with no prefetch no line is ever marked.
+    It keeps only the MT's L1, L2 and L3 sets, in the same LRU order, and no
+    counters.  ``cfg.mshr`` is not read.
+    """
+    line = cfg.l1.line
+    # each level's sets, its set-index mask (n_sets is a power of two) and ways
+    (sets1, m1, w1), (sets2, m2, w2), (sets3, m3, w3) = [
+        (c.sets, c.n_sets - 1, c.cfg.assoc)
+        for c in (Cache(cfg.l1), Cache(cfg.l2), Cache(cfg.l3))]
+    lat = cfg.l1.hit_latency
+    hit1 = (lat, "L1")
+    lat += cfg.l2.hit_latency
+    hit2 = (lat, "L2")
+    lat += cfg.l3.hit_latency
+    hit3 = (lat, "L3")
+    dram = (lat + cfg.dram_latency, "DRAM")
+
+    def access(addr: int) -> tuple[int, str]:
+        if addr < 0:
+            raise MemError(f"negative address {addr}")
+        la = addr // line
+        s1 = sets1[la & m1]
+        if la in s1:
+            del s1[la]          # the hit refreshes its LRU place
+            s1[la] = None
+            return hit1
+        # a miss fills every level above the hit, evicting each set's LRU line
+        s2 = sets2[la & m2]
+        if la in s2:
+            del s2[la]
+            s2[la] = None
+            res = hit2
+        else:
+            s3 = sets3[la & m3]
+            if la in s3:
+                del s3[la]
+                res = hit3
+            else:
+                if len(s3) >= w3:
+                    del s3[next(iter(s3))]
+                res = dram
+            s3[la] = None
+            if len(s2) >= w2:
+                del s2[next(iter(s2))]
+            s2[la] = None
+        if len(s1) >= w1:
+            del s1[next(iter(s1))]
+        s1[la] = None
+        return res
+
+    return access

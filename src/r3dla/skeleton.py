@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import uisa
-from .memsys import MemorySystem, CacheConfig, MT
+from .memsys import CacheConfig, serial_walk
 
 STORE_LOAD_WINDOW = 1000
 L1_SEED_THRESHOLD = 0.01
@@ -173,11 +173,10 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
                     f"    state.pc = {pc}",
                     f"    step(state, program, seq + {k})"]
             if op == "LOAD":
-                src += [f"r[{int(ins.dst)}] = m.get(a, 0)",
-                        "lat, level, _, _ = access(a, 'load', MT)"]
+                src.append(f"r[{int(ins.dst)}] = m.get(a, 0)")
             else:
-                src += [f"m[a] = r[{int(ins.srcs[0])}]",
-                        "lat, level, _, _ = access(a, 'store', MT)"]
+                src.append(f"m[a] = r[{int(ins.srcs[0])}]")
+            src.append("lat, level = access(a)")
             # a compiled run has run before, so each of its memory ops has a
             # last_addr; stride_votes is never replaced, only updated
             names += [f"p{k}", f"votes{k}"]
@@ -213,7 +212,7 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     if not ins.is_control:
         src.append(f"state.pc = {pc + 1}")
     text = "\n".join(
-        [f"def make({', '.join(['access', 'MT', 'step', 'program', *names])}):",
+        [f"def make({', '.join(['access', 'step', 'program', *names])}):",
          "    def run(state, seq):",
          "        r = state.regs",
          "        m = state.memory"]
@@ -223,7 +222,7 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     exec(compile(text, f"<run from pc {run.body[0][0].index}>", "exec"), ns)
     # popped: left in ``ns``, its own globals, it would form a reference cycle
     make = ns.pop("make")
-    return make(access, MT, uisa.step, program, *objs)
+    return make(access, uisa.step, program, *objs)
 
 
 def profile(program: uisa.StaticProgram,
@@ -231,11 +230,13 @@ def profile(program: uisa.StaticProgram,
     """Run a training input through the memory model; statistics per pc.
 
     The walk is serial: every fill is complete before the next access starts.
-    The profile's cache therefore tracks no outstanding fills (``mshr=0``); a
-    table of them would only hold fills that are already done.  With no fill
-    tracked, an access's result does not depend on when it is made, so the
-    walk keeps no clock.  A non-memory instruction's latency is fixed by its
-    opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
+    Its cache is ``memsys.serial_walk``: the main thread's demand path of
+    ``MemorySystem`` with no outstanding fills tracked (``mshr=0``), and no
+    prefetch marks or counters, which a serial walk never reads.  With no
+    fill tracked, an access's result does not depend on when it is made, nor
+    on whether it is a load or a store, so the walk keeps no clock and
+    passes only the address.  A non-memory instruction's latency is fixed by
+    its opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
     ``exec_count`` after the walk; a memory instruction's is summed from the
     cache model's latencies.  Only pcs that ran are in the result.
 
@@ -257,8 +258,7 @@ def profile(program: uisa.StaticProgram,
     Compiling costs tens of microseconds per instruction, so a cold run
     stays on ``uisa.step``, and so does the capped last run.
     """
-    mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
-    access = mem.access
+    access = serial_walk(cache_config or CacheConfig())
     step = uisa.step
     compile_after = COMPILE_AFTER
     instrs = program.instrs
@@ -294,12 +294,11 @@ def profile(program: uisa.StaticProgram,
             taken = fn(state, seq)
             seq += len(run.body)
         else:
-            for ins, p in run.body:
+            for _, p in run.body:
                 eff_addr, _, taken = step(state, program, seq)
                 seq += 1
                 if p is not None:
-                    lat, level, _, _ = access(
-                        eff_addr, "load" if ins.opcode == "LOAD" else "store", MT)
+                    lat, level = access(eff_addr)
                     p.latency_sum += lat
                     if level != "L1":
                         p.l1_misses += 1

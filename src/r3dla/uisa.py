@@ -449,6 +449,9 @@ def gen_pointer_chase(length: int = 1000, seed: int = 0, node_spread: int = 64,
     """
     if length <= 1:
         raise UisaError("pointer_chase: length must be > 1")
+    if rounds < 1:
+        # the loop counter would start at or below zero and never reach it
+        raise UisaError("pointer_chase: rounds must be >= 1")
     if payload_lines < 1 or payload_lines & (payload_lines - 1):
         raise UisaError("pointer_chase: payload_lines must be a power of two")
     if min(base, base + (length - 1) * node_spread, payload_base) < 0:

@@ -188,6 +188,11 @@ def test_bad_static_version_rejected(tmp_path, capsys):
     # a param that would make the program load from a negative address
     ("workload.params",
      {"workload": {"kind": "strided_loop", "params": {"base": -64}}}),
+    # a chase with no round would run until the limit
+    ("workload.params",
+     {"workload": {"kind": "pointer_chase", "params": {"rounds": 0}}}),
+    # a name lands in the report and in CSV rows
+    ("name", {"name": ["x", 1]}),
 ])
 def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     # a bool is no version, and an on/off feature is JSON true or false

@@ -1,10 +1,12 @@
 """Cache hierarchy tests: latencies, LRU, prefetch accounting, MSHR merging."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from r3dla.memsys import (MemorySystem, CacheConfig, LevelConfig, MemError,
-                          MT, LT)
+                          MT, LT, serial_walk)
 
 
 def small_config(**kw):
@@ -205,3 +207,58 @@ def test_drain_and_earliest_ready_follow_in_flight(mshr, ops):
             assert mem.earliest_ready() == (min(readies) if readies else None)
         else:
             mem.access(line * 512, kind, mode, now)
+
+
+@st.composite
+def serial_walks(draw):
+    """(config, ops): a hierarchy in which each level has as many or twice
+    as many sets as the one above it and up to two ways more, and accesses
+    to twice as many lines as L3 holds, so that they hit, miss and evict at
+    every level.  An op is (line or negative address, offset in the line,
+    kind, time)."""
+    line = draw(st.sampled_from((16, 64)))
+    sets, ways = draw(st.sampled_from((1, 2))), draw(st.integers(1, 2))
+    levels = []
+    for _ in range(3):
+        levels.append(LevelConfig(sets * ways * line, ways, line,
+                                  draw(st.integers(0, 40))))
+        sets *= draw(st.sampled_from((1, 2)))
+        ways += draw(st.integers(0, 2))
+    cfg = CacheConfig(*levels, dram_latency=draw(st.integers(0, 300)),
+                      mshr=draw(st.integers(0, 32)))
+    n_lines = 2 * levels[2].size // line
+    ops = draw(st.lists(st.tuples(st.integers(-2, n_lines - 1),
+                                  st.integers(0, 15),
+                                  st.sampled_from(("load", "store")),
+                                  st.integers(0, 10**6)),
+                        min_size=60, max_size=150))
+    return cfg, ops
+
+
+_ONE_WAY = LevelConfig(64, 1, 64, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(serial_walks())
+# one line per level above a two-way L3: line 0 hits L3 and must become its
+# most recently used line, so line 2 evicts line 1 and line 0 hits L3 again
+@example((CacheConfig(_ONE_WAY, _ONE_WAY, LevelConfig(128, 2, 64, 36)),
+          [(0, 0, "load", 0), (1, 0, "load", 0), (0, 0, "load", 0),
+           (2, 0, "load", 0), (0, 0, "load", 0)]))
+def test_serial_walk_matches_memory_system_without_mshrs(walk):
+    """``serial_walk`` gives the (latency, hit level) of the MT demand path
+    of ``MemorySystem`` with ``mshr=0`` on every access, whatever its kind
+    and time, and the same error on a negative address."""
+    cfg, ops = walk
+    mem = MemorySystem(replace(cfg, mshr=0))
+    access = serial_walk(cfg)
+    for line, offset, kind, now in ops:
+        addr = line * cfg.l1.line + offset if line >= 0 else line
+        try:
+            want = mem.access(addr, kind, MT, now)[:2]
+        except MemError as e:
+            with pytest.raises(MemError) as got:
+                access(addr)
+            assert str(got.value) == str(e)
+        else:
+            assert access(addr) == want

@@ -3,7 +3,7 @@
 import gc
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from r3dla import uisa, skeleton, memsys
 
 from closure_oracle import oracle_closure
-from reference import reference_profile
+from reference import reference_profile, reference_trace
 
 
 # -- closure -----------------------------------------------------------------
@@ -108,7 +108,8 @@ def test_profile_detects_stride():
 
 def test_profile_holds_no_finished_fill(monkeypatch):
     # the profile walks one access at a time, so each fill is done before the
-    # next access: none may stay behind in its cache's in-flight table
+    # next access: its cache (memsys.serial_walk) has no in-flight table, and
+    # it builds no MemorySystem that could hold one
     made = []
     init = memsys.MemorySystem.__init__
 
@@ -119,19 +120,18 @@ def test_profile_holds_no_finished_fill(monkeypatch):
     monkeypatch.setattr(memsys.MemorySystem, "__init__", capture)
     prog = uisa.gen_pointer_chase(length=1000, payload=1, filler=24, rounds=2)
     prof = skeleton.profile(prog)
-    (mem,) = made
     assert sum(p.l1_misses for p in prof.values()) > 100
-    assert mem.in_flight == {}
-    assert mem.earliest_ready() is None
+    assert made == []
 
 
-def _assert_profile_matches_reference(prog):
-    got = skeleton.profile(prog)
-    want = reference_profile(prog)
+def _assert_profile_matches_reference(prog, cache_config=None):
+    got = skeleton.profile(prog, cache_config)
+    want = reference_profile(prog, cache_config)
     assert got.keys() == want.keys()
     for pc, p in want.items():
         assert asdict(got[pc]) == asdict(p), pc
-    assert skeleton.build(prog) == skeleton.gen_skeleton_versions(prog, want)
+    assert (skeleton.build(prog, cache_config)
+            == skeleton.gen_skeleton_versions(prog, want))
 
 
 GENERATOR_CASES = [
@@ -147,12 +147,41 @@ def test_profile_matches_reference_on_generators(kind, params):
     _assert_profile_matches_reference(uisa.gen_workload(kind, params, seed=3))
 
 
-def test_profile_matches_reference_on_random_programs():
+def _check_random_programs(cache_config=None):
     # stores, counted loops and registers read before any write
     rng = random.Random(23)
     for _ in range(50):
         _assert_profile_matches_reference(
-            uisa.random_program(rng, rng.randrange(10, 120)))
+            uisa.random_program(rng, rng.randrange(10, 120)), cache_config)
+
+
+def test_profile_matches_reference_on_random_programs():
+    _check_random_programs()
+
+
+# 4, 8 and 16 lines: the generator cases with memory ops evict from all three
+TINY_CACHE = memsys.CacheConfig(l1=memsys.LevelConfig(256, 2, 64, 3),
+                                l2=memsys.LevelConfig(512, 2, 64, 9),
+                                l3=memsys.LevelConfig(1024, 4, 64, 36))
+
+
+def test_profile_matches_reference_at_a_tiny_cache():
+    """At the default config the largest case here never evicts from L2 or
+    L3; at ``TINY_CACHE`` every level evicts."""
+    for kind, params in GENERATOR_CASES:
+        prog = uisa.gen_workload(kind, params, seed=3)
+        _assert_profile_matches_reference(prog, TINY_CACHE)
+        if kind == "branchy":       # no loads or stores
+            continue
+        # more misses than lines at a level means a set of it evicted
+        mem = memsys.MemorySystem(replace(TINY_CACHE, mshr=0))
+        for pc, addr, _, _ in reference_trace(prog, skeleton.TRAIN_LIMIT):
+            if prog.instrs[pc].is_mem:
+                mem.access(addr)
+        for cache in (mem.l1[memsys.MT], mem.l2[memsys.MT], mem.l3):
+            lines = cache.cfg.size // cache.cfg.line
+            assert cache.misses > lines, (kind, cache.cfg)
+    _check_random_programs(TINY_CACHE)
 
 
 def test_profile_matches_reference_at_train_limit(monkeypatch):
@@ -366,9 +395,9 @@ def straight_runs(draw):
 
 def fake_access(log):
     """An access whose latency and level follow from the address."""
-    def access(addr, kind, mode):
-        log.append((addr, kind, mode))
-        return addr % 7, LEVELS[addr % 4], False, False
+    def access(addr):
+        log.append(addr)
+        return addr % 7, LEVELS[addr % 4]
     return access
 
 
@@ -396,8 +425,7 @@ def test_compiled_run_matches_stepping(case, seq):
         for k, (ins, p) in enumerate(run.body):
             addr, _, want_taken = uisa.step(want, prog, seq + k)
             if p is not None:
-                kind = ins.opcode.lower()
-                want_log.append((addr, kind, memsys.MT))
+                want_log.append(addr)
                 lat, level = addr % 7, LEVELS[addr % 4]
                 w = want_profs.setdefault(ins.index, skeleton.PcProfile(last_addr=0))
                 w.latency_sum += lat

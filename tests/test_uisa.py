@@ -260,6 +260,14 @@ def test_generators_refuse_negative_addresses(kind, params):
         uisa.gen_workload(kind, params)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_pointer_chase_refuses_fewer_than_one_round(rounds):
+    # its loop counter would start at or below zero and never reach it, so
+    # the program would run until the caller's limit
+    with pytest.raises(uisa.UisaError, match="rounds"):
+        uisa.gen_pointer_chase(length=20, rounds=rounds)
+
+
 def test_mixed_phases_runs_to_halt():
     prog = uisa.gen_mixed_phases(phase_iters=20, outer=2)
     tr = reference_trace(prog, 100_000)
