@@ -39,6 +39,30 @@ empty and the BOQ still is (counting the stall).  Each skipped path would
 change nothing; ``test_fast_paths_match_slow_paths`` forces it and compares
 the results.
 
+Both functional streams run a hot straight-line run as one generated
+function.  Once a run (from a start pc to the first control instruction,
+or to just before HALT) has started ``skeleton.COMPILE_AFTER`` times, it is
+compiled from ``uisa.instr_source``, the one source form of the ISA's
+semantics, into a function that steps all of its instructions and builds
+all of their records in one call, with no ``uisa.step`` call or opcode
+dispatch per record.  The look-ahead thread's runs are compiled per
+skeleton version, with its masked-out slots, converted branches and branch
+offsets built in, and kept in a table per version on the ``Engine``, so
+the walk a reboot starts reuses them.  Cold runs, the main thread's runs
+within a program's length of ``limit`` and a faulting instruction step with
+``uisa.step``: a compiled run stops before an instruction that would
+fault, and ``uisa.step`` raises the interpreter's error, or ends the
+look-ahead walk, at the same record.  The main thread's stream can
+therefore be up to one run ahead of the records it has handed out
+(``MainStream.next``).  A reboot must start the look-ahead thread from the
+state after record ``next - 1``, so each compiled run also returns the
+values before it of the registers it writes and the words its STOREs
+overwrite, and ``MainStream.snapshot`` undoes the run's unhanded records on
+a copy of the state (pc, registers, memory, and the call stack for a
+trailing CALL or RET).  The records, and so every ``RunStats`` field, are
+the same as stepping each instruction; ``test_compiled_streams_match_stepping``
+compiles every run or none and compares the results.
+
 Who references what: the ``Engine`` owns its cores (``mt``, ``lt``), and
 each core holds the ``MemorySystem`` and its stream.  A core's stages call
 the engine's hooks through ``_Core.engine``, which ``Engine.run`` sets when
@@ -56,9 +80,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, asdict
 
-from . import uisa
+from . import skeleton, uisa
 from .memsys import MemorySystem, CacheConfig, MT, LT
-from .skeleton import SkeletonSet
+from .skeleton import NUM_VERSIONS, SkeletonSet
 from .t1 import T1Table, LatencyEstimator
 from .vreuse import ValueReuseUnit, TRAIN_ITERATIONS
 from .recycle import LoopTracker, RecycleController
@@ -128,16 +152,166 @@ class Features:
 # replay or a retry on an empty BOQ, so ``MainStream`` keeps it until commit
 # pops it.  The look-ahead thread never reads one twice (it never replays,
 # and a reboot builds a new stream), so ``LookaheadStream`` hands each record
-# out once, in order, and keeps none.
+# out once, in order, and keeps only the rest of its last compiled run.
+
+class _RunTable:
+    """The compiled straight-line runs of one walk (the main thread's, or
+    the look-ahead thread's under one skeleton version), by start pc.
+
+    ``counts[pc]`` is how often the walk has asked for a record at ``pc``
+    with none computed; once that reaches ``compile_after``
+    (``skeleton.COMPILE_AFTER``), ``runs[pc]`` holds the run from ``pc``
+    compiled into one function, or False for a run that does not compile
+    (an opcode or subop outside ``uisa.instr_source``'s tables, or a
+    look-ahead run with no record).
+    """
+
+    __slots__ = ("counts", "runs", "compile_after")
+
+    def __init__(self, n: int):
+        self.counts = [0] * n
+        self.runs: list = [None] * n
+        self.compile_after = skeleton.COMPILE_AFTER
+
+    def start(self, pc: int, compile_run, *args):
+        """Count a start of the run from ``pc``, which is not compiled yet;
+        return ``compile_run(*args)`` once it has enough, else None."""
+        count = self.counts[pc]
+        if count < self.compile_after:
+            self.counts[pc] = count + 1
+            return None
+        self.runs[pc] = fn = compile_run(*args)
+        return fn
+
+
+def _tuple_source(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _compile_main_run(program: uisa.StaticProgram, start: int):
+    """The straight-line run from ``start`` as one function for
+    ``MainStream``, or False if it does not compile.
+
+    ``fn(state, recs)`` steps the run's instructions as ``uisa.step`` does,
+    appends their records to ``recs`` and returns ``(batch, writes, pre,
+    olds)``: the records, the registers the run writes, their values
+    before it, and the word each of its STOREs overwrote (None where memory
+    held none), in order.  At an instruction that would fault it stops
+    before that instruction, with ``state.pc`` on it, and returns what ran.
+    """
+    body = uisa.straight_line(program.instrs, start)
+    writes = tuple(sorted({ins.dst for ins in body if ins.dst is not None}))
+    free = {"writes": writes}
+    src = ["r = state.regs", "m = state.memory"]
+    pre = "()"
+    if writes:
+        src.append("p = " + _tuple_source([f"r[{w}]" for w in writes]))
+        pre = "p"
+    recs, olds = [], []
+
+    def leave():
+        return [f"b = {_tuple_source(recs)}", "recs.extend(b)",
+                f"return b, writes, {pre}, {_tuple_source(olds)}"]
+
+    for k, ins in enumerate(body):
+        fault = [f"state.pc = {int(ins.index)}", *leave()]
+        lines = uisa.instr_source(ins, k, fault, keep_old=True)
+        if lines is None:
+            return False
+        src += lines
+        free[f"i{k}"] = ins
+        op = ins.opcode
+        if op in ("ALUI", "ALU", "MUL"):
+            recs.append(f"(i{k}, None, v{k}, None, None)")
+        elif op == "LOAD" or op == "STORE":
+            recs.append(f"(i{k}, a{k}, v{k}, None, None)")
+            if op == "STORE":
+                olds.append(f"o{k}")
+        elif op == "BR_COND":
+            recs.append(f"(i{k}, None, None, t{k}, None)")
+        else:
+            free[f"c{k}"] = (ins, None, None, None, None)
+            recs.append(f"c{k}")
+    if not ins.is_control:
+        src.append(f"state.pc = {int(ins.index) + 1}")
+    return uisa.build_function("state, recs", src + leave(), free,
+                               f"<main-thread run from pc {start}>")
+
+
+def _compile_lookahead_run(program: uisa.StaticProgram, start: int,
+                           bits, converted, bias_dirs):
+    """The look-ahead walk's straight-line run from ``start`` under one
+    skeleton version as one function for ``LookaheadStream``, or False if
+    it does not compile or holds no record.
+
+    The run ends at its last record: trailing masked-out slots before a HALT
+    are left to the next walk.  ``fn(state, sb)``, with ``sb`` the walk's
+    ``since_branch``, steps the run's instructions inside the walk as
+    ``uisa.step`` does, skips the masked-out ones, follows a converted
+    branch's bias, and returns ``(batch, since_branch, walked)``: the
+    records, ``since_branch`` after the last of them, and the slots walked
+    up to it.  At an instruction that would fault it stops after the last
+    record before it, with ``state.pc`` just past that record.
+    """
+    body = uisa.straight_line(program.instrs, start)
+    walk = [ins for ins in body if ins.index in bits or ins.is_control]
+    if not walk:
+        return False
+    free = {}
+    src = ["r = state.regs", "m = state.memory"]
+    recs = []
+    after = (start, "sb", 0)        # (pc, since_branch, walked) at the last record
+    for ins in walk:
+        pc = int(ins.index)
+        k = pc - start
+        if pc in converted:
+            taken = bias_dirs[pc]
+            free[f"c{k}"] = (ins, None, None, taken, None)
+            recs.append(f"c{k}")
+            src.append(f"state.pc = {int(ins.target) if taken else pc + 1}")
+            after = (None, "0", k + 1)
+            break
+        fault = [f"state.pc = {after[0]}",
+                 f"return {_tuple_source(recs)}, {after[1]}, {after[2]}"]
+        lines = uisa.instr_source(ins, k, fault)
+        if lines is None:
+            return False
+        src += lines
+        free[f"i{k}"] = ins
+        off = f"sb + {k + 1}"
+        op = ins.opcode
+        if op in ("ALUI", "ALU", "MUL"):
+            recs.append(f"(i{k}, None, v{k}, None, {off})")
+        elif op == "LOAD" or op == "STORE":
+            recs.append(f"(i{k}, a{k}, v{k}, None, {off})")
+        elif op == "BR_COND":
+            recs.append(f"(i{k}, None, None, t{k}, {off})")
+        else:
+            recs.append(f"(i{k}, None, None, None, {off})")
+        after = (pc + 1, "0" if op == "BR_COND" else off, k + 1)
+    if not ins.is_control:
+        src.append(f"state.pc = {int(ins.index) + 1}")
+    src.append(f"return {_tuple_source(recs)}, {after[1]}, {after[2]}")
+    return uisa.build_function("state, sb", src, free,
+                               f"<look-ahead run from pc {start}>")
+
 
 class MainStream:
     """Lazy architectural trace of the full program.
 
     The uncommitted records are contiguous, oldest first, so ``recs`` is a
-    deque that commit pops at the left, and record ``idx`` is ``next - idx``
+    deque that commit pops at the left, and record ``idx`` is ``end - idx``
     places from its right end.  ``get`` takes an index up to ``next``: an
-    older one is a re-read, and ``next`` itself steps one record (or gives
-    None once the walk has halted).
+    older one is a re-read, and ``next`` itself hands out the next record
+    (or gives None once the walk has halted).
+
+    A straight-line run that has started ``COMPILE_AFTER`` times runs as one
+    compiled function (``_compile_main_run``), which computes all of its
+    records at once, so ``end``, the records computed, can run up to one
+    run ahead of ``next``, the records handed out.  ``state`` is the state
+    after record ``end - 1``; ``snapshot`` gives the one after ``next - 1``.
+    Cold runs, the runs near ``limit`` and a faulting instruction step with
+    ``uisa.step``, one record at a time.
     """
 
     def __init__(self, program: uisa.StaticProgram, limit: int):
@@ -145,22 +319,31 @@ class MainStream:
         self.state = uisa.ArchState.initial(program)
         self.recs: deque[tuple] = deque()
         self.next = 0
+        self.end = 0
         self.halted = False
         self.hit_limit = False
         self.limit = limit
+        # a run is at most the whole program: below this no run passes limit
+        self.batch_limit = limit - len(program.instrs)
+        self.table = _RunTable(len(program.instrs))
+        self.undo = None    # what _compile_main_run's function returned last
 
     def get(self, idx: int):
-        back = self.next - idx
-        if back > 0:
-            return self.recs[-back]
-        if back:
+        nxt = self.next
+        if idx < nxt:
+            return self.recs[idx - self.end]
+        if idx != nxt:
             raise EngineError(f"main stream asked for record {idx}, "
-                              f"but its next record is {self.next}")
+                              f"but its next record is {nxt}")
+        if idx < self.end:
+            self.next = idx + 1
+            return self.recs[idx - self.end]
         if self.halted:
             return None
         program = self.program
         state = self.state
-        ins = program.instrs[state.pc]
+        pc = state.pc
+        ins = program.instrs[pc]
         if ins.opcode == "HALT":
             self.halted = True
             return None
@@ -168,10 +351,52 @@ class MainStream:
             self.halted = True
             self.hit_limit = True
             return None
+        fn = self.table.runs[pc]
+        if fn is None:
+            fn = self.table.start(pc, _compile_main_run, program, pc)
+        if fn and idx <= self.batch_limit:
+            undo = self.undo = fn(state, self.recs)
+            batch = undo[0]
+            if batch:
+                self.end = idx + len(batch)
+                self.next = idx + 1
+                return batch[0]
         rec = (ins, *uisa.step(state, program, idx), None)
         self.recs.append(rec)
-        self.next = idx + 1
+        self.next = self.end = idx + 1
         return rec
+
+    def snapshot(self) -> uisa.ArchState:
+        """A copy of the state after record ``next - 1``: the last compiled
+        batch's records not yet handed out are undone."""
+        state = self.state.clone()
+        back = self.end - self.next
+        if not back:
+            return state
+        batch, writes, pre, olds = self.undo
+        cut = len(batch) - back         # the batch's records handed out
+        regs = state.regs
+        mem = state.memory
+        for r, v in zip(writes, pre):
+            regs[r] = v
+        stores = [rec[1] for rec in batch if rec[0].opcode == "STORE"]
+        for addr, old in reversed(list(zip(stores, olds))):
+            if old is None:
+                del mem[addr]
+            else:
+                mem[addr] = old
+        for ins, addr, value, _, _ in batch[:cut]:
+            if ins.dst is not None:
+                regs[ins.dst] = value
+            elif ins.opcode == "STORE":
+                mem[addr] = value
+        state.pc = batch[cut][0].index
+        op = batch[-1][0].opcode        # a control op ends its run
+        if op == "CALL":
+            state.call_stack.pop()
+        elif op == "RET":
+            state.call_stack.append(self.state.pc)
+        return state
 
 
 class LookaheadStream:
@@ -182,38 +407,78 @@ class LookaheadStream:
     or when stale state makes an instruction fail to execute; the engine
     reboots it.  ``get`` takes the indices in order: each call asks for
     ``next`` (again, once the walk is done, to get None).
+
+    A straight-line run of the walk that has started ``COMPILE_AFTER`` times
+    runs as one compiled function (``_compile_lookahead_run``), kept in
+    ``table``, which the engine keeps per skeleton version so that the
+    stream a reboot builds reuses it.  Its records wait in ``batch`` and go
+    out one per ``get``; ``walked`` counts the slots up to the last record
+    handed out, as a lazy walk would.
     """
 
     def __init__(self, program: uisa.StaticProgram, skel: SkeletonSet,
-                 version: int, state: uisa.ArchState):
+                 version: int, state: uisa.ArchState,
+                 table: _RunTable | None = None):
         mask = skel.versions[version]
         self.program = program
         self.bits = mask.bits
         self.converted = mask.converted_branches
         self.bias_dirs = skel.bias_dirs
         self.state = state
+        self.table = table or _RunTable(len(program.instrs))
         self.next = 0
         self.done = False
         self.since_branch = 0
-        self.walked = 0
+        self.batch: tuple = ()
+        self.pos = 0            # records of ``batch`` handed out
+        self._walked = 0        # slots walked, up to the end of ``batch``
+
+    @property
+    def walked(self) -> int:
+        batch = self.batch
+        if self.pos < len(batch):
+            return (self._walked - batch[-1][0].index
+                    + batch[self.pos - 1][0].index)
+        return self._walked
 
     def get(self, idx: int):
         if idx != self.next:
             raise EngineError(f"look-ahead stream asked for record {idx}, "
                               f"but its next record is {self.next}")
+        pos = self.pos
+        batch = self.batch
+        if pos < len(batch):
+            self.pos = pos + 1
+            self.next = idx + 1
+            return batch[pos]
+        if self.done:
+            return None
         program = self.program
+        state = self.state
+        pc = state.pc
+        fn = self.table.runs[pc]
+        if fn is None:
+            fn = self.table.start(pc, _compile_lookahead_run, program, pc,
+                                  self.bits, self.converted, self.bias_dirs)
+        if fn:
+            batch, self.since_branch, walked = fn(state, self.since_branch)
+            self._walked += walked
+            if batch:
+                self.batch = batch
+                self.pos = 1
+                self.next = idx + 1
+                return batch[0]
         instrs = program.instrs
         bits = self.bits
         converted = self.converted
-        state = self.state
-        while not self.done:
+        while True:
             pc = state.pc
             ins = instrs[pc]
             op = ins.opcode
             if op == "HALT":
                 self.done = True
-                break
-            self.walked += 1
+                return None
+            self._walked += 1
             if pc in converted:
                 taken = self.bias_dirs[pc]
                 state.pc = ins.target if taken else pc + 1
@@ -225,7 +490,7 @@ class LookaheadStream:
                     eff_addr, value, taken = uisa.step(state, program, idx)
                 except uisa.ExecError:
                     self.done = True
-                    break
+                    return None
                 self.since_branch += 1
                 off = self.since_branch
                 if op == "BR_COND":
@@ -234,7 +499,6 @@ class LookaheadStream:
                 return (ins, eff_addr, value, taken, off)
             state.pc = pc + 1   # masked out: free slot, no record
             self.since_branch += 1
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +830,9 @@ class Engine:
                  commit_log: list | None = None,
                  corrupt_rate: float = 0.0, corrupt_seed: int = 0):
         program.validate()
+        if type(version) is not int or not 0 <= version < NUM_VERSIONS:
+            raise EngineError(f"version: must be an integer in "
+                              f"0..{NUM_VERSIONS - 1}, got {version!r}")
         self.program = program
         self.params = params or CoreParams()
         self.dla = dla or DlaParams()
@@ -611,8 +878,9 @@ class Engine:
         self.lt = None
         if self.dla_on:
             self.version = version
-            self.lt_stream = LookaheadStream(
-                program, skel, version, uisa.ArchState.initial(program))
+            self.lt_tables: dict[int, _RunTable] = {}     # by skeleton version
+            self.lt_stream = self._lookahead_stream(
+                uisa.ArchState.initial(program))
             self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt")
             self.tracker = LoopTracker()
             self.vru = ValueReuseUnit()
@@ -804,13 +1072,22 @@ class Engine:
         self.stats.version_swaps += 1
         self._reboot(now, "version_swap")
 
+    def _lookahead_stream(self, state: uisa.ArchState) -> LookaheadStream:
+        """A look-ahead walk of the current version from ``state``; the
+        runs it compiles are kept for the next walk of the same version."""
+        table = self.lt_tables.get(self.version)
+        if table is None:
+            table = self.lt_tables[self.version] = _RunTable(
+                len(self.program.instrs))
+        return LookaheadStream(self.program, self.skel, self.version, state,
+                               table)
+
     def _reboot(self, now: int, reason: str) -> None:
         self.stats.reboots += 1
         self.stats.reboot_reasons[reason] = \
             self.stats.reboot_reasons.get(reason, 0) + 1
         restart_idx = self.mt_stream.next
-        self.lt_stream = LookaheadStream(
-            self.program, self.skel, self.version, self.mt_stream.state.clone())
+        self.lt_stream = self._lookahead_stream(self.mt_stream.snapshot())
         lt = self.lt
         lt.stream = self.lt_stream
         lt.window.clear()

@@ -40,6 +40,12 @@ class MemError(Exception):
     pass
 
 
+def _check_at_least(cfg, name: str, minimum: int) -> None:
+    value = getattr(cfg, name)
+    if value < minimum:
+        raise MemError(f"{name}: must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevelConfig:
     size: int
@@ -48,6 +54,9 @@ class LevelConfig:
     hit_latency: int
 
     def __post_init__(self):
+        for name in ("size", "assoc", "line"):
+            _check_at_least(self, name, 1)
+        _check_at_least(self, "hit_latency", 0)
         sets = self.size // (self.line * self.assoc)
         if self.size % (self.line * self.assoc) or sets & (sets - 1):
             raise MemError("cache size must be a power-of-two multiple of line*assoc")
@@ -62,6 +71,8 @@ class CacheConfig:
     mshr: int = 32          # miss-status registers; 0 tracks no fills at all
 
     def __post_init__(self):
+        _check_at_least(self, "dram_latency", 0)
+        _check_at_least(self, "mshr", 0)
         if not self.l1.line == self.l2.line == self.l3.line:
             raise MemError("line sizes must match across levels")
 

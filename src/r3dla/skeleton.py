@@ -26,7 +26,7 @@ L2_SEED_THRESHOLD = 0.001
 SLOW_LATENCY_CYCLES = 20
 DEFAULT_BIAS_THRESHOLD = 0.999
 TRAIN_LIMIT = 200_000   # instructions of the training run
-COMPILE_AFTER = 16      # executions of a run before the profile compiles it
+COMPILE_AFTER = 16      # starts of a run before the profile or a stream compiles it
 NUM_VERSIONS = 6
 
 EXEC_LATENCY = {"MUL": 3}  # non-memory ops default to 1 cycle
@@ -103,14 +103,14 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
     the instruction before HALT, or the program's last one, but at most
     ``cap`` instructions long; and whether it is whole, i.e. not cut short
     by ``cap``."""
-    body = []
+    body = uisa.straight_line(instrs, start)
+    whole = len(body) <= cap
+    del body[cap:]
     live_in = {}
     pairs = {}
     writers = {}        # register -> pc of the run's last writer so far
-    n = len(instrs)
-    pc = start
-    while True:
-        ins = instrs[pc]
+    for ins in body:
+        pc = ins.index
         for r in ins.reads:
             w = writers.get(r)
             if w is None:
@@ -119,110 +119,57 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
                 pairs[w, pc] = None
         if ins.dst is not None:
             writers[ins.dst] = pc
-        body.append((ins, profs[pc] if ins.is_mem else None))
-        pc += 1
-        if ins.is_control or pc == n or instrs[pc].opcode == "HALT":
-            whole = True
-            break
-        if len(body) == cap:
-            whole = False
-            break
-    branch = profs[ins.index] if ins.opcode == "BR_COND" else None
-    return _Run(body, tuple(live_in),
+    last = body[-1]
+    branch = profs[last.index] if last.opcode == "BR_COND" else None
+    return _Run([(ins, profs[ins.index] if ins.is_mem else None)
+                 for ins in body], tuple(live_in),
                 tuple((profs[w], reader) for w, reader in pairs),
                 tuple((r, profs[w]) for r, w in writers.items()), branch), whole
 
 
-# the Python source of each ALU subop and branch condition in a compiled run
-_ALU_SRC = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^", "mul": "*"}
-_COND_SRC = {"eqz": "r[{0}] == 0", "nez": "r[{0}] != 0",
-             "lt": "r[{0}] < r[{1}]", "ge": "r[{0}] >= r[{1}]"}
-
-
 def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     """One Python function that walks ``run`` as ``profile`` does: it steps
-    each instruction like ``uisa.step``, sends each memory op through
-    ``access`` and updates its ``PcProfile``, sets ``state.pc`` and returns
-    the direction of a conditional branch that ends the run (else None).
-    Called as ``fn(state, seq)``, with ``seq`` the walk's count at the run's
-    first instruction.
+    each instruction like ``uisa.step`` (``uisa.instr_source``), sends each
+    memory op through ``access`` and updates its ``PcProfile``, sets
+    ``state.pc`` and returns the direction of a conditional branch that ends
+    the run (else None).  Called as ``fn(state, seq)``, with ``seq`` the
+    walk's count at the run's first instruction.
 
-    Returns None for a run with an opcode or subop outside the tables here;
-    it stays on ``uisa.step``.  An instruction that faults sets ``state.pc``
-    to itself and calls ``uisa.step``, which raises the interpreter's error.
-    The source holds only ``int()`` values and text from the tables above.
+    Returns None for a run with an opcode or subop outside the emitter's
+    tables; it stays on ``uisa.step``.  An instruction that faults sets
+    ``state.pc`` to itself and calls ``uisa.step``, which raises the
+    interpreter's error.
     """
-    lo, hi, mask = -uisa.SIGN_BIT, uisa.SIGN_BIT, uisa.WORD_MASK
-    src = []
-    names, objs = [], []        # the function's free variables, by name
+    src = ["r = state.regs", "m = state.memory"]
+    free = {"step": uisa.step, "program": program, "access": access}
     for k, (ins, p) in enumerate(run.body):
-        op = ins.opcode
-        pc = int(ins.index)
-        if op in ("ALUI", "ALU", "MUL"):
-            sym = _ALU_SRC.get(ins.subop)
-            if sym is None:
-                return None
-            b = int(ins.imm) if op == "ALUI" else f"r[{int(ins.srcs[1])}]"
-            src += [f"v = r[{int(ins.srcs[0])}] {sym} ({b})",
-                    f"if not {lo} <= v < {hi}:",       # wrap to signed 64-bit
-                    f"    v = ((v + {hi}) & {mask}) - {hi}",
-                    f"r[{int(ins.dst)}] = v"]
-        elif op == "LOAD" or op == "STORE":
-            src += [f"a = r[{int(ins.mem_base)}] + {int(ins.mem_offset)}",
-                    "if a < 0:",
-                    f"    state.pc = {pc}",
-                    f"    step(state, program, seq + {k})"]
-            if op == "LOAD":
-                src.append(f"r[{int(ins.dst)}] = m.get(a, 0)")
-            else:
-                src.append(f"m[a] = r[{int(ins.srcs[0])}]")
-            src.append("lat, level = access(a)")
+        lines = uisa.instr_source(
+            ins, k, [f"state.pc = {int(ins.index)}",
+                     f"step(state, program, seq + {k})"])
+        if lines is None:
+            return None
+        src += lines
+        if p is not None:
             # a compiled run has run before, so each of its memory ops has a
             # last_addr; stride_votes is never replaced, only updated
-            names += [f"p{k}", f"votes{k}"]
-            objs += [p, p.stride_votes]
-            src += [f"p = p{k}",
+            free[f"p{k}"] = p
+            free[f"votes{k}"] = p.stride_votes
+            src += [f"lat, level = access(a{k})",
+                    f"p = p{k}",
                     "p.latency_sum += lat",
                     "if level != 'L1':",
                     "    p.l1_misses += 1",
                     "    if level != 'L2':",
                     "        p.l2_misses += 1",
-                    "d = a - p.last_addr",
+                    f"d = a{k} - p.last_addr",
                     f"votes{k}[d] = votes{k}.get(d, 0) + 1",
-                    "p.last_addr = a"]
-        elif op == "BR_COND":
-            cond = _COND_SRC.get(ins.subop)
-            if cond is None:
-                return None
-            src += [f"t = {cond.format(*(int(x) for x in ins.srcs))}",
-                    f"state.pc = {int(ins.target)} if t else {pc + 1}",
-                    "return t"]
-        elif op == "BR_UNCOND":
-            src.append(f"state.pc = {int(ins.target)}")
-        elif op == "CALL":
-            src += [f"state.call_stack.append({pc + 1})",
-                    f"state.pc = {int(ins.target)}"]
-        elif op == "RET":
-            src += ["if not state.call_stack:",
-                    f"    state.pc = {pc}",
-                    f"    step(state, program, seq + {k})",
-                    "state.pc = state.call_stack.pop()"]
-        else:
-            return None
-    if not ins.is_control:
-        src.append(f"state.pc = {pc + 1}")
-    text = "\n".join(
-        [f"def make({', '.join(['access', 'step', 'program', *names])}):",
-         "    def run(state, seq):",
-         "        r = state.regs",
-         "        m = state.memory"]
-        + ["        " + line for line in src]
-        + ["    return run"])
-    ns = {}
-    exec(compile(text, f"<run from pc {run.body[0][0].index}>", "exec"), ns)
-    # popped: left in ``ns``, its own globals, it would form a reference cycle
-    make = ns.pop("make")
-    return make(access, uisa.step, program, *objs)
+                    f"p.last_addr = a{k}"]
+    if ins.opcode == "BR_COND":
+        src.append(f"return t{k}")
+    elif not ins.is_control:
+        src.append(f"state.pc = {int(ins.index) + 1}")
+    return uisa.build_function("state, seq", src, free,
+                               f"<run from pc {run.body[0][0].index}>")
 
 
 def profile(program: uisa.StaticProgram,
@@ -254,7 +201,10 @@ def profile(program: uisa.StaticProgram,
 
     A run steps with ``uisa.step`` until it has run ``COMPILE_AFTER`` times;
     then ``_compile_run`` turns it into one Python function, which does the
-    same work without a call and an opcode dispatch per instruction.
+    same work without a call and an opcode dispatch per instruction.  The
+    function's stepping comes from ``uisa.instr_source``, the source form of
+    ``uisa.step`` that the engine's streams compile their hot runs from too
+    (the engine counts a run's starts against the same ``COMPILE_AFTER``).
     Compiling costs tens of microseconds per instruction, so a cold run
     stays on ``uisa.step``, and so does the capped last run.
     """

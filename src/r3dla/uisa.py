@@ -408,6 +408,107 @@ def step(state: ArchState, program: StaticProgram,
 
 
 # ---------------------------------------------------------------------------
+# compiled straight-line runs
+#
+# A hot straight-line run can be turned into one generated Python function
+# that does the work of ``step`` on each of its instructions without a call
+# and an opcode dispatch per instruction.  ``instr_source`` is the one place
+# that writes ``step``'s semantics as source; the skeleton profile and the
+# engine's two streams each add what they keep per instruction around it.
+
+# the Python source of each ALU subop and branch condition
+_ALU_SRC = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^", "mul": "*"}
+_COND_SRC = {"eqz": "r[{0}] == 0", "nez": "r[{0}] != 0",
+             "lt": "r[{0}] < r[{1}]", "ge": "r[{0}] >= r[{1}]"}
+
+
+def instr_source(ins: StaticInstr, k: int, fault: list[str],
+                 keep_old: bool = False) -> list[str] | None:
+    """Python source lines that execute ``ins`` as ``step`` does.
+
+    The lines read and write the registers as ``r``, the memory as ``m`` and
+    the call stack as ``state.call_stack``, and leave, suffixed with ``k``
+    (the instruction's position in its run): ``v{k}``, the value an ALU op
+    or LOAD wrote or a STORE stored; ``a{k}``, a LOAD's or STORE's address;
+    ``t{k}``, a conditional branch's direction; and with ``keep_old``,
+    ``o{k}``, the word a STORE overwrote (None if memory held none there).
+    A control instruction sets ``state.pc``; after a run's last
+    non-control instruction its caller sets it.  Where ``step`` would raise
+    an ``ExecError`` (a negative address, RET on an empty call stack), the
+    lines run ``fault`` instead, before changing anything; ``fault`` must
+    leave the function or raise.
+
+    Returns None for HALT and for an opcode or subop outside the tables
+    here.  The source holds only ``int()`` values and text from the tables.
+    """
+    op = ins.opcode
+    pc = int(ins.index)
+    guard = ["    " + line for line in fault]
+    if op in ("ALUI", "ALU", "MUL"):
+        sym = _ALU_SRC.get(ins.subop)
+        if sym is None:
+            return None
+        lo, hi = -SIGN_BIT, SIGN_BIT
+        b = int(ins.imm) if op == "ALUI" else f"r[{int(ins.srcs[1])}]"
+        return [f"v{k} = r[{int(ins.srcs[0])}] {sym} ({b})",
+                f"if not {lo} <= v{k} < {hi}:",        # wrap to signed 64-bit
+                f"    v{k} = ((v{k} + {hi}) & {WORD_MASK}) - {hi}",
+                f"r[{int(ins.dst)}] = v{k}"]
+    if op == "LOAD" or op == "STORE":
+        src = [f"a{k} = r[{int(ins.mem_base)}] + {int(ins.mem_offset)}",
+               f"if a{k} < 0:", *guard]
+        if op == "LOAD":
+            return src + [f"v{k} = m.get(a{k}, 0)", f"r[{int(ins.dst)}] = v{k}"]
+        src.append(f"v{k} = r[{int(ins.srcs[0])}]")
+        if keep_old:
+            src.append(f"o{k} = m.get(a{k})")
+        return src + [f"m[a{k}] = v{k}"]
+    if op == "BR_COND":
+        cond = _COND_SRC.get(ins.subop)
+        if cond is None:
+            return None
+        return [f"t{k} = {cond.format(*(int(x) for x in ins.srcs))}",
+                f"state.pc = {int(ins.target)} if t{k} else {pc + 1}"]
+    if op == "BR_UNCOND":
+        return [f"state.pc = {int(ins.target)}"]
+    if op == "CALL":
+        return [f"state.call_stack.append({pc + 1})",
+                f"state.pc = {int(ins.target)}"]
+    if op == "RET":
+        return ["if not state.call_stack:", *guard,
+                "state.pc = state.call_stack.pop()"]
+    return None
+
+
+def straight_line(instrs: list[StaticInstr], start: int) -> list[StaticInstr]:
+    """The straight-line run from ``start``: up to the first control
+    instruction (inclusive), the instruction before a HALT, or the program's
+    last instruction.  Empty at a HALT."""
+    body = []
+    for ins in instrs[start:]:
+        if ins.opcode == "HALT":
+            break
+        body.append(ins)
+        if ins.is_control:
+            break
+    return body
+
+
+def build_function(params: str, lines: list[str], free: dict, label: str):
+    """Compile ``lines`` as the body of ``def run(<params>)`` and return it;
+    the names in ``free`` are its free variables, bound to their values."""
+    text = "\n".join([f"def make({', '.join(free)}):",
+                      f"    def run({params}):"]
+                     + ["        " + line for line in lines]
+                     + ["    return run"])
+    ns = {}
+    exec(compile(text, label, "exec"), ns)
+    # popped: left in ``ns``, its own globals, it would form a reference cycle
+    make = ns.pop("make")
+    return make(*free.values())
+
+
+# ---------------------------------------------------------------------------
 # synthetic workloads
 
 def gen_strided_loop(stride: int = 64, iters: int = 100, base: int = 0x10000,

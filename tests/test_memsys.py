@@ -156,6 +156,24 @@ def test_config_validation():
         CacheConfig(l1=LevelConfig(1024 + 64, 2, 64, 3))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"size": 0}, "size"), ({"size": -4096}, "size"), ({"assoc": 0}, "assoc"),
+    ({"line": 0}, "line"), ({"hit_latency": -5}, "hit_latency")])
+def test_level_config_names_a_bad_field(kwargs, field):
+    # size=0 passed the power-of-two check (0 sets) and failed at the first
+    # access; assoc=0 and line=0 divided by zero
+    with pytest.raises(MemError, match=f"^{field}: must be >= "):
+        LevelConfig(**{"size": 4096, "assoc": 4, "line": 64, "hit_latency": 3,
+                       **kwargs})
+
+
+@pytest.mark.parametrize("field", ["dram_latency", "mshr"])
+def test_cache_config_names_a_bad_field(field):
+    with pytest.raises(MemError, match=f"^{field}: must be >= 0, got -1$"):
+        CacheConfig(**{field: -1})
+    CacheConfig(**{field: 0})       # zero latency or no MSHRs is legal
+
+
 def test_config_from_dict():
     cfg = CacheConfig.from_dict({"dram_latency": 123, "mshr": 7,
                                  "l1": {"size": 2048, "assoc": 2,

@@ -205,6 +205,102 @@ def test_ret_without_call_is_error():
         uisa.step(state, prog)
 
 
+# -- the compiled-run emitter --------------------------------------------------
+
+REG = st.integers(0, 3)
+# small addresses, 64-bit extremes, and values past 64 bits (a LOAD of a
+# .data word can put one in a register)
+VALUE = st.one_of(st.integers(-20, 300),
+                  st.sampled_from([uisa.SIGN_BIT - 1, -uisa.SIGN_BIT,
+                                   uisa.SIGN_BIT >> 1, uisa.WORD_MASK]),
+                  st.integers(-2**70, 2**70))
+
+
+@st.composite
+def one_instruction(draw):
+    """Every opcode and subop ``instr_source`` compiles, at pc 1."""
+    op = draw(st.sampled_from(("ALUI", "ALU", "MUL", "LOAD", "STORE", "BR_COND",
+                               "BR_UNCOND", "CALL", "RET")))
+    if op == "ALUI":
+        return uisa.StaticInstr(1, op, draw(st.sampled_from(list(uisa._SUBOP_TO_ALUI))),
+                                dst=draw(REG), srcs=(draw(REG),), imm=draw(VALUE))
+    if op in ("ALU", "MUL"):
+        sub = "mul" if op == "MUL" else draw(st.sampled_from(list(uisa._SUBOP_TO_ALU)))
+        return uisa.StaticInstr(1, op, sub, dst=draw(REG), srcs=(draw(REG), draw(REG)))
+    if op == "LOAD":
+        return uisa.StaticInstr(1, op, dst=draw(REG), mem_base=draw(REG),
+                                mem_offset=draw(st.integers(-16, 16)))
+    if op == "STORE":
+        return uisa.StaticInstr(1, op, srcs=(draw(REG),), mem_base=draw(REG),
+                                mem_offset=draw(st.integers(-16, 16)))
+    if op == "BR_COND":
+        cond = draw(st.sampled_from(list(uisa._SUBOP_TO_COND)))
+        srcs = (draw(REG),) if cond in ("eqz", "nez") else (draw(REG), draw(REG))
+        return uisa.StaticInstr(1, op, cond, srcs=srcs, target=draw(st.integers(0, 2)))
+    target = None if op == "RET" else draw(st.integers(0, 2))
+    return uisa.StaticInstr(1, op, target=target)
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_instruction(), st.lists(VALUE, min_size=4, max_size=4),
+       st.dictionaries(st.integers(0, 320), VALUE, max_size=4),
+       st.lists(st.integers(0, 2), max_size=2))
+def test_instr_source_matches_step(ins, regs, memory, call_stack):
+    """The source ``instr_source`` writes for one instruction leaves the
+    state ``uisa.step`` leaves and names the address, value and direction
+    ``step`` returns (with the 64-bit wrap), and the word a STORE
+    overwrote.  Where ``step`` faults, the source runs its ``fault`` lines
+    with the state untouched; lines that call ``step`` there raise the
+    interpreter's own error."""
+    prog = uisa.StaticProgram([uisa.StaticInstr(0, "HALT"), ins,
+                               uisa.StaticInstr(2, "HALT")])
+    start = uisa.ArchState(regs=regs + [0] * (uisa.NUM_REGS - 4), pc=1,
+                           memory=memory, call_stack=call_stack)
+    op = ins.opcode
+    names = {"ALUI": ("None", "v0"), "ALU": ("None", "v0"), "MUL": ("None", "v0"),
+             "LOAD": ("a0", "v0"), "STORE": ("a0", "v0")}.get(op, ("None", "None"))
+    taken = "t0" if op == "BR_COND" else "None"
+    old = "o0" if op == "STORE" else "'none'"
+
+    def compiled(fault):
+        lines = uisa.instr_source(ins, 0, fault, keep_old=True)
+        assert lines is not None
+        if not ins.is_control:
+            lines.append("state.pc = 2")
+        lines.append(f"return ({names[0]}, {names[1]}, {taken}), {old}")
+        return uisa.build_function("state", ["r = state.regs", "m = state.memory",
+                                             *lines],
+                                   {"step": uisa.step, "program": prog}, "<test>")
+
+    want = start.clone()
+    try:
+        want_out = uisa.step(want, prog, 7)
+        want_error = None
+    except uisa.ExecError as e:
+        want_error = str(e)
+    got = start.clone()
+    out = compiled(["return 'fault', None"])(got)
+    if want_error is not None:
+        assert out == ("fault", None) and got == start
+        with pytest.raises(uisa.ExecError) as raised:
+            compiled(["step(state, program, 7)"])(start.clone())
+        assert str(raised.value) == want_error
+        return
+    assert got == want
+    assert out[0] == want_out and type(out[0][2]) is type(want_out[2])
+    if op == "STORE":
+        assert out[1] == start.memory.get(want_out[0])
+
+
+def test_instr_source_leaves_unknown_subops_and_halt_to_step():
+    fault = ["raise AssertionError"]
+    assert uisa.instr_source(uisa.StaticInstr(0, "ALU", "nand", dst=1, srcs=(0, 0)),
+                             0, fault) is None
+    assert uisa.instr_source(uisa.StaticInstr(0, "BR_COND", "odd", srcs=(0, 0),
+                                              target=0), 0, fault) is None
+    assert uisa.instr_source(uisa.StaticInstr(0, "HALT"), 0, fault) is None
+
+
 # -- workload generators -----------------------------------------------------
 
 def test_strided_loop_addresses():
