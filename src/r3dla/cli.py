@@ -220,8 +220,11 @@ def workload_seed(cfg: dict) -> int | None:
 def build_workload(cfg: dict) -> uisa.StaticProgram:
     wl = cfg["workload"]
     if "program_file" in wl:
-        with open(wl["program_file"]) as f:
-            return uisa.parse_program(f.read(), name=wl["program_file"])
+        try:
+            with open(wl["program_file"]) as f:
+                return uisa.parse_program(f.read())
+        except (OSError, ValueError, uisa.UisaError) as e:
+            raise ConfigError(f"workload.program_file: {e}") from None
     try:
         return uisa.gen_workload(wl["kind"], wl.get("params"), seed=workload_seed(cfg))
     except uisa.UisaError as e:
@@ -255,7 +258,10 @@ def _run_config(cfg: dict, skeletons: dict | None) -> engine.RunStats:
         return engine.Engine(prog, mode=cfg.get("mode", "normal"), **common).run()
     sk_cfg = cfg.get("skeleton", {"auto": True})
     if "path" in sk_cfg:
-        skel = skeleton.load_skeleton(sk_cfg["path"], prog)
+        try:
+            skel = skeleton.load_skeleton(sk_cfg["path"], prog)
+        except (OSError, uisa.UisaError) as e:
+            raise ConfigError(f"skeleton.path: {e}") from None
     else:
         if skeletons is None:
             skeletons = {}

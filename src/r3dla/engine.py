@@ -63,6 +63,16 @@ trailing CALL or RET).  The records, and so every ``RunStats`` field, are
 the same as stepping each instruction; ``test_compiled_streams_match_stepping``
 compiles every run or none and compares the results.
 
+The engine takes only what a config gives it; tests watch and perturb a run
+through the state it already keeps.  Every main-thread commit pops its record
+at the left of ``MainStream.recs``, so a deque subclass put in as
+``eng.mt_stream.recs`` sees each committed record in order (the commit log
+that the firewall tests compare with the functional interpreter).  Every
+value-reuse prediction is stored in ``Engine.predictions`` when its branch
+reaches main-thread fetch, so a dict subclass put in there can flip a value
+as it is stored (fault injection, which must cost replays and never change a
+committed value).  ``tests/reference.py`` holds both helpers.
+
 Who references what: the ``Engine`` owns its cores (``mt``, ``lt``), and
 each core holds the ``MemorySystem`` and its stream.  A core's stages call
 the engine's hooks through ``_Core.engine``, which ``Engine.run`` sets when
@@ -76,7 +86,6 @@ garbage collector.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field, asdict
 
@@ -89,6 +98,7 @@ from .recycle import LoopTracker, RecycleController
 
 PROGRESS_WATCHDOG = 200_000   # cycles without a main-thread commit -> error
 DRAIN_PERIOD = 16
+PF_QUEUE_CAP = 64             # prefetches awaiting MSHR room
 # baseline-only "ideal_fetch" (perfect fetch) and "ideal_backend" (instant
 # backend) record the fetch buffer's demand and supply histograms
 MODES = ("normal", "ideal_fetch", "ideal_backend")
@@ -161,9 +171,9 @@ class _RunTable:
     ``counts[pc]`` is how often the walk has asked for a record at ``pc``
     with none computed; once that reaches ``compile_after``
     (``skeleton.COMPILE_AFTER``), ``runs[pc]`` holds the run from ``pc``
-    compiled into one function, or False for a run that does not compile
-    (an opcode or subop outside ``uisa.instr_source``'s tables, or a
-    look-ahead run with no record).
+    compiled into one function, or False for a look-ahead run with no
+    record.  ``Engine`` validates its program, so every opcode and subop is
+    in ``uisa.instr_source``'s tables.
     """
 
     __slots__ = ("counts", "runs", "compile_after")
@@ -190,7 +200,7 @@ def _tuple_source(items: list[str]) -> str:
 
 def _compile_main_run(program: uisa.StaticProgram, start: int):
     """The straight-line run from ``start`` as one function for
-    ``MainStream``, or False if it does not compile.
+    ``MainStream``.
 
     ``fn(state, recs)`` steps the run's instructions as ``uisa.step`` does,
     appends their records to ``recs`` and returns ``(batch, writes, pre,
@@ -215,10 +225,7 @@ def _compile_main_run(program: uisa.StaticProgram, start: int):
 
     for k, ins in enumerate(body):
         fault = [f"state.pc = {int(ins.index)}", *leave()]
-        lines = uisa.instr_source(ins, k, fault, keep_old=True)
-        if lines is None:
-            return False
-        src += lines
+        src += uisa.instr_source(ins, k, fault, keep_old=True)
         free[f"i{k}"] = ins
         op = ins.opcode
         if op in ("ALUI", "ALU", "MUL"):
@@ -242,7 +249,7 @@ def _compile_lookahead_run(program: uisa.StaticProgram, start: int,
                            bits, converted, bias_dirs):
     """The look-ahead walk's straight-line run from ``start`` under one
     skeleton version as one function for ``LookaheadStream``, or False if
-    it does not compile or holds no record.
+    it holds no record.
 
     The run ends at its last record: trailing masked-out slots before a HALT
     are left to the next walk.  ``fn(state, sb)``, with ``sb`` the walk's
@@ -273,10 +280,7 @@ def _compile_lookahead_run(program: uisa.StaticProgram, start: int,
             break
         fault = [f"state.pc = {after[0]}",
                  f"return {_tuple_source(recs)}, {after[1]}, {after[2]}"]
-        lines = uisa.instr_source(ins, k, fault)
-        if lines is None:
-            return False
-        src += lines
+        src += uisa.instr_source(ins, k, fault)
         free[f"i{k}"] = ins
         off = f"sb + {k + 1}"
         op = ins.opcode
@@ -417,15 +421,14 @@ class LookaheadStream:
     """
 
     def __init__(self, program: uisa.StaticProgram, skel: SkeletonSet,
-                 version: int, state: uisa.ArchState,
-                 table: _RunTable | None = None):
+                 version: int, state: uisa.ArchState, table: _RunTable):
         mask = skel.versions[version]
         self.program = program
         self.bits = mask.bits
         self.converted = mask.converted_branches
         self.bias_dirs = skel.bias_dirs
         self.state = state
-        self.table = table or _RunTable(len(program.instrs))
+        self.table = table
         self.next = 0
         self.done = False
         self.since_branch = 0
@@ -596,14 +599,13 @@ class _Core:
         is_lt = self.is_lt
         # the hooks run only for what they act on: the LT's branches (BOQ)
         # and, while the slow-instruction filter is armed, its reuse
-        # footnotes; the MT's loop tracking (BR_COND, CALL; DLA runs only),
-        # commit log and value-reuse training.  Only the MT's commit, after
-        # the LT's in a cycle, arms the filter.
+        # footnotes; the MT's loop tracking (BR_COND, CALL; DLA runs only)
+        # and value-reuse training.  Only the MT's commit, after the LT's in
+        # a cycle, arms the filter.
         if is_lt:
             emit = eng.features.value_reuse and eng.vru.sif.armed
         else:
             recs = self.stream.recs
-            logging = eng.commit_log is not None
             track = self.is_mt_dla
         while window and n < width:
             idx, complete, dispatched, rec = window[0]
@@ -618,7 +620,7 @@ class _Core:
             n += 1
             if not is_lt:
                 if ((track and (op == "BR_COND" or op == "CALL"))
-                        or logging or eng.train_iteration is not None):
+                        or eng.train_iteration is not None):
                     eng.on_mt_commit(self, rec, dispatched, complete, now)
                 recs.popleft()
 
@@ -699,7 +701,6 @@ class _Core:
         buf = self.fetch_buffer
         n = len(buf)
         recs = self.stream.recs
-        logging = self.engine.commit_log is not None
         while buf:
             idx, rec = buf.popleft()
             if idx == self.wait_resolution:
@@ -707,8 +708,6 @@ class _Core:
                 self.wait_resolution = None
                 self.pending_flags.pop(idx, None)
             self.committed += 1
-            if logging:     # a baseline commit's only hook (see commit)
-                self.engine.on_mt_commit(self, rec, now, now, now)
             recs.popleft()
         self.last_dispatched = n
 
@@ -826,9 +825,7 @@ class Engine:
                  version: int = 0,
                  limit: int = 10_000_000,
                  max_cycles: int = 200_000_000,
-                 mode: str = "normal",
-                 commit_log: list | None = None,
-                 corrupt_rate: float = 0.0, corrupt_seed: int = 0):
+                 mode: str = "normal"):
         program.validate()
         if type(version) is not int or not 0 <= version < NUM_VERSIONS:
             raise EngineError(f"version: must be an integer in "
@@ -845,7 +842,6 @@ class Engine:
         if mode != "normal" and self.dla_on:
             raise EngineError("idealized modes are baseline-only measurements")
         self.mode = mode
-        self.commit_log = commit_log
         self.mem = MemorySystem(cache_config)
         self.stats = RunStats()
 
@@ -864,9 +860,6 @@ class Engine:
         self.predictions: dict[int, tuple] = {}
         self.pending_reboots: list[tuple[int, str]] = []
         self.pf_queue: deque[int] = deque()   # prefetches awaiting MSHR room
-        self.pf_queue_cap = 64
-        self.corrupt_rate = corrupt_rate
-        self._corrupt = random.Random(corrupt_seed) if corrupt_rate > 0 else None
 
         # the loads T1 observes (on_mt_load's pcs): the S-bit pcs, when T1 is on
         self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
@@ -940,16 +933,13 @@ class Engine:
             kind = fn[0]
             if kind == "prefetch":
                 if self.features.boq_prefetch_release:
-                    if len(self.pf_queue) < self.pf_queue_cap:
+                    if len(self.pf_queue) < PF_QUEUE_CAP:
                         self.pf_queue.append(fn[1])
                     else:
                         self.stats.fq_drops += 1
             elif kind == "reuse":
                 _, pc, dst, value, off = fn
                 if off is not None:
-                    if (self._corrupt is not None
-                            and self._corrupt.random() < self.corrupt_rate):
-                        value ^= 1   # fault injection for replay testing
                     self.predictions[branch_idx + off] = (pc, dst, value)
 
     def on_mt_load(self, ins, rec, res, now: int) -> None:
@@ -962,7 +952,7 @@ class Engine:
         q = self.pf_queue
         for a in addrs:
             if a >= 0:
-                if len(q) < self.pf_queue_cap:
+                if len(q) < PF_QUEUE_CAP:
                     q.append(a)
                 else:
                     self.stats.fq_drops += 1
@@ -1021,22 +1011,17 @@ class Engine:
                      now: int) -> None:
         """One main-thread commit.
 
-        The core calls this for BR_COND and CALL in DLA runs (loop
-        tracking), for every record when there is a commit log, and while
-        value reuse trains (``train_iteration`` is set); other commits have
-        nothing to do here.  Only the DLA units act on loop events, so a
-        baseline run does not track loops.
+        The core calls this only in DLA runs: for BR_COND and CALL (loop
+        tracking) and while value reuse trains (``train_iteration`` is set);
+        other commits have nothing to do here.  Only the DLA units act on
+        loop events, so a baseline run does not track loops.
         """
         ins = rec[0]
-        if self.commit_log is not None:
-            self.commit_log.append((ins.index, rec[1], rec[2], rec[3]))
         op = ins.opcode
         if op != "BR_COND" and op != "CALL":
             if self.train_iteration is not None:
                 self.vru.train(ins.index, complete - dispatched,
                                self.train_iteration)
-            return
-        if not self.dla_on:
             return
         events = self.tracker.observe(ins.index, op, rec[3], ins.target)
         if not events:

@@ -95,12 +95,11 @@ class CacheConfig:
 class AccessResult(NamedTuple):
     latency: int
     hit_level: str
-    was_prefetched: bool = False
     merged: bool = False    # joined an outstanding fill; latency is remaining
 
 
-# builds an AccessResult from a full 4-tuple without NamedTuple's Python-level
-# __new__: _result(AccessResult, (latency, hit_level, was_prefetched, merged))
+# builds an AccessResult from a full 3-tuple without NamedTuple's Python-level
+# __new__: _result(AccessResult, (latency, hit_level, merged))
 _result = tuple.__new__
 _PREFETCH_NOOP = AccessResult(0, "L1")       # line present or already in flight
 _PREFETCH_DROPPED = AccessResult(0, "DRAM")  # no free miss-status register
@@ -206,14 +205,12 @@ class MemorySystem:
                     in_flight[key] = (ready, False)
                 l1.accesses += 1
                 l1.misses += 1
-                return _result(AccessResult,
-                               (max(1, ready - now), "DRAM", was_pref, True))
+                return _result(AccessResult, (max(1, ready - now), "DRAM", True))
 
         # Walk L1, L2, L3.  A hit moves the line to the end of its set's LRU
         # order; a demand hit on a line a prefetch brought in counts that
         # prefetch useful and clears its mark.
         lat = 0
-        was_pref = False
         depth = 0
         for hit, cache in levels:
             lat += cache.cfg.hit_latency
@@ -226,7 +223,6 @@ class MemorySystem:
                 if demand and line_addr in cache.pref_lines:
                     self.pf_stats.prefetch_useful += 1
                     cache.pref_lines.discard(line_addr)
-                    was_pref = True
                 break
             if demand:
                 cache.misses += 1
@@ -236,7 +232,7 @@ class MemorySystem:
             lat += self.cfg.dram_latency
             self.traffic_lines += 1
         if depth == 0:
-            return _result(AccessResult, (lat, "L1", was_pref, False))
+            return _result(AccessResult, (lat, "L1", False))
         # fill the levels that missed; a fill occupies a miss-status register,
         # and a prefetch got here only with one free
         prefetched = not demand
@@ -245,7 +241,7 @@ class MemorySystem:
         if prefetched or len(in_flight) < self.cfg.mshr:
             in_flight[key] = (now + lat, prefetched)
             heapq.heappush(self._ready_heap, (now + lat, key))
-        return _result(AccessResult, (lat, hit, was_pref, False))
+        return _result(AccessResult, (lat, hit, False))
 
     def drain(self, now: int) -> None:
         """Retire in-flight fills that completed by ``now``."""

@@ -24,7 +24,7 @@ STORE_LOAD_WINDOW = 1000
 L1_SEED_THRESHOLD = 0.01
 L2_SEED_THRESHOLD = 0.001
 SLOW_LATENCY_CYCLES = 20
-DEFAULT_BIAS_THRESHOLD = 0.999
+BIAS_THRESHOLD = 0.999
 TRAIN_LIMIT = 200_000   # instructions of the training run
 COMPILE_AFTER = 16      # starts of a run before the profile or a stream compiles it
 NUM_VERSIONS = 6
@@ -296,14 +296,14 @@ class SeedVector:
     biased_branch_conversions: frozenset[int]
 
 
-def select_seeds(program: uisa.StaticProgram, prof: dict[int, PcProfile],
-                 bias_threshold: float = DEFAULT_BIAS_THRESHOLD) -> SeedVector:
+def select_seeds(program: uisa.StaticProgram,
+                 prof: dict[int, PcProfile]) -> SeedVector:
     """Classify static instructions into the skeleton seed classes."""
     converted = set()
     for pc, p in prof.items():
         ins = program.instrs[pc]
         if ins.opcode == "BR_COND" and p.exec_count > 0:
-            if max(p.branch_bias, 1.0 - p.branch_bias) >= bias_threshold:
+            if max(p.branch_bias, 1.0 - p.branch_bias) >= BIAS_THRESHOLD:
                 converted.add(pc)
     control = {i.index for i in program.instrs if i.is_control} - converted
     l1, l2, t1 = set(), set(), set()
@@ -544,20 +544,30 @@ def save_skeleton(skel: SkeletonSet, program: uisa.StaticProgram, path) -> None:
 
 
 def load_skeleton(path, program: uisa.StaticProgram | None = None) -> SkeletonSet:
+    """Read a file ``save_skeleton`` wrote.  Raises ``UisaError`` if it is
+    not JSON, lacks or spoils a field, or was built for another program
+    than ``program``."""
     with open(path) as f:
-        doc = json.load(f)
-    if program is not None and doc["program_hash"] != program_hash(program):
-        raise uisa.UisaError("skeleton file does not match program")
-    if "bias_dirs" not in doc:
-        raise uisa.UisaError(
-            "skeleton file has no bias_dirs; rebuild it with skel build")
-    versions = [
-        SkeletonMask(version_id=i, bits=SkeletonMask.bits_from_hex(h),
-                     converted_branches=frozenset(conv))
-        for i, (h, conv) in enumerate(zip(doc["versions"], doc["converted_branches"]))
-    ]
-    directions = {int(pc): d for pc, d in doc["bias_dirs"].items()}
-    return SkeletonSet(versions, frozenset(doc["s_bits"]), directions)
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise uisa.UisaError(f"skeleton file is not JSON: {e}") from None
+    try:
+        if program is not None and doc["program_hash"] != program_hash(program):
+            raise uisa.UisaError("skeleton file does not match program")
+        versions = [
+            SkeletonMask(version_id=i, bits=SkeletonMask.bits_from_hex(h),
+                         converted_branches=frozenset(conv))
+            for i, (h, conv) in enumerate(zip(doc["versions"],
+                                              doc["converted_branches"]))
+        ]
+        directions = {int(pc): d for pc, d in doc["bias_dirs"].items()}
+        return SkeletonSet(versions, frozenset(doc["s_bits"]), directions)
+    except KeyError as e:
+        raise uisa.UisaError(f"skeleton file has no {e.args[0]}; "
+                             f"rebuild it with skel build") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise uisa.UisaError(f"skeleton file is malformed: {e}") from None
 
 
 def build(program: uisa.StaticProgram,

@@ -19,6 +19,7 @@ TABLE_CAPACITY = 16
 FIRST_DEGREE = 2        # prefetch degree on the first stride computation
 BURST_CAP = 8           # max prefetches emitted per observed instance
 LATENCY_ALPHA = 0.5
+LATENCY_MARGIN = 1.25   # safety factor on the smoothed miss latency
 ITER_ALPHA = 0.5
 
 INVALID = "INVALID"
@@ -51,34 +52,31 @@ class LatencyEstimator:
     demand access.
     """
 
-    def __init__(self, default: float, alpha: float = LATENCY_ALPHA,
-                 margin: float = 1.25):
+    def __init__(self, default: float):
         self.default = default
-        self.alpha = alpha
-        self.margin = margin
         self.est: dict[int, float] = {}
 
     def note_miss(self, pc: int, latency: int) -> None:
         prev = self.est.get(pc)
         self.est[pc] = latency if prev is None else (
-            self.alpha * latency + (1 - self.alpha) * prev)
+            LATENCY_ALPHA * latency + (1 - LATENCY_ALPHA) * prev)
 
     def get(self, pc: int) -> float:
-        return self.est.get(pc, self.default) * self.margin
+        return self.est.get(pc, self.default) * LATENCY_MARGIN
 
 
 class T1Table:
-    """Prefetch table keyed by S-bit instruction pc; LRU over 16 entries."""
+    """Prefetch table keyed by S-bit instruction pc; LRU over
+    ``TABLE_CAPACITY`` entries."""
 
-    def __init__(self, capacity: int = TABLE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self.entries: dict[int, T1Entry] = {}
         self._tick = 0
         self.prefetches_issued = 0
         self.steady_prefetches = 0
 
     def _alloc(self, pc: int, loop_pc: int | None) -> T1Entry:
-        if len(self.entries) >= self.capacity:
+        if len(self.entries) >= TABLE_CAPACITY:
             victim = min(self.entries.values(), key=lambda e: e.lru)
             del self.entries[victim.pc]
         e = T1Entry(pc=pc, loop_pc=loop_pc)

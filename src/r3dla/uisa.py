@@ -96,24 +96,32 @@ class StaticInstr:
         object.__setattr__(self, "is_mem", is_mem)
 
 
+# the subops each opcode may carry: ALU functions, branch conditions, or none
+_SUBOPS = {"ALUI": frozenset(_SUBOP_TO_ALUI), "ALU": frozenset(_SUBOP_TO_ALU),
+           "MUL": frozenset({"mul"}), "BR_COND": frozenset(_SUBOP_TO_COND),
+           **dict.fromkeys(("LOAD", "STORE", "BR_UNCOND", "CALL", "RET", "HALT"),
+                           frozenset({None}))}
+
+
 @dataclass
 class StaticProgram:
     instrs: list[StaticInstr]
     entry: int = 0
-    meta: dict = field(default_factory=dict)
     init_mem: dict[int, int] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (isinstance(other, StaticProgram)
-                and self.instrs == other.instrs
-                and self.entry == other.entry
-                and self.init_mem == other.init_mem)
 
     def validate(self) -> None:
         n = len(self.instrs)
         if n == 0:
             raise UisaError("empty program")
         for ins in self.instrs:
+            subops = _SUBOPS.get(ins.opcode)
+            if subops is None:
+                raise UisaError(f"instr {ins.index}: unknown opcode {ins.opcode!r}")
+            if ins.subop not in subops:
+                want = ("no subop" if None in subops
+                        else f"a subop in {sorted(subops)}")
+                raise UisaError(f"instr {ins.index}: {ins.opcode} takes {want}, "
+                                f"got {ins.subop!r}")
             if ins.opcode in ("BR_COND", "BR_UNCOND", "CALL"):
                 if ins.target is None or not (0 <= ins.target < n):
                     raise UisaError(f"instr {ins.index}: dangling branch target")
@@ -205,7 +213,7 @@ def _parse_memref(tok: str, line_no: int) -> tuple[int, int]:
     return _parse_reg(base_s, line_no), off
 
 
-def parse_program(text: str, name: str = "<text>") -> StaticProgram:
+def parse_program(text: str) -> StaticProgram:
     """Assemble a line-oriented listing into a StaticProgram."""
     labels: dict[str, int] = {}
     pending: list[tuple[int, str, list[str]]] = []  # (line_no, mnemonic, operands)
@@ -297,7 +305,7 @@ def parse_program(text: str, name: str = "<text>") -> StaticProgram:
         except IndexError:
             raise ParseError(line_no, f"missing operand for {mnem}") from None
 
-    prog = StaticProgram(instrs=instrs, meta={"name": name}, init_mem=init_mem)
+    prog = StaticProgram(instrs=instrs, init_mem=init_mem)
     prog.validate()
     return prog
 
@@ -386,8 +394,10 @@ def step(state: ArchState, program: StaticProgram,
             taken = regs[ins.srcs[0]] != 0
         elif c == "lt":
             taken = regs[ins.srcs[0]] < regs[ins.srcs[1]]
-        else:  # ge
+        elif c == "ge":
             taken = regs[ins.srcs[0]] >= regs[ins.srcs[1]]
+        else:
+            raise UisaError(f"unknown branch condition {c!r}")
         state.pc = ins.target if taken else pc + 1
         return None, None, taken
     if op == "BR_UNCOND":
@@ -513,7 +523,10 @@ def build_function(params: str, lines: list[str], free: dict, label: str):
 
 def gen_strided_loop(stride: int = 64, iters: int = 100, base: int = 0x10000,
                      seed: int = 0) -> StaticProgram:
-    """Loop whose LOAD walks base, base+stride, ...  Body is 5 instructions."""
+    """Loop whose LOAD walks base, base+stride, ...  Body is 5 instructions.
+
+    The loop has no random part: ``seed`` is taken, as by every generator,
+    for ``gen_workload``, and not read."""
     if iters <= 0 or stride == 0:
         raise UisaError("strided_loop: iters must be > 0 and stride nonzero")
     if min(base, base + stride * (iters - 1)) < 0:
@@ -529,10 +542,7 @@ def gen_strided_loop(stride: int = 64, iters: int = 100, base: int = 0x10000,
         BNEZ r2, loop
         HALT
     """
-    prog = parse_program(text, name="strided_loop")
-    prog.meta.update(kind="strided_loop", stride=stride, iters=iters,
-                     base=base, seed=seed)
-    return prog
+    return parse_program(text)
 
 
 def gen_pointer_chase(length: int = 1000, seed: int = 0, node_spread: int = 64,
@@ -593,11 +603,8 @@ def gen_pointer_chase(length: int = 1000, seed: int = 0, node_spread: int = 64,
         "BNEZ r2, loop",
         "HALT",
     ]
-    prog = parse_program("\n".join(lines), name="pointer_chase")
+    prog = parse_program("\n".join(lines))
     prog.init_mem = init_mem
-    prog.meta.update(kind="pointer_chase", length=length, seed=seed,
-                     node_spread=node_spread, rounds=rounds, payload=payload,
-                     filler=filler)
     return prog
 
 
@@ -629,9 +636,7 @@ def gen_branchy(iters: int = 1000, streams: int = 2, seed: int = 0) -> StaticPro
         "BNEZ r2, loop",
         "HALT",
     ]
-    prog = parse_program("\n".join(lines), name="branchy")
-    prog.meta.update(kind="branchy", iters=iters, streams=streams, seed=seed)
-    return prog
+    return parse_program("\n".join(lines))
 
 
 def gen_mixed_phases(phase_iters: int = 3000, outer: int = 8, seed: int = 0,
@@ -678,10 +683,8 @@ def gen_mixed_phases(phase_iters: int = 3000, outer: int = 8, seed: int = 0,
         "BNEZ r20, outer",
         "HALT",
     ]
-    prog = parse_program("\n".join(lines), name="mixed_phases")
+    prog = parse_program("\n".join(lines))
     prog.init_mem = init_mem
-    prog.meta.update(kind="mixed_phases", phase_iters=phase_iters, outer=outer,
-                     seed=seed, stride=stride)
     return prog
 
 
@@ -764,6 +767,6 @@ def random_program(rng: random.Random, n_instrs: int = 50) -> StaticProgram:
         instrs[idx] = StaticInstr(index=idx, opcode="BR_COND",
                                   subop=instrs[idx].subop, srcs=instrs[idx].srcs,
                                   target=tgt)
-    prog = StaticProgram(instrs=instrs, meta={"name": "random", "kind": "random"})
+    prog = StaticProgram(instrs=instrs)
     prog.validate()
     return prog

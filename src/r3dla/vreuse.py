@@ -81,8 +81,8 @@ class Scoreboard:
     values).  Everything else, loads included, clears its destination bit.
     """
 
-    def __init__(self, nregs: int = NUM_REGS):
-        self.bits = [False] * nregs
+    def __init__(self):
+        self.bits = [False] * NUM_REGS
         self.clean = True       # no bit set; apply without a prediction is a no-op
 
     def reset(self) -> None:

@@ -1,6 +1,10 @@
 """Functional references shared by the tests: the engine's commit log and the
-skeleton profile; and a count of the main-thread loads that T1 observes."""
+skeleton profile; a count of the main-thread loads that T1 observes; and the
+two hooks the tests put into an ``Engine`` before it runs, a log of the main
+thread's commits and fault injection into value-reuse predictions."""
 
+import random
+from collections import deque
 from dataclasses import replace
 
 from r3dla import skeleton, uisa
@@ -93,3 +97,50 @@ def run_counting_t1_loads(eng, warmup):
     assert counts, "no main-thread load reached Engine.on_mt_load"
     keys = ("instances", "l1_hits", "instances_warm", "l1_hits_warm")
     return stats, {pc: dict(zip(keys, c)) for pc, c in counts.items()}
+
+
+class _LoggingRecords(deque):
+    """``MainStream.recs`` that logs each record its ``popleft`` takes: the
+    core pops the oldest record at every main-thread commit, and nothing
+    else pops it."""
+
+    def __init__(self, recs, log):
+        super().__init__(recs)
+        self.log = log
+
+    def popleft(self):
+        rec = super().popleft()
+        self.log.append((rec[0].index, rec[1], rec[2], rec[3]))
+        return rec
+
+
+def log_commits(eng):
+    """Log ``eng``'s main-thread commits: returns a list that the run fills
+    with ``(pc, eff_addr, value, taken)`` per committed instruction, in
+    commit order, in the form of ``reference_trace``."""
+    log = []
+    eng.mt_stream.recs = _LoggingRecords(eng.mt_stream.recs, log)
+    return log
+
+
+class _CorruptingPredictions(dict):
+    """``Engine.predictions`` whose stores flip the predicted value's low bit
+    at ``rate``, with one draw of ``rng`` per stored prediction."""
+
+    def __init__(self, rate, seed):
+        super().__init__()
+        self.rate = rate
+        self.rng = random.Random(seed)
+
+    def __setitem__(self, idx, pred):
+        pc, dst, value = pred
+        if self.rng.random() < self.rate:
+            pred = (pc, dst, value ^ 1)
+        super().__setitem__(idx, pred)
+
+
+def corrupt_predictions(eng, rate, seed):
+    """Inject faults into ``eng``'s value reuse: each prediction a reuse
+    footnote stores is wrong with probability ``rate`` (seeded by ``seed``).
+    The main thread must catch each one as a mispredict and replay."""
+    eng.predictions = _CorruptingPredictions(rate, seed)

@@ -17,7 +17,8 @@ from r3dla.memsys import CacheConfig
 from r3dla.skeleton import backward_closure
 
 from closure_oracle import oracle_closure
-from reference import reference_trace, run_counting_t1_loads
+from reference import (corrupt_predictions, log_commits, reference_trace,
+                       run_counting_t1_loads)
 
 
 def report(n, ok, detail):
@@ -216,10 +217,11 @@ def test_criterion_06_firewall_fuzz():
         )
         version = rng.randrange(6)      # version 4 exercises LT divergence
         corrupt = rng.choice((0.0, 0.02, 0.05))
-        log = []
-        Engine(prog, skel=skel, features=feats, version=version,
-               limit=limit, commit_log=log,
-               corrupt_rate=corrupt, corrupt_seed=cfg_no).run()
+        eng = Engine(prog, skel=skel, features=feats, version=version,
+                     limit=limit)
+        corrupt_predictions(eng, corrupt, cfg_no)
+        log = log_commits(eng)
+        eng.run()
         assert log == ref[:len(log)] and len(log) == len(ref), \
             f"fuzz config {cfg_no} diverged (version={version}, {feats})"
     report(6, True, "50 fuzz configs x 10^5 instrs bit-identical to the "
@@ -317,9 +319,9 @@ def test_criterion_09_value_reuse():
     prog = uisa.gen_pointer_chase(length=300, rounds=4, payload=1, filler=24)
     skel = skeleton.build(prog)
     ref = reference_trace(prog, 10 ** 6)
-    log = []
-    eng = Engine(prog, skel=skel, version=2, features=Features(value_reuse=True),
-                 corrupt_rate=1.0, corrupt_seed=5, commit_log=log)
+    eng = Engine(prog, skel=skel, version=2, features=Features(value_reuse=True))
+    corrupt_predictions(eng, 1.0, 5)
+    log = log_commits(eng)
     events = []
     orig_emit = eng.vru.should_emit
     orig_mis = eng.vru.on_mispredict

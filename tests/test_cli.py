@@ -507,6 +507,66 @@ def test_run_from_skeleton_file_does_not_profile(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["sim run", "skel build"])
+@pytest.mark.parametrize("text, error", [
+    ("ADDI r1, r0, 1\nFOO r1\nHALT\n", "line 2: unknown mnemonic 'FOO'"),
+    ("ADDI r1, r0, 1\nJMP 0\n", "program must have exactly one reachable HALT"),
+    ("# no instruction\n", "line 0: empty program"),
+])
+def test_bad_program_file_exits_2(tmp_path, capsys, command, text, error):
+    """A program file that does not assemble or validate is a config error
+    that names ``workload.program_file``."""
+    prog = tmp_path / "prog.s"
+    prog.write_text(text)
+    cfg = write_cfg(tmp_path, "c.json", {"workload": {"program_file": str(prog)}})
+    if command == "sim run":
+        code = cli.sim_main(["run", "--config", cfg])
+    else:
+        code = cli.skel_main(["build", "--config", cfg,
+                              "--out", str(tmp_path / "skel.json")])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: workload.program_file: {error}\n"
+
+
+def _rewrite_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _save_other_program(path):
+    other = uisa.gen_branchy(iters=20)
+    skeleton.save_skeleton(skeleton.build(other), other, path)
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda p: p.write_text("not json"),
+     "skeleton file is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (lambda p: p.write_text("[1, 2]"), "skeleton file is malformed: "),
+    (lambda p: _rewrite_json(p, lambda d: d.pop("versions")),
+     "skeleton file has no versions; rebuild it with skel build"),
+    (lambda p: _rewrite_json(p, lambda d: d.update(versions=["0xzz"] * 6)),
+     "skeleton file is malformed: "),
+    (lambda p: _rewrite_json(p, lambda d: d.update(versions=["0x1"] * 5)),
+     "a skeleton has 6 versions, got 5"),
+    (_save_other_program, "skeleton file does not match program"),
+])
+def test_bad_skeleton_file_exits_2(tmp_path, capsys, spoil, error):
+    """A skeleton file that is not JSON, lacks or spoils a field, or was
+    built for another program is a config error that names
+    ``skeleton.path``."""
+    prog = cli.build_workload(base_cfg())
+    path = tmp_path / "skel.json"
+    skeleton.save_skeleton(skeleton.build(prog), prog, path)
+    spoil(path)
+    cfg = write_cfg(tmp_path, "c.json",
+                    base_cfg(engine="dla", skeleton={"path": str(path)}))
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: skeleton.path: {error}")
+
+
 def test_fetchq_harvest_then_analyze(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", base_cfg())
     pair = tmp_path / "pair.json"

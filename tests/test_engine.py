@@ -16,7 +16,8 @@ from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
-from reference import reference_trace, run_counting_t1_loads
+from reference import (corrupt_predictions, log_commits, reference_trace,
+                       run_counting_t1_loads)
 
 
 def full_skeleton(prog):
@@ -26,9 +27,14 @@ def full_skeleton(prog):
                        s_bits=frozenset())
 
 
-def dla_commit_trace(prog, skel, **kw):
-    log = []
-    Engine(prog, skel=skel, commit_log=log, **kw).run()
+def dla_commit_trace(prog, skel, corrupt=None, **kw):
+    """The commit log of a DLA run; ``corrupt`` is (rate, seed) of injected
+    value-prediction faults."""
+    eng = Engine(prog, skel=skel, **kw)
+    if corrupt is not None:
+        corrupt_predictions(eng, *corrupt)
+    log = log_commits(eng)
+    eng.run()
     return log
 
 
@@ -51,8 +57,9 @@ def test_independent_alu_stream_hits_width():
 
 def test_baseline_commit_log_matches_interpreter():
     prog = uisa.gen_branchy(iters=500, streams=2)
-    log = []
-    Engine(prog, commit_log=log).run()
+    eng = Engine(prog)
+    log = log_commits(eng)
+    eng.run()
     assert log == reference_trace(prog, 10 ** 6)
 
 
@@ -124,7 +131,7 @@ def test_dla_firewall_with_corruption():
     ref = reference_trace(prog, 10 ** 6)
     feats = Features(value_reuse=True)
     got = dla_commit_trace(prog, skel, features=feats, version=2,
-                           corrupt_rate=0.5, corrupt_seed=7)
+                           corrupt=(0.5, 7))
     assert got == ref
 
 
@@ -137,8 +144,9 @@ def test_biased_branch_divergence_reboots():
     if not conv:
         pytest.skip("no branch crossed the bias threshold")
     ref = reference_trace(prog, 10 ** 6)
-    log = []
-    st = Engine(prog, skel=skel, version=4, commit_log=log).run()
+    eng = Engine(prog, skel=skel, version=4)
+    log = log_commits(eng)
+    st = eng.run()
     assert log == ref
     assert st.boq_mispredicts > 0
     assert st.reboots > 0
@@ -157,7 +165,8 @@ def test_lookahead_stream_hands_out_records_in_order():
     # a real check, not an assert: the stream keeps no record to hand out twice
     prog = uisa.gen_branchy(iters=20)
     skel = skeleton.build(prog)
-    stream = engine.LookaheadStream(prog, skel, 0, uisa.ArchState.initial(prog))
+    stream = engine.LookaheadStream(prog, skel, 0, uisa.ArchState.initial(prog),
+                                    engine._RunTable(len(prog.instrs)))
     assert stream.get(0) is not None
     assert stream.get(1) is not None
     with pytest.raises(EngineError, match=r"record 1, but its next record is 2"):
@@ -242,11 +251,18 @@ def step_every_cycle(self, cycle, last_commit_cycle):
     return cycle + 1
 
 
-def engine_factory(prog, dla=True, skel=None, **kw):
-    """A fresh Engine per call; a DLA run builds its skeleton once if not given."""
+def engine_factory(prog, dla=True, skel=None, corrupt=None, **kw):
+    """A fresh Engine per call; a DLA run builds its skeleton once if not
+    given.  ``corrupt`` is (rate, seed) of injected value-prediction faults."""
     if dla and skel is None:
         skel = skeleton.build(prog, cache_config=kw.get("cache_config"))
-    return lambda: Engine(prog, skel=skel, **kw)
+
+    def make():
+        eng = Engine(prog, skel=skel, **kw)
+        if corrupt is not None:
+            corrupt_predictions(eng, *corrupt)
+        return eng
+    return make
 
 
 def chase():
@@ -341,7 +357,7 @@ SKIP_CASES = {
     "chase-reuse-replays": (
         lambda: engine_factory(chase(), version=2,
                                features=Features(value_reuse=True),
-                               corrupt_rate=0.05, corrupt_seed=7),
+                               corrupt=(0.05, 7)),
         lambda d: d["vreuse"]["mispredicted"] > 0),
 }
 
@@ -529,7 +545,7 @@ COMPILED_CASES = {
        for kind in ("base", "dla")},
     "phases-v4-corrupt-dynamic": (
         lambda: engine_factory(uisa.gen_mixed_phases(phase_iters=1500, outer=3),
-                               version=4, corrupt_rate=0.05, corrupt_seed=3,
+                               version=4, corrupt=(0.05, 3),
                                features=Features(t1=True, value_reuse=True,
                                                  recycle="dynamic")),
         lambda d: d["reboot_reasons"].get("version_swap", 0) > 0
@@ -537,7 +553,7 @@ COMPILED_CASES = {
     "chase-v4-corrupt": (
         lambda: engine_factory(uisa.gen_pointer_chase(length=300, rounds=4,
                                                       payload=1, filler=10),
-                               version=4, corrupt_rate=0.05, corrupt_seed=5,
+                               version=4, corrupt=(0.05, 5),
                                features=Features(value_reuse=True, t1=True)),
         lambda d: d["reboot_reasons"].get("boq_mispredict", 0) > 0),
     "reboot-due-while-idle": SKIP_CASES["reboot-due-while-idle"],
@@ -565,7 +581,7 @@ def test_compiled_streams_match_stepping(case):
     def outcome(n):
         with compile_after(n):
             eng = factory()
-            log = eng.commit_log = []
+            log = log_commits(eng)
             stats = eng.run().to_dict()
         return (stats, log, eng.mt_stream.snapshot()), compiled_runs(eng)
 
@@ -857,13 +873,14 @@ def identity_runs():
         yield f"branchy/{mode}", Engine(prog, mode=mode).run().to_dict()
     # the conditions under which the engine's per-instruction hooks do work
     prog, feats = programs["chase"]
-    log = []
-    yield "chase/dla/commit_log", Engine(
-        prog, skel=skels["chase"], features=feats, commit_log=log).run().to_dict()
+    eng = Engine(prog, skel=skels["chase"], features=feats)
+    log = log_commits(eng)
+    yield "chase/dla/commit_log", eng.run().to_dict()
     yield "chase/dla/commit_log/log", log
-    yield "chase/dla/corrupt", Engine(
-        prog, skel=skels["chase"], version=2, features=Features(value_reuse=True),
-        corrupt_rate=0.05, corrupt_seed=7).run().to_dict()
+    eng = Engine(prog, skel=skels["chase"], version=2,
+                 features=Features(value_reuse=True))
+    corrupt_predictions(eng, 0.05, 7)
+    yield "chase/dla/corrupt", eng.run().to_dict()
     yield "chase/dla/no_fetch_buffer", Engine(
         prog, skel=skels["chase"],
         features=Features(t1=True, value_reuse=True,

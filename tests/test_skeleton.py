@@ -291,8 +291,9 @@ def test_profile_compiles_each_hot_run_once(monkeypatch):
 
 def test_profile_leaves_an_unknown_branch_condition_to_the_interpreter(
         monkeypatch):
-    # uisa.step runs a BR_COND subop it does not know as "ge"; the compiler
-    # has no entry for it, so the run stays on uisa.step
+    # the compiler has no entry for a BR_COND subop outside the ISA, so the
+    # run stays on uisa.step, which refuses it; StaticProgram.validate
+    # refuses such a program before any run
     monkeypatch.setattr(skeleton, "COMPILE_AFTER", 1)
     prog = uisa.parse_program("""
         ADDI r1, r0, 20
@@ -306,8 +307,10 @@ def test_profile_leaves_an_unknown_branch_condition_to_the_interpreter(
     run, whole = skeleton._straight_run(
         prog.instrs, [skeleton.PcProfile() for _ in prog.instrs], 1, 10)
     assert whole and skeleton._compile_run(run, prog, None) is None
-    _assert_profile_matches_reference(prog)
-    assert skeleton.profile(prog)[2].taken_count == 20
+    with pytest.raises(uisa.UisaError, match="unknown branch condition 'odd'"):
+        skeleton.profile(prog)
+    with pytest.raises(uisa.UisaError, match="instr 2: BR_COND takes a subop"):
+        prog.validate()
 
 
 def test_build_leaves_no_cyclic_garbage():
@@ -452,7 +455,7 @@ def test_compiled_run_matches_stepping(case, seq):
         assert asdict(p) == asdict(want_profs.get(pc, skeleton.PcProfile(last_addr=0)))
 
 
-def test_select_seeds_all_alu():
+def test_select_seeds_all_alu(monkeypatch):
     prog = uisa.parse_program("""
         ADDI r1, r0, 10
     loop:
@@ -461,17 +464,19 @@ def test_select_seeds_all_alu():
         HALT
     """)
     prof = skeleton.profile(prog)
-    seeds = skeleton.select_seeds(prog, prof, bias_threshold=1.1)
+    monkeypatch.setattr(skeleton, "BIAS_THRESHOLD", 1.1)    # converts none
+    seeds = skeleton.select_seeds(prog, prof)
     assert seeds.l1_targets == frozenset()
     assert seeds.l2_targets == frozenset()
     assert 2 in seeds.control
 
 
-def test_biased_branch_conversion():
-    # branch taken 999/1000 times clears the 0.999 default threshold
+def test_biased_branch_conversion(monkeypatch):
+    # branch taken 999/1000 times clears a 0.99 threshold
     prog = uisa.gen_strided_loop(iters=1000)
     prof = skeleton.profile(prog)
-    seeds = skeleton.select_seeds(prog, prof, bias_threshold=0.99)
+    monkeypatch.setattr(skeleton, "BIAS_THRESHOLD", 0.99)
+    seeds = skeleton.select_seeds(prog, prof)
     br = next(pc for pc, ins in enumerate(prog.instrs)
               if ins.opcode == "BR_COND")
     assert br in seeds.biased_branch_conversions

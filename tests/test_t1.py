@@ -1,5 +1,6 @@
 """Strided-prefetch FSM tests: state walk, distance math, cursor, LRU."""
 
+from r3dla import t1
 from r3dla.t1 import (T1Table, LatencyEstimator, BURST_CAP,
                       TRANSIENT1, TRANSIENT2, STEADY)
 
@@ -96,8 +97,9 @@ def test_loop_end_clears_owned_entries():
     assert t.observe(10, 9000, 100, 200, loop_pc=77) == []
 
 
-def test_lru_eviction_at_capacity():
-    t = T1Table(capacity=4)
+def test_lru_eviction_at_capacity(monkeypatch):
+    monkeypatch.setattr(t1, "TABLE_CAPACITY", 4)
+    t = T1Table()
     for pc in range(4):
         t.observe(pc, 1000 * pc, pc, 200)
     t.observe(0, 1064, 10, 200)             # refresh pc 0
@@ -118,8 +120,10 @@ def test_stats_counters():
     assert st["steady_prefetches"] >= 1
 
 
-def test_latency_estimator_smoothing():
-    est = LatencyEstimator(default=100.0, alpha=0.5, margin=1.0)
+def test_latency_estimator_smoothing(monkeypatch):
+    monkeypatch.setattr(t1, "LATENCY_ALPHA", 0.5)
+    monkeypatch.setattr(t1, "LATENCY_MARGIN", 1.0)
+    est = LatencyEstimator(default=100.0)
     assert est.get(5) == 100.0
     est.note_miss(5, 200)
     assert est.get(5) == 200.0
@@ -128,6 +132,7 @@ def test_latency_estimator_smoothing():
 
 
 def test_latency_estimator_margin():
-    est = LatencyEstimator(default=100.0, margin=1.25)
+    assert t1.LATENCY_MARGIN == 1.25
+    est = LatencyEstimator(default=100.0)
     est.note_miss(5, 200)
     assert est.get(5) == 250.0

@@ -64,6 +64,28 @@ def test_validate_dangling_target():
         uisa.StaticProgram(instrs=ins).validate()
 
 
+@pytest.mark.parametrize("ins, error", [
+    (uisa.StaticInstr(1, "FOO"), "instr 1: unknown opcode 'FOO'"),
+    (uisa.StaticInstr(1, "ALU", "nand", dst=1, srcs=(0, 0)),
+     "instr 1: ALU takes a subop in ['add', 'and', 'or', 'sub', 'xor'], "
+     "got 'nand'"),
+    (uisa.StaticInstr(1, "BR_COND", "le", srcs=(0, 0), target=2),
+     "instr 1: BR_COND takes a subop in ['eqz', 'ge', 'lt', 'nez'], got 'le'"),
+    (uisa.StaticInstr(1, "MUL", "add", dst=1, srcs=(0, 0)),
+     "instr 1: MUL takes a subop in ['mul'], got 'add'"),
+    (uisa.StaticInstr(1, "LOAD", "add", dst=1, mem_base=0),
+     "instr 1: LOAD takes no subop, got 'add'"),
+])
+def test_validate_refuses_what_the_isa_does_not_define(ins, error):
+    """An opcode or subop outside the ISA table is named before a run."""
+    prog = uisa.StaticProgram([uisa.StaticInstr(0, "ALUI", "add", dst=2,
+                                                srcs=(0,), imm=1),
+                               ins, uisa.StaticInstr(2, "HALT")])
+    with pytest.raises(uisa.UisaError) as err:
+        prog.validate()
+    assert str(err.value) == error
+
+
 @pytest.mark.parametrize("text, pc, op", [
     ("BEQZ r0, L2\nHALT\nL2: ADDI r1, r0, 1\n", 2, "ALUI"),   # taken path
     ("JMP L3\nHALT\nF: RET\nL3: CALL F\n", 3, "CALL"),     # its return
@@ -334,7 +356,8 @@ def test_generator_determinism():
 
 def test_gen_workload_dispatch():
     p = uisa.gen_workload("strided_loop", {"stride": 8, "iters": 5})
-    assert p.meta["kind"] == "strided_loop"
+    assert p == uisa.gen_strided_loop(stride=8, iters=5)
+    assert p != uisa.gen_strided_loop(stride=16, iters=5)
     with pytest.raises(uisa.UisaError, match="unknown workload"):
         uisa.gen_workload("nope")
     # one seed: a seed among the params would beat the seed argument
