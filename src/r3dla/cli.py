@@ -9,6 +9,10 @@ Three console scripts live here:
 Configs are JSON; validation errors name the offending field path.  Exit
 codes: 0 ok, 1 runtime error, 2 config error, which includes a non-integer
 ``R3DLA_SEED`` (it overrides the workload seed) and a bad workload param.
+
+Every command runs its configs through ``run_many``: it builds its whole
+config list first (so a bad swept value is refused before any run), then
+makes one call, which builds each skeleton it needs once.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def validate_config(cfg: dict) -> dict:
                       "a dla config runs in mode 'normal'")
     if "skeleton" in cfg:
         sk = _expect(cfg["skeleton"], "skeleton")
-        _check_keys(sk, "skeleton", ("auto", "path"))
+        _check_keys(sk, "skeleton", ("path",))
         if "path" in sk:
             path = _expect(sk["path"], "skeleton.path", str)
             if not os.path.exists(path):
@@ -231,24 +235,34 @@ def build_workload(cfg: dict) -> uisa.StaticProgram:
         raise ConfigError(f"workload.params: {e}") from None
 
 
-def run_config(cfg: dict, skeletons: dict | None = None) -> engine.RunStats:
-    """Run one config.  A multi-run command passes one ``skeletons`` dict to
-    all its runs, keyed by (program hash, cache config), so each skeleton it
-    needs is built once; without it every DLA run builds its own.
+def run_many(cfgs: list[dict]) -> list[engine.RunStats]:
+    """Run the configs in order; their ``RunStats`` in the same order.
+
+    A DLA run without a skeleton file shares the skeleton of any earlier run
+    in the call with the same program and cache config: each is built once.
 
     An ``EngineError`` or ``ExecError`` is raised again with the same type,
     its message prefixed by what reproduces the run: the config's name,
     the workload seed and ``config_hash(cfg)``."""
-    try:
-        return _run_config(cfg, skeletons)
-    except (engine.EngineError, uisa.ExecError) as e:
-        seed = workload_seed(cfg)
-        at_seed = "" if seed is None else f", seed {seed}"
-        raise type(e)(f"config {cfg.get('name', '<unnamed>')!r}{at_seed}, "
-                      f"config_hash {config_hash(cfg)}: {e}") from e
+    skeletons = {}      # (program hash, cache config) -> SkeletonSet
+    stats = []
+    for cfg in cfgs:
+        try:
+            stats.append(_run_config(cfg, skeletons))
+        except (engine.EngineError, uisa.ExecError) as e:
+            seed = workload_seed(cfg)
+            at_seed = "" if seed is None else f", seed {seed}"
+            raise type(e)(f"config {cfg.get('name', '<unnamed>')!r}{at_seed}, "
+                          f"config_hash {config_hash(cfg)}: {e}") from e
+    return stats
 
 
-def _run_config(cfg: dict, skeletons: dict | None) -> engine.RunStats:
+def run_config(cfg: dict) -> engine.RunStats:
+    """Run one config: ``run_many([cfg])[0]``."""
+    return run_many([cfg])[0]
+
+
+def _run_config(cfg: dict, skeletons: dict) -> engine.RunStats:
     prog = build_workload(cfg)
     core = CoreParams.from_dict(cfg["core"]) if "core" in cfg else None
     cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None
@@ -256,15 +270,13 @@ def _run_config(cfg: dict, skeletons: dict | None) -> engine.RunStats:
     common.update((key, cfg[key]) for key in ("limit", "max_cycles") if key in cfg)
     if cfg.get("engine", "baseline") == "baseline":
         return engine.Engine(prog, mode=cfg.get("mode", "normal"), **common).run()
-    sk_cfg = cfg.get("skeleton", {"auto": True})
-    if "path" in sk_cfg:
+    sk_path = cfg.get("skeleton", {}).get("path")
+    if sk_path is not None:
         try:
-            skel = skeleton.load_skeleton(sk_cfg["path"], prog)
+            skel = skeleton.load_skeleton(sk_path, prog)
         except (OSError, uisa.UisaError) as e:
             raise ConfigError(f"skeleton.path: {e}") from None
     else:
-        if skeletons is None:
-            skeletons = {}
         key = (skeleton.program_hash(prog), cache)
         skel = skeletons.get(key)
         if skel is None:
@@ -328,18 +340,13 @@ def cmd_compare(args) -> int:
         if json.dumps(c["workload"], sort_keys=True) != base_wl and not args.force:
             raise ConfigError(
                 f"{p}: workload differs from {args.configs[0]} (use --force)")
-    rows = []
-    ref = None
-    skeletons = {}
-    for path, cfg in zip(args.configs, cfgs):
-        st = run_config(cfg, skeletons)
-        row = _summary_row(cfg.get("name", path), st)
-        if ref is None:
-            ref = row
+    rows = [_summary_row(cfg.get("name", path), st)
+            for path, cfg, st in zip(args.configs, cfgs, run_many(cfgs))]
+    ref = rows[0]
+    for row in rows:
         row["speedup_vs_first"] = round(ref["cycles"] / max(1, row["cycles"]), 4)
         row["traffic_vs_first"] = round(
             row["traffic_lines"] / max(1, ref["traffic_lines"]), 4)
-        rows.append(row)
     _write_csv(rows, args.out)
     return 0
 
@@ -360,45 +367,40 @@ def cmd_sweep(args) -> int:
             values.append(json.loads(tok))
         except json.JSONDecodeError:
             values.append(tok)
-    rows = []
-    skeletons = {}
+    cfgs = []
     for v in values:
         c = json.loads(json.dumps(cfg))
         _set_path(c, args.param, v)
-        c = validate_config(c)
-        st = run_config(c, skeletons)
-        row = _summary_row(f"{args.param}={v}", st)
-        rows.append(row)
-    _write_csv(rows, args.out)
+        cfgs.append(validate_config(c))
+    _write_csv([_summary_row(f"{args.param}={v}", st)
+                for v, st in zip(values, run_many(cfgs))], args.out)
     return 0
+
+
+def _with_features(cfg: dict, feature_set: set[str]) -> dict:
+    """A copy of ``cfg`` with exactly the features in ``feature_set`` on."""
+    c = json.loads(json.dumps(cfg))
+    feats = c.setdefault("features", {})
+    for name in FEATURE_NAMES:
+        on = name in feature_set
+        feats[name] = ("dynamic" if on else "off") if name == "recycle" else on
+    return c
 
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("engine") != "dla":
         raise ConfigError("engine: ablate needs a dla config")
-    skeletons = {}
-
-    def run_with(feature_set: set[str]) -> int:
-        c = json.loads(json.dumps(cfg))
-        feats = dict(c.get("features", {}))
-        for name in FEATURE_NAMES:
-            on = name in feature_set
-            feats[name] = ("dynamic" if on else "off") if name == "recycle" else on
-        c["features"] = feats
-        return run_config(c, skeletons).cycles
-
-    none_cycles = run_with(set())
-    all_cycles = run_with(set(FEATURE_NAMES))
-    rows = []
-    for name in FEATURE_NAMES:
-        alone = run_with({name})
-        without = run_with(set(FEATURE_NAMES) - {name})
-        rows.append({
-            "feature": name,
-            "speedup_first": round(none_cycles / max(1, alone), 4),
-            "speedup_last": round(without / max(1, all_cycles), 4),
-        })
+    every = set(FEATURE_NAMES)
+    # none, all, then each feature alone and all but it
+    sets = [set(), every] + [s for name in FEATURE_NAMES
+                             for s in ({name}, every - {name})]
+    none_cycles, all_cycles, *each = (
+        st.cycles for st in run_many([_with_features(cfg, s) for s in sets]))
+    rows = [{"feature": name,
+             "speedup_first": round(none_cycles / max(1, alone), 4),
+             "speedup_last": round(without / max(1, all_cycles), 4)}
+            for name, alone, without in zip(FEATURE_NAMES, each[::2], each[1::2])]
     rows.append({"feature": "(all)",
                  "speedup_first": round(none_cycles / max(1, all_cycles), 4),
                  "speedup_last": round(none_cycles / max(1, all_cycles), 4)})
@@ -459,14 +461,10 @@ def cmd_fetchq_harvest(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("engine", "baseline") != "baseline":
         raise ConfigError("engine: harvest uses baseline runs")
-    hists = {}
-    for mode, key in (("ideal_fetch", "demand_hist"),
-                      ("ideal_backend", "supply_hist")):
-        c = json.loads(json.dumps(cfg))
-        c["mode"] = mode
-        st = run_config(c)
-        hists[key] = getattr(st, key)
-    _write_json(hists, args.out)
+    keys = {"ideal_fetch": "demand_hist", "ideal_backend": "supply_hist"}
+    stats = run_many([{**cfg, "mode": mode} for mode in keys])
+    _write_json({key: getattr(st, key) for key, st in zip(keys.values(), stats)},
+                args.out)
     return 0
 
 

@@ -99,6 +99,7 @@ from .recycle import LoopTracker, RecycleController
 PROGRESS_WATCHDOG = 200_000   # cycles without a main-thread commit -> error
 DRAIN_PERIOD = 16
 PF_QUEUE_CAP = 64             # prefetches awaiting MSHR room
+MUL_LATENCY = skeleton.EXEC_LATENCY["MUL"]    # other non-memory ops take 1
 # baseline-only "ideal_fetch" (perfect fetch) and "ideal_backend" (instant
 # backend) record the fetch buffer's demand and supply histograms
 MODES = ("normal", "ideal_fetch", "ideal_backend")
@@ -669,7 +670,7 @@ class _Core:
                 self.mem.access(rec[1], "store", self.mem_mode, start)
                 complete = start + 1
             elif op == "MUL":
-                complete = start + 3
+                complete = start + MUL_LATENCY
             else:
                 complete = start + 1
 

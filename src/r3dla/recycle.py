@@ -121,7 +121,6 @@ class Measurement:
     version: int
     ipc: float
     instructions: int
-    cycles: int
 
 
 class RecycleController:
@@ -175,8 +174,7 @@ class RecycleController:
         cycles = max(1, cycle - st.unit_start_cycle)
         ipc = instrs / cycles
         st.samples[st.measuring] = ipc
-        self.measurements.append(Measurement(loop_pc, st.measuring, ipc,
-                                             instrs, cycles))
+        self.measurements.append(Measurement(loop_pc, st.measuring, ipc, instrs))
         if len(st.samples) >= NUM_VERSIONS:
             # best IPC wins; ties break toward the lowest version id
             best = min(sorted(st.samples),

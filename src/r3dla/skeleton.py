@@ -133,22 +133,16 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     memory op through ``access`` and updates its ``PcProfile``, sets
     ``state.pc`` and returns the direction of a conditional branch that ends
     the run (else None).  Called as ``fn(state, seq)``, with ``seq`` the
-    walk's count at the run's first instruction.
-
-    Returns None for a run with an opcode or subop outside the emitter's
-    tables; it stays on ``uisa.step``.  An instruction that faults sets
-    ``state.pc`` to itself and calls ``uisa.step``, which raises the
+    walk's count at the run's first instruction.  An instruction that faults
+    sets ``state.pc`` to itself and calls ``uisa.step``, which raises the
     interpreter's error.
     """
     src = ["r = state.regs", "m = state.memory"]
     free = {"step": uisa.step, "program": program, "access": access}
     for k, (ins, p) in enumerate(run.body):
-        lines = uisa.instr_source(
+        src += uisa.instr_source(
             ins, k, [f"state.pc = {int(ins.index)}",
                      f"step(state, program, seq + {k})"])
-        if lines is None:
-            return None
-        src += lines
         if p is not None:
             # a compiled run has run before, so each of its memory ops has a
             # last_addr; stride_votes is never replaced, only updated
@@ -175,6 +169,8 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
 def profile(program: uisa.StaticProgram,
             cache_config: CacheConfig | None = None) -> dict[int, PcProfile]:
     """Run a training input through the memory model; statistics per pc.
+    Raises ``UisaError`` for a program that ``StaticProgram.validate``
+    refuses, before it walks.
 
     The walk is serial: every fill is complete before the next access starts.
     Its cache is ``memsys.serial_walk``: the main thread's demand path of
@@ -208,6 +204,7 @@ def profile(program: uisa.StaticProgram,
     Compiling costs tens of microseconds per instruction, so a cold run
     stays on ``uisa.step``, and so does the capped last run.
     """
+    program.validate()
     access = serial_walk(cache_config or CacheConfig())
     step = uisa.step
     compile_after = COMPILE_AFTER

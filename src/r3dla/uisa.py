@@ -433,7 +433,7 @@ _COND_SRC = {"eqz": "r[{0}] == 0", "nez": "r[{0}] != 0",
 
 
 def instr_source(ins: StaticInstr, k: int, fault: list[str],
-                 keep_old: bool = False) -> list[str] | None:
+                 keep_old: bool = False) -> list[str]:
     """Python source lines that execute ``ins`` as ``step`` does.
 
     The lines read and write the registers as ``r``, the memory as ``m`` and
@@ -448,16 +448,15 @@ def instr_source(ins: StaticInstr, k: int, fault: list[str],
     lines run ``fault`` instead, before changing anything; ``fault`` must
     leave the function or raise.
 
-    Returns None for HALT and for an opcode or subop outside the tables
-    here.  The source holds only ``int()`` values and text from the tables.
+    ``ins`` must come from a validated program (``StaticProgram.validate``).
+    HALT has no source form: it raises ``UisaError`` naming its pc.  The
+    source holds only ``int()`` values and text from the tables.
     """
     op = ins.opcode
     pc = int(ins.index)
     guard = ["    " + line for line in fault]
     if op in ("ALUI", "ALU", "MUL"):
-        sym = _ALU_SRC.get(ins.subop)
-        if sym is None:
-            return None
+        sym = _ALU_SRC[ins.subop]
         lo, hi = -SIGN_BIT, SIGN_BIT
         b = int(ins.imm) if op == "ALUI" else f"r[{int(ins.srcs[1])}]"
         return [f"v{k} = r[{int(ins.srcs[0])}] {sym} ({b})",
@@ -474,9 +473,7 @@ def instr_source(ins: StaticInstr, k: int, fault: list[str],
             src.append(f"o{k} = m.get(a{k})")
         return src + [f"m[a{k}] = v{k}"]
     if op == "BR_COND":
-        cond = _COND_SRC.get(ins.subop)
-        if cond is None:
-            return None
+        cond = _COND_SRC[ins.subop]
         return [f"t{k} = {cond.format(*(int(x) for x in ins.srcs))}",
                 f"state.pc = {int(ins.target)} if t{k} else {pc + 1}"]
     if op == "BR_UNCOND":
@@ -487,7 +484,7 @@ def instr_source(ins: StaticInstr, k: int, fault: list[str],
     if op == "RET":
         return ["if not state.call_stack:", *guard,
                 "state.pc = state.call_stack.pop()"]
-    return None
+    raise UisaError(f"instr {pc}: {op} has no source form")
 
 
 def straight_line(instrs: list[StaticInstr], start: int) -> list[StaticInstr]:

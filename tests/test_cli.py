@@ -193,6 +193,8 @@ def test_bad_static_version_rejected(tmp_path, capsys):
      {"workload": {"kind": "pointer_chase", "params": {"rounds": 0}}}),
     # a name lands in the report and in CSV rows
     ("name", {"name": ["x", 1]}),
+    # a skeleton is built whenever no path is given; there is no switch
+    ("skeleton.auto: unknown field", {"skeleton": {"auto": False}}),
 ])
 def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     # a bool is no version, and an on/off feature is JSON true or false
@@ -423,25 +425,87 @@ def count_builds(monkeypatch):
 
 
 def test_ablate_builds_the_skeleton_once(tmp_path, monkeypatch):
+    """Ten runs, one build; ``R3DLA_SEED`` reaches every run of the call."""
     monkeypatch.delenv("R3DLA_SEED", raising=False)
     cfg = write_cfg(tmp_path, "c.json",
                     {"workload": {"kind": "branchy", "params": {"iters": 200}},
                      "engine": "dla", "seed": 1})
     builds = count_builds(monkeypatch)
-    shared, own = tmp_path / "shared.csv", tmp_path / "own.csv"
-    assert cli.sim_main(["ablate", "--config", cfg, "--out", str(shared)]) == 0
+    assert cli.sim_main(["ablate", "--config", cfg]) == 0
     assert len(builds) == 1
-    # the same rows as runs that each build their own skeleton
-    real = cli.run_config
-    monkeypatch.setattr(cli, "run_config", lambda c, skeletons=None: real(c))
-    assert cli.sim_main(["ablate", "--config", cfg, "--out", str(own)]) == 0
-    assert len(builds) == 11
-    assert shared.read_text() == own.read_text()
-    monkeypatch.setattr(cli, "run_config", real)
     monkeypatch.setenv("R3DLA_SEED", "2")
     assert cli.sim_main(["ablate", "--config", cfg]) == 0
-    assert len(builds) == 12
-    assert builds[-1] != builds[0]
+    assert len(builds) == 2
+    assert builds[1] != builds[0]
+
+
+SMALL_DLA = base_cfg(engine="dla", workload={"kind": "branchy",
+                                             "params": {"iters": 200}}, seed=1)
+
+
+@pytest.mark.parametrize("command, main, cfgs, args", [
+    # the second config shares the first's skeleton; the third's cache
+    # differs, so it needs one of its own
+    ("compare", cli.sim_main,
+     [SMALL_DLA, SMALL_DLA, {**SMALL_DLA, "cache": {"dram_latency": 100}}], []),
+    ("sweep", cli.sim_main, [SMALL_DLA],
+     ["--param", "core.fetch_buffer", "--values", "8,16,32"]),
+    ("ablate", cli.sim_main, [SMALL_DLA], []),
+    ("harvest", cli.fetchq_main, [base_cfg()], []),
+], ids=["compare", "sweep", "ablate", "harvest"])
+def test_multi_run_command_matches_separate_runs(tmp_path, monkeypatch,
+                                                 command, main, cfgs, args):
+    """A multi-run command writes what runs made one ``run_config`` at a
+    time write, and builds each distinct (program, cache) skeleton once."""
+    monkeypatch.delenv("R3DLA_SEED", raising=False)
+    paths = [write_cfg(tmp_path, f"{i}.json", c) for i, c in enumerate(cfgs)]
+    argv = [command, *paths] if command == "compare" else [command, "--config", *paths]
+    builds = count_builds(monkeypatch)
+    real = cli.run_many
+    calls = []
+
+    def recorded(run_cfgs):
+        calls.append(run_cfgs)
+        return real(run_cfgs)
+    monkeypatch.setattr(cli, "run_many", recorded)
+    shared = tmp_path / "shared.out"
+    assert main([*argv, *args, "--out", str(shared)]) == 0
+    assert len(calls) == 1
+    run_cfgs = calls[0]
+    dla = [c for c in run_cfgs if c.get("engine") == "dla"]
+    assert len(builds) == len({json.dumps([c["workload"], c.get("cache")])
+                               for c in dla})
+
+    # each config on its own, as run_config runs it
+    monkeypatch.setattr(cli, "run_many",
+                        lambda run_cfgs: [real([c])[0] for c in run_cfgs])
+    own = tmp_path / "own.out"
+    del builds[:]
+    assert main([*argv, *args, "--out", str(own)]) == 0
+    assert len(builds) == len(dla)
+    assert shared.read_text() == own.read_text()
+
+
+def test_sweep_refuses_a_bad_value_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_many", None)      # a run would raise here
+    cfg = write_cfg(tmp_path, "c.json", base_cfg())
+    assert cli.sim_main(["sweep", "--config", cfg, "--param",
+                         "core.fetch_buffer", "--values", "8,0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: core.fetch_buffer: ")
+
+
+def test_runtime_error_in_a_later_run_names_that_run(tmp_path, capsys,
+                                                     monkeypatch):
+    wl = {"kind": "pointer_chase", "params": {"length": 200, "rounds": 1}}
+    slow = {"name": "slow-dram", "seed": 5, "workload": wl,
+            "cache": {"dram_latency": 300_000}}
+    a = write_cfg(tmp_path, "a.json", {"name": "fast", "seed": 5, "workload": wl})
+    b = write_cfg(tmp_path, "b.json", slow)
+    monkeypatch.delenv("R3DLA_SEED", raising=False)
+    assert cli.sim_main(["compare", a, b]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config 'slow-dram', seed 5, config_hash "
+        f"{cli.config_hash(slow)}: no commit progress ")
 
 
 def test_sweep_and_compare_share_skeletons(tmp_path, monkeypatch):

@@ -289,12 +289,10 @@ def test_profile_compiles_each_hot_run_once(monkeypatch):
     assert prof[3].exec_count == 1 + 99
 
 
-def test_profile_leaves_an_unknown_branch_condition_to_the_interpreter(
-        monkeypatch):
-    # the compiler has no entry for a BR_COND subop outside the ISA, so the
-    # run stays on uisa.step, which refuses it; StaticProgram.validate
-    # refuses such a program before any run
-    monkeypatch.setattr(skeleton, "COMPILE_AFTER", 1)
+def test_build_refuses_what_the_compiler_cannot_emit():
+    # the profile validates its program, so the compiler needs no fallback:
+    # a subop outside the ISA is refused before the walk, and HALT, which
+    # ends every run before it, has no source form
     prog = uisa.parse_program("""
         ADDI r1, r0, 20
     loop:
@@ -304,13 +302,11 @@ def test_profile_leaves_an_unknown_branch_condition_to_the_interpreter(
     """)
     odd = uisa.StaticInstr(2, "BR_COND", "odd", srcs=(1, 0), target=1)
     prog = uisa.StaticProgram(prog.instrs[:2] + [odd] + prog.instrs[3:])
-    run, whole = skeleton._straight_run(
-        prog.instrs, [skeleton.PcProfile() for _ in prog.instrs], 1, 10)
-    assert whole and skeleton._compile_run(run, prog, None) is None
-    with pytest.raises(uisa.UisaError, match="unknown branch condition 'odd'"):
-        skeleton.profile(prog)
-    with pytest.raises(uisa.UisaError, match="instr 2: BR_COND takes a subop"):
-        prog.validate()
+    with pytest.raises(uisa.UisaError,
+                       match=r"^instr 2: BR_COND takes a subop in \["):
+        skeleton.build(prog)
+    with pytest.raises(uisa.UisaError, match="^instr 3: HALT has no source form"):
+        uisa.instr_source(prog.instrs[3], 0, ["raise AssertionError"])
 
 
 def test_build_leaves_no_cyclic_garbage():

@@ -314,15 +314,6 @@ def test_instr_source_matches_step(ins, regs, memory, call_stack):
         assert out[1] == start.memory.get(want_out[0])
 
 
-def test_instr_source_leaves_unknown_subops_and_halt_to_step():
-    fault = ["raise AssertionError"]
-    assert uisa.instr_source(uisa.StaticInstr(0, "ALU", "nand", dst=1, srcs=(0, 0)),
-                             0, fault) is None
-    assert uisa.instr_source(uisa.StaticInstr(0, "BR_COND", "odd", srcs=(0, 0),
-                                              target=0), 0, fault) is None
-    assert uisa.instr_source(uisa.StaticInstr(0, "HALT"), 0, fault) is None
-
-
 # -- workload generators -----------------------------------------------------
 
 def test_strided_loop_addresses():
