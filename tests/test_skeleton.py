@@ -291,8 +291,7 @@ def test_profile_compiles_each_hot_run_once(monkeypatch):
 
 def test_build_refuses_what_the_compiler_cannot_emit():
     # the profile validates its program, so the compiler needs no fallback:
-    # a subop outside the ISA is refused before the walk, and HALT, which
-    # ends every run before it, has no source form
+    # a subop outside the ISA is refused before the walk
     prog = uisa.parse_program("""
         ADDI r1, r0, 20
     loop:
@@ -305,8 +304,6 @@ def test_build_refuses_what_the_compiler_cannot_emit():
     with pytest.raises(uisa.UisaError,
                        match=r"^instr 2: BR_COND takes a subop in \["):
         skeleton.build(prog)
-    with pytest.raises(uisa.UisaError, match="^instr 3: HALT has no source form"):
-        uisa.instr_source(prog.instrs[3], 0, ["raise AssertionError"])
 
 
 def test_build_leaves_no_cyclic_garbage():

@@ -314,6 +314,13 @@ def test_instr_source_matches_step(ins, regs, memory, call_stack):
         assert out[1] == start.memory.get(want_out[0])
 
 
+
+def test_instr_source_refuses_halt():
+    """HALT ends every run before it, so it has no source form; asking for
+    one names its pc."""
+    with pytest.raises(uisa.UisaError, match="^instr 3: HALT has no source form"):
+        uisa.instr_source(uisa.StaticInstr(3, "HALT"), 0, ["raise AssertionError"])
+
 # -- workload generators -----------------------------------------------------
 
 def test_strided_loop_addresses():
