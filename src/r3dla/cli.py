@@ -243,7 +243,8 @@ def run_many(cfgs: list[dict]) -> list[engine.RunStats]:
 
     An ``EngineError`` or ``ExecError`` is raised again with the same type,
     its message prefixed by what reproduces the run: the config's name,
-    the workload seed and ``config_hash(cfg)``."""
+    the workload seed and ``config_hash(cfg)``.  The engine has already
+    prefixed a main-thread ``ExecError`` with its cycle."""
     skeletons = {}      # (program hash, cache config) -> SkeletonSet
     stats = []
     for cfg in cfgs:

@@ -567,7 +567,7 @@ class _Core:
         self.is_lt = role == "lt"
         self.is_mt_dla = role == "mt"
         self.engine: Engine | None = None     # set only while Engine.run runs
-        self.window: deque = deque()          # (idx, complete, dispatched, rec)
+        self.window: deque = deque()          # (complete, dispatched, rec)
         self.fetch_buffer: deque = deque()    # (idx, rec)
         self.fb_cap = params.fetch_buffer
         self.fetch_idx = 0
@@ -592,7 +592,7 @@ class _Core:
 
     def commit(self, now: int) -> None:
         window = self.window
-        if not window or window[0][1] > now:
+        if not window or window[0][0] > now:
             return
         n = 0
         width = self.p.commit_width
@@ -609,7 +609,7 @@ class _Core:
             recs = self.stream.recs
             track = self.is_mt_dla
         while window and n < width:
-            idx, complete, dispatched, rec = window[0]
+            complete, dispatched, rec = window[0]
             if complete > now:
                 break
             op = rec[0].opcode
@@ -687,7 +687,7 @@ class _Core:
                 flag = self.pending_flags.pop(idx, None)
                 if flag == "boq":
                     eng.schedule_reboot(complete, "boq_mispredict")
-            window.append((idx, complete, now, rec))
+            window.append((complete, now, rec))
             if not squashed:
                 buf.popleft()
             n += 1
@@ -1103,7 +1103,7 @@ class Engine:
         wake = min(last_commit_cycle + PROGRESS_WATCHDOG + 1, self.max_cycles)
         for core in (self.mt, self.lt) if self.dla_on else (self.mt,):
             if core.window:
-                t = core.window[0][1]
+                t = core.window[0][0]
                 if cycle < t < wake:
                     wake = t
             t = core.fetch_blocked_until
@@ -1143,93 +1143,99 @@ class Engine:
             record_supply = self.mode == "ideal_backend"
             hist = stats.supply_hist if record_supply else stats.demand_hist
         dla = self.dla_on
-        while cycle < self.max_cycles:
-            cycle += 1
-            mt_fetch_idx = mt.fetch_idx
-            mt_bubbles = mt.fetch_bubbles
-            if dla:
-                lt_committed = lt.committed
-                lt_fetch_idx = lt.fetch_idx
-                reboots = stats.reboots
-                lt.commit(cycle)
-                lt.dispatch(cycle)
-                lt.fetch(cycle)
-            self.fb_occ[len(mt.fetch_buffer)] += 1
-            if ideal:
-                if record_supply:
-                    mt.dispatch_ideal_backend(cycle)
-                    mt.fetch(cycle)
-                    n = mt.last_fetched
+        try:
+            while cycle < self.max_cycles:
+                cycle += 1
+                mt_fetch_idx = mt.fetch_idx
+                mt_bubbles = mt.fetch_bubbles
+                if dla:
+                    lt_committed = lt.committed
+                    lt_fetch_idx = lt.fetch_idx
+                    reboots = stats.reboots
+                    lt.commit(cycle)
+                    lt.dispatch(cycle)
+                    lt.fetch(cycle)
+                self.fb_occ[len(mt.fetch_buffer)] += 1
+                if ideal:
+                    if record_supply:
+                        mt.dispatch_ideal_backend(cycle)
+                        mt.fetch(cycle)
+                        n = mt.last_fetched
+                    else:
+                        mt.commit(cycle)
+                        mt.dispatch(cycle)
+                        mt.fetch_ideal(cycle)
+                        n = mt.last_dispatched
+                    hist[n] = hist.get(n, 0) + 1
                 else:
                     mt.commit(cycle)
                     mt.dispatch(cycle)
-                    mt.fetch_ideal(cycle)
-                    n = mt.last_dispatched
-                hist[n] = hist.get(n, 0) + 1
-            else:
-                mt.commit(cycle)
-                mt.dispatch(cycle)
-                mt.fetch(cycle)
-            if dla:
-                # queue depth law: pushes minus pops since the last flush
-                if self.boq_pushed - self.boq_popped != len(self.boq):
-                    raise EngineError(f"branch outcome queue depth "
-                                      f"accounting broke at cycle {cycle}")
-                self.boq_occ[len(self.boq)] += 1
-                if self.pending_reboots:
-                    for at, reason in self.pending_reboots:
-                        if cycle >= at:
-                            self._reboot(cycle, reason)
-                    self.pending_reboots = [(a, r) for a, r in self.pending_reboots
-                                            if a > cycle]
-                if (mt.boq_starved_at == cycle and self.lt_stream.done
-                        and lt.drained()):
-                    self._reboot(cycle, "guard")
-                if pf_queue:
-                    self._issue_prefetches(cycle)
-            if cycle % DRAIN_PERIOD == 0:
-                self.mem.drain(cycle)
-            # Issuing prefetches alone is no activity: what stays queued waits
-            # for an MSHR to free, and _wake_cycle waits for that.  A reboot
-            # resets lt.fetch_idx, but not if the LT has not fetched since
-            # the last one.
-            idle = (mt.committed == last_committed and mt.fetch_idx == mt_fetch_idx
-                    and not mt.last_dispatched
-                    and (not dla or (lt.committed == lt_committed
-                                     and lt.fetch_idx == lt_fetch_idx
-                                     and not lt.last_dispatched
-                                     and stats.reboots == reboots)))
-            if mt.committed != last_committed:
-                last_committed = mt.committed
-                last_commit_cycle = cycle
-            elif cycle - last_commit_cycle > PROGRESS_WATCHDOG:
-                raise EngineError(
-                    f"no commit progress for {PROGRESS_WATCHDOG} cycles "
-                    f"at cycle {cycle}")
-            if (self.mt_stream.halted and mt.fetch_idx >= self.mt_stream.next
-                    and mt.drained()):
-                break
-            if idle:
-                # every cycle before the wake-up would repeat this one: credit
-                # them in one step with this cycle's per-cycle counts
-                wake = self._wake_cycle(cycle, last_commit_cycle)
-                k = wake - 1 - cycle
-                if k > 0:
-                    self.fb_occ[len(mt.fetch_buffer)] += k
-                    mt.fetch_bubbles += k * (mt.fetch_bubbles - mt_bubbles)
-                    if ideal:
-                        hist[0] += k
-                    if dla:
-                        self.boq_occ[len(self.boq)] += k
-                        if mt.boq_starved_at == cycle:
-                            stats.boq_empty_stalls += k
-                            mt.boq_starved_at = wake - 1
-                    # a drain retires every fill ready by its cycle, so the
-                    # stretch's last periodic drain does the work of them all
-                    drain = (wake - 1) // DRAIN_PERIOD * DRAIN_PERIOD
-                    if drain > cycle:
-                        self.mem.drain(drain)
-                    cycle = wake - 1
+                    mt.fetch(cycle)
+                if dla:
+                    # queue depth law: pushes minus pops since the last flush
+                    if self.boq_pushed - self.boq_popped != len(self.boq):
+                        raise EngineError(f"branch outcome queue depth "
+                                          f"accounting broke at cycle {cycle}")
+                    self.boq_occ[len(self.boq)] += 1
+                    if self.pending_reboots:
+                        for at, reason in self.pending_reboots:
+                            if cycle >= at:
+                                self._reboot(cycle, reason)
+                        self.pending_reboots = [
+                            (a, r) for a, r in self.pending_reboots if a > cycle]
+                    if (mt.boq_starved_at == cycle and self.lt_stream.done
+                            and lt.drained()):
+                        self._reboot(cycle, "guard")
+                    if pf_queue:
+                        self._issue_prefetches(cycle)
+                if cycle % DRAIN_PERIOD == 0:
+                    self.mem.drain(cycle)
+                # Issuing prefetches alone is no activity: what stays queued
+                # waits for an MSHR to free, and _wake_cycle waits for that.
+                # A reboot resets lt.fetch_idx, but not if the LT has not
+                # fetched since the last one.
+                idle = (mt.committed == last_committed
+                        and mt.fetch_idx == mt_fetch_idx
+                        and not mt.last_dispatched
+                        and (not dla or (lt.committed == lt_committed
+                                         and lt.fetch_idx == lt_fetch_idx
+                                         and not lt.last_dispatched
+                                         and stats.reboots == reboots)))
+                if mt.committed != last_committed:
+                    last_committed = mt.committed
+                    last_commit_cycle = cycle
+                elif cycle - last_commit_cycle > PROGRESS_WATCHDOG:
+                    raise EngineError(
+                        f"no commit progress for {PROGRESS_WATCHDOG} cycles "
+                        f"at cycle {cycle}")
+                if (self.mt_stream.halted
+                        and mt.fetch_idx >= self.mt_stream.next
+                        and mt.drained()):
+                    break
+                if idle:
+                    # every cycle before the wake-up would repeat this one:
+                    # credit them in one step with this cycle's per-cycle counts
+                    wake = self._wake_cycle(cycle, last_commit_cycle)
+                    k = wake - 1 - cycle
+                    if k > 0:
+                        self.fb_occ[len(mt.fetch_buffer)] += k
+                        mt.fetch_bubbles += k * (mt.fetch_bubbles - mt_bubbles)
+                        if ideal:
+                            hist[0] += k
+                        if dla:
+                            self.boq_occ[len(self.boq)] += k
+                            if mt.boq_starved_at == cycle:
+                                stats.boq_empty_stalls += k
+                                mt.boq_starved_at = wake - 1
+                        # a drain retires every fill ready by its cycle, so the
+                        # stretch's last periodic drain does the work of them all
+                        drain = (wake - 1) // DRAIN_PERIOD * DRAIN_PERIOD
+                        if drain > cycle:
+                            self.mem.drain(drain)
+                        cycle = wake - 1
+        except uisa.ExecError as e:
+            # the MT stream's fault names its seq; add when it surfaced
+            raise uisa.ExecError(f"cycle {cycle}: {e}") from e
         return self._finalize(cycle)
 
     def _finalize(self, cycle: int) -> RunStats:

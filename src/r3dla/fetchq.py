@@ -6,6 +6,9 @@ the fetch unit deposits under a supply distribution S.  Convolving the two
 gives the distribution of the per-cycle change; shifting that vector along
 the diagonal (with boundary absorption) gives the transition matrix, whose
 eigenvector for eigenvalue 1 is the steady-state occupancy distribution.
+One linear solve finds it: the balance equations with one of them replaced
+by the condition that the occupancies sum to 1.  A chain with several
+closed classes has no unique steady state and gets the minimum-norm one.
 Expected fetch bubbles per cycle follow directly from the steady state and D.
 
 A Monte Carlo simulation of the same queue serves as the independent check.
@@ -17,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STEADY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
-MAX_POWER_ITERS = 10 ** 6
-DAMPING = 1e-6
 
 
 class ModelError(Exception):
@@ -84,61 +84,57 @@ def build_transition(change: Distribution, capacity: int) -> np.ndarray:
 
     Boundary rows absorb the probability mass that would land outside
     [0, N]: row 0 collects all changes k <= -j, row N all k >= N - j.
+    ``np.add.at`` adds each column's masses in order of k, so the sums are
+    the same as one Python ``+=`` per (j, k).
     """
     if capacity < 1:
         raise ModelError("capacity must be >= 1")
     n = capacity
-    cmap = change.to_map()
+    ks = np.arange(change.lo, change.hi + 1)
+    cols = np.arange(n + 1)[:, None]
+    rows = np.clip(cols + ks, 0, n)
     p = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        for k, pk in cmap.items():
-            i = j + k
-            if i <= 0:
-                p[0, j] += pk
-            elif i >= n:
-                p[n, j] += pk
-            else:
-                p[i, j] += pk
+    np.add.at(p, (rows, cols), change.probs)
     return p
 
 
 def steady_state(p: np.ndarray) -> np.ndarray:
-    """Stationary distribution by power iteration (damped fallback).
+    """Stationary distribution q of a column-stochastic matrix p.
 
-    Raises ModelError if even the damped chain fails to converge.
+    Solves (p - I) q = 0 with sum(q) = 1 in one linear solve: the balance
+    rows sum to zero, so one of them is replaced by the normalization row.
+    A chain with several closed classes (of the chains ``build_transition``
+    makes, only the identity) has a singular system; it gets the
+    minimum-norm stationary vector, which is uniform for the identity.
+    Raises ModelError if p is not column-stochastic or the solution is not
+    a distribution that p maps to itself.
     """
     n = p.shape[0]
-    cols = p.sum(axis=0)
-    if not np.allclose(cols, 1.0, atol=1e-9):
+    if not np.abs(p.sum(axis=0) - 1.0).max() <= 1e-9:
         raise ModelError("matrix is not column-stochastic")
-    q = np.full(n, 1.0 / n)
-    mat = p
-    for attempt in range(2):
-        for _ in range(MAX_POWER_ITERS):
-            nq = mat @ q
-            step = np.abs(nq - q).sum()
-            q = nq
-            if step < STEADY_TOL:
-                q = q / q.sum()
-                if np.abs(p @ q - q).sum() < RESIDUAL_TOL:
-                    return q
-                break
-        if attempt == 0:
-            # damp to break periodic chains; realizes the epsilon > 0 argument
-            mat = (1.0 - DAMPING) * p + DAMPING / n
-            q = np.full(n, 1.0 / n)
-    raise ModelError("power iteration did not converge")
+    a = p - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        q = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        q = np.linalg.lstsq(a, b, rcond=None)[0]
+    if q.min() < -RESIDUAL_TOL:
+        raise ModelError(f"stationary vector has a negative entry {q.min()}")
+    # round-off leaves states of near-zero mass at about -1e-16
+    q[q < 0.0] = 0.0
+    residual = np.abs(p @ q - q).sum() + abs(q.sum() - 1.0)
+    if not residual < RESIDUAL_TOL:
+        raise ModelError(f"stationary vector has residual {residual}")
+    return q
 
 
 def expected_bubbles(q: np.ndarray, demand: Distribution) -> float:
     """E(bubbles/cycle) = sum_i Q_i * sum_{j>i} D_j * (j - i)."""
-    total = 0.0
-    for i, qi in enumerate(q):
-        if qi == 0.0:
-            continue
-        short = sum(dj * (j - i) for j, dj in demand.to_map().items() if j > i)
-        total += qi * short
-    return total
+    js = np.arange(demand.lo, demand.hi + 1)
+    short = np.maximum(js - np.arange(len(q))[:, None], 0)
+    return float(q @ (short @ np.asarray(demand.probs)))
 
 
 @dataclass

@@ -95,6 +95,33 @@ def test_runtime_error_names_the_run(tmp_path, capsys, monkeypatch):
         cli.run_config(doc)
 
 
+def test_mt_fault_names_the_run_and_the_cycle(tmp_path, capsys, monkeypatch):
+    """An MT load from a negative address exits 1 naming the config, seed,
+    config hash, the cycle the fault surfaced in and the instruction."""
+    prog = uisa.parse_program("""
+        ADDI r1, r0, 64
+        ADDI r2, r0, 6
+    loop:
+        LOAD r3, 0(r1)
+        ADDI r1, r1, -16
+        ADDI r2, r2, -1
+        BNEZ r2, loop
+        HALT
+    """)
+    # the generators refuse such a program, so one stands in for them
+    monkeypatch.setattr(uisa, "gen_workload", lambda kind, params, seed: prog)
+    monkeypatch.delenv("R3DLA_SEED", raising=False)
+    doc = {"name": "bad-load", "seed": 5, "workload": {"kind": "strided_loop"}}
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert cli.sim_main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    # the sixth LOAD (seq 22) reads 64 - 5 * 16
+    m = re.fullmatch(
+        rf"error: config 'bad-load', seed 5, config_hash {cli.config_hash(doc)}: "
+        r"cycle (\d+): seq 22: load from negative address -16\n", err)
+    assert m and int(m[1]) > 0, err
+
+
 def test_bad_version_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(version=9))
     assert cli.sim_main(["run", "--config", cfg]) == 2

@@ -1,10 +1,14 @@
 """Fetch-buffer queue model tests: convolution, transition matrix, steady
-state, expected bubbles, Monte Carlo cross-check."""
+state, expected bubbles, Monte Carlo cross-check, and the model against the
+power-iteration oracle in fetchq_oracle.py."""
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fetchq_oracle
 from r3dla import fetchq
 from r3dla.fetchq import Distribution, ModelError
 
@@ -118,6 +122,78 @@ def test_steady_state_residual():
 def test_steady_state_rejects_non_stochastic():
     with pytest.raises(ModelError):
         fetchq.steady_state(np.ones((3, 3)))
+
+
+def test_steady_state_periodic_chain():
+    # period 2: power iteration oscillates, and its damped retry cannot
+    # reach its tolerance within its iteration cap
+    p = np.array([[0, 1, 1], [.5, 0, 0], [.5, 0, 0]])
+    t0 = time.perf_counter()
+    q = fetchq.steady_state(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert q == pytest.approx([.5, .25, .25], abs=1e-12)
+
+
+@pytest.mark.parametrize("p, error", [
+    # columns sum to 1 but an entry is negative: the fixed point is (-1, 2)
+    ([[0, -.5], [1, 1.5]], "negative entry"),
+    # singular, and no vector both sums to 1 and satisfies the balance rows
+    ([[0, -1], [1, 2]], "residual"),
+])
+def test_steady_state_refuses_what_is_not_a_distribution(p, error):
+    with pytest.raises(ModelError, match=error):
+        fetchq.steady_state(np.array(p, dtype=float))
+
+
+def _random_pair(rng):
+    """(demand, supply) over small supports, as harvested from a core."""
+    def draw(lo):
+        probs = rng.dirichlet(np.ones(rng.integers(1, 6)))
+        return dist({lo + i: float(v) for i, v in enumerate(probs)})
+    return draw(int(rng.integers(0, 3))), draw(int(rng.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 64))
+def test_model_matches_power_iteration_oracle(seed, capacity):
+    demand, supply = _random_pair(np.random.default_rng(seed))
+    change = fetchq.convolve(demand, supply)
+    p = fetchq.build_transition(change, capacity)
+    assert np.array_equal(p, fetchq_oracle.build_transition(change, capacity))
+    q = fetchq.steady_state(p)
+    assert np.abs(p @ q - q).sum() < 1e-12
+    want = fetchq_oracle.steady_state(p)
+    # the oracle stops once a step moves q by less than STEADY_TOL, which
+    # leaves it about STEADY_TOL / (1 - lam) short of the fixed point, lam
+    # the chain's second-largest eigenvalue modulus: up to 4.4e-9 on the
+    # slowest-mixing chains drawn here (lam 0.99977, capacity 64)
+    lam = np.sort(np.abs(np.linalg.eigvals(p)))[-2]
+    slack = 2 * fetchq_oracle.STEADY_TOL / (1 - lam) if lam < 1 else 0.0
+    assert np.abs(q - want).sum() < 1e-9 + slack
+    assert fetchq.expected_bubbles(q, demand) == pytest.approx(
+        fetchq_oracle.expected_bubbles(want, demand), abs=1e-9)
+
+
+# ``fetchq harvest`` of perfbench's branchy baseline config (branchy,
+# iters 2000, streams 2) at seeds 1 and 11
+BRANCHY_PAIRS = {
+    1: ({0: 82, 1: 4418, 2: 974, 3: 495, 4: 4038},
+        {0: 44527, 1: 1999, 3: 2000, 4: 4001}),
+    11: ({0: 78, 1: 4926, 2: 1, 3: 965, 4: 4037},
+         {0: 42364, 1: 1999, 3: 2032, 4: 3969}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BRANCHY_PAIRS))
+def test_capacity_sweep_matches_oracle_on_branchy(seed):
+    """The rows ``fetchq analyze --sweep 4:64`` writes, to 6 decimals."""
+    demand, supply = (Distribution.from_counts(h) for h in BRANCHY_PAIRS[seed])
+    got = fetchq.capacity_sweep(demand, supply, range(4, 65))
+    want = fetchq_oracle.capacity_sweep(demand, supply, range(4, 65))
+    assert [(n, round(b, 6)) for n, b, _ in got] == \
+        [(n, round(b, 6)) for n, b, _ in want]
+    for (_, _, q), (_, _, wq) in zip(got, want):
+        assert np.abs(q - wq).sum() < 1e-9
 
 
 # -- expected bubbles -------------------------------------------------------------
