@@ -26,13 +26,11 @@ import os
 import sys
 from dataclasses import fields
 
-from . import __version__, uisa, skeleton, fetchq, engine, recycle
-from .memsys import CacheConfig, LevelConfig, MemError
+from . import __version__, uisa, skeleton, fetchq, engine
+from .memsys import CacheConfig, MemError, check_int
 from .engine import CoreParams, DlaParams, Features
 
 FEATURE_NAMES = ("t1", "value_reuse", "fetch_buffer", "recycle")
-# the on/off features; a config must give each as JSON true or false
-BOOL_FEATURES = tuple(f.name for f in fields(Features) if type(f.default) is bool)
 
 
 class ConfigError(Exception):
@@ -72,42 +70,30 @@ TOP_KEYS = {"workload", "core", "cache", "engine", "dla", "features",
             "skeleton", "version", "limit", "max_cycles", "mode", "seed",
             "name"}
 WORKLOAD_KEYS = {"kind", "params", "program_file", "seed"}
-CACHE_KEYS = {f.name for f in fields(CacheConfig)}
+# the config blocks that a dataclass checks field by field
+SECTIONS = {"core": CoreParams, "dla": DlaParams, "features": Features,
+            "cache": CacheConfig}
 
 
-# smallest legal value of each integer config field: widths, sizes and
-# capacities need at least one slot; latencies and penalties may be zero
-INT_FIELDS = {
-    "core": {"fetch_width": 1, "decode_width": 1, "commit_width": 1,
-             "window_size": 1, "fetch_buffer": 1,
-             "mispredict_penalty": 0, "btb_penalty": 0},
-    "dla": {"boq_capacity": 1, "fq_capacity": 1, "reboot_cycles": 0},
-    "cache": {"dram_latency": 0, "mshr": 1},
-}
-CACHE_LEVEL_INT_FIELDS = {"size": 1, "assoc": 1, "line": 1, "hit_latency": 0}
-
-
-def _check_int(v, path: str, minimum: int) -> None:
-    # type() rather than isinstance(): a bool is an int, but true is no width
-    if type(v) is not int or v < minimum:
-        _fail(path, f"must be an integer >= {minimum}, got {v!r}")
-
-
-def _check_int_fields(d: dict, path: str, fields: dict, required=False) -> None:
-    for name, minimum in fields.items():
-        if name in d:
-            _check_int(d[name], f"{path}.{name}", minimum)
-    missing = [name for name in fields if name not in d]
-    if required and missing:
-        _fail(path, f"missing {', '.join(missing)}")
-
-
-def _check_version(v, path: str) -> None:
-    if type(v) is not int or not 0 <= v < skeleton.NUM_VERSIONS:
-        _fail(path, f"must be an integer in 0..{skeleton.NUM_VERSIONS - 1}")
+def section(cfg: dict, name: str):
+    """The config object of block ``name`` of ``cfg`` (None if absent); its
+    dataclass checks each field, and an error names the field's path."""
+    if name not in cfg:
+        return None
+    cls = SECTIONS[name]
+    d = _expect(cfg[name], name)
+    _check_keys(d, name, {f.name for f in fields(cls)})
+    try:
+        if hasattr(cls, "from_dict"):   # Features and CacheConfig read JSON forms
+            return cls.from_dict(d)
+        return cls(**d)
+    except (engine.EngineError, MemError) as e:
+        raise ConfigError(f"{name}.{e}") from None
 
 
 def validate_config(cfg: dict) -> dict:
+    """``cfg``, or a ConfigError naming the bad field's path.  The blocks'
+    dataclasses check their own fields (see ``section``); this the rest."""
     _expect(cfg, "<config>")
     _check_keys(cfg, "", TOP_KEYS)
     if "name" in cfg:
@@ -115,8 +101,8 @@ def validate_config(cfg: dict) -> dict:
     wl = _expect(cfg.get("workload"), "workload")
     _check_keys(wl, "workload", WORKLOAD_KEYS)
     for path, d in (("seed", cfg), ("workload.seed", wl)):
-        if "seed" in d and type(d["seed"]) is not int:
-            _fail(path, f"must be an integer, got {d['seed']!r}")
+        if "seed" in d:
+            check_int(path, d["seed"], error=ConfigError)
     if "program_file" in wl:
         path = _expect(wl["program_file"], "workload.program_file", str)
         if not os.path.exists(path):
@@ -132,65 +118,25 @@ def validate_config(cfg: dict) -> dict:
         if "seed" in params:
             _fail("workload.params.seed", 'give the seed as the config\'s "seed" '
                                           "(R3DLA_SEED overrides it)")
-        for name, v in params.items():
-            if type(v) is not int:      # every generator param is an int
-                _fail(f"workload.params.{name}", f"must be an integer, got {v!r}")
-    feats = _expect(cfg.get("features", {}), "features")
-    for name in BOOL_FEATURES:
-        if name in feats and type(feats[name]) is not bool:
-            _fail(f"features.{name}", f"must be true or false, got {feats[name]!r}")
-    if feats.get("recycle", "off") not in recycle.MODES:
-        _fail("features.recycle", f"expected one of {recycle.MODES}, "
-                                  f"got {feats['recycle']!r}")
-    static = _expect(feats.get("static_versions", {}),
-                     "features.static_versions")
-    for loop_pc, v in static.items():
-        try:
-            int(loop_pc)
-        except ValueError:
-            _fail(f"features.static_versions.{loop_pc}", "a loop pc must be an integer")
-        _check_version(v, f"features.static_versions.{loop_pc}")
-    for section, cls in (("core", CoreParams), ("dla", DlaParams),
-                         ("features", Features)):
-        if section in cfg:
-            d = _expect(cfg[section], section)
-            _check_keys(d, section, {f.name for f in fields(cls)})
-            _check_int_fields(d, section, INT_FIELDS.get(section, {}))
-            try:
-                cls.from_dict(d)
-            except (TypeError, ValueError) as e:
-                _fail(section, str(e))
-    if "cache" in cfg:
-        cache = _expect(cfg["cache"], "cache")
-        _check_keys(cache, "cache", CACHE_KEYS)
-        _check_int_fields(cache, "cache", INT_FIELDS["cache"])
-        for level in ("l1", "l2", "l3"):
-            if level in cache:
-                path = f"cache.{level}"
-                lv = _expect(cache[level], path)
-                _check_keys(lv, path, CACHE_LEVEL_INT_FIELDS)
-                _check_int_fields(lv, path, CACHE_LEVEL_INT_FIELDS, required=True)
-                try:
-                    LevelConfig(**lv)
-                except MemError as e:
-                    _fail(f"{path}.size", str(e))
-        try:
-            CacheConfig.from_dict(cache)
-        except MemError as e:
-            _fail("cache", str(e))
+        for name, v in params.items():      # every generator param is an int
+            check_int(f"workload.params.{name}", v, error=ConfigError)
+    for name in SECTIONS:
+        section(cfg, name)
+    # CacheConfig takes mshr=0, a cache that tracks no fills (the tests'
+    # serial reference profile); a run needs at least one miss-status register
+    if "mshr" in cfg.get("cache", {}):
+        check_int("cache.mshr", cfg["cache"]["mshr"], 1, ConfigError)
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
         _fail("engine", f"expected 'baseline' or 'dla', got {eng!r}")
     for key in ("limit", "max_cycles"):
         if key in cfg:
-            _check_int(cfg[key], key, 1)
-    _check_version(cfg.get("version", 0), "version")
-    mode = cfg.get("mode", "normal")
-    if mode not in engine.MODES:
-        _fail("mode", f"unknown mode {mode!r}")
-    if mode != "normal" and eng == "dla":
-        _fail("mode", f"{mode!r} is a baseline-only measurement; "
-                      "a dla config runs in mode 'normal'")
+            check_int(key, cfg[key], 1, ConfigError)
+    try:
+        engine.check_version("version", cfg.get("version", 0))
+        engine.check_mode(cfg.get("mode", "normal"), eng == "dla")
+    except engine.EngineError as e:
+        raise ConfigError(str(e)) from None
     if "skeleton" in cfg:
         sk = _expect(cfg["skeleton"], "skeleton")
         _check_keys(sk, "skeleton", ("path",))
@@ -265,9 +211,8 @@ def run_config(cfg: dict) -> engine.RunStats:
 
 def _run_config(cfg: dict, skeletons: dict) -> engine.RunStats:
     prog = build_workload(cfg)
-    core = CoreParams.from_dict(cfg["core"]) if "core" in cfg else None
-    cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None
-    common = dict(params=core, cache_config=cache)
+    cache = section(cfg, "cache")
+    common = dict(params=section(cfg, "core"), cache_config=cache)
     common.update((key, cfg[key]) for key in ("limit", "max_cycles") if key in cfg)
     if cfg.get("engine", "baseline") == "baseline":
         return engine.Engine(prog, mode=cfg.get("mode", "normal"), **common).run()
@@ -282,9 +227,8 @@ def _run_config(cfg: dict, skeletons: dict) -> engine.RunStats:
         skel = skeletons.get(key)
         if skel is None:
             skel = skeletons[key] = skeleton.build(prog, cache_config=cache)
-    feats = Features.from_dict(cfg["features"]) if "features" in cfg else None
-    dla = DlaParams.from_dict(cfg["dla"]) if "dla" in cfg else None
-    return engine.Engine(prog, skel=skel, dla=dla, features=feats,
+    return engine.Engine(prog, skel=skel, dla=section(cfg, "dla"),
+                         features=section(cfg, "features"),
                          version=cfg.get("version", 0), **common).run()
 
 
@@ -415,12 +359,11 @@ def cmd_ablate(args) -> int:
 def cmd_skel_build(args) -> int:
     cfg = load_config(args.config)
     prog = build_workload(cfg)
-    cache = CacheConfig.from_dict(cfg["cache"]) if "cache" in cfg else None
-    skel = skeleton.build(prog, cache_config=cache)
+    skel = skeleton.build(prog, cache_config=section(cfg, "cache"))
     skeleton.save_skeleton(skel, prog, args.out)
     total = len(prog.instrs)
-    for m in skel.versions:
-        print(f"v{m.version_id}: {len(m.bits)}/{total} static instrs, "
+    for version, m in enumerate(skel.versions):
+        print(f"v{version}: {len(m.bits)}/{total} static instrs, "
               f"{len(m.converted_branches)} converted branches")
     print(f"s_bits: {sorted(skel.s_bits)}")
     return 0
@@ -447,8 +390,7 @@ def cmd_fetchq_analyze(args) -> int:
                                                      range(lo, hi + 1))]
         _write_csv(rows, args.out)
         return 0
-    if args.capacity < 1:
-        _fail("--capacity", f"must be an integer >= 1, got {args.capacity}")
+    check_int("--capacity", args.capacity, 1, ConfigError)
     model = fetchq.QueueModel.solve(demand, supply, args.capacity)
     doc = {"capacity": args.capacity,
            "demand": demand.to_map(), "supply": supply.to_map(),

@@ -87,14 +87,16 @@ garbage collector.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
+from typing import ClassVar
 
 from . import skeleton, uisa
-from .memsys import MemorySystem, CacheConfig, MT, LT
+from .memsys import (MemorySystem, CacheConfig, MT, LT, check_int,
+                     check_int_fields)
 from .skeleton import NUM_VERSIONS, SkeletonSet
 from .t1 import T1Table, LatencyEstimator
 from .vreuse import ValueReuseUnit, TRAIN_ITERATIONS
-from .recycle import LoopTracker, RecycleController
+from .recycle import LoopTracker, RecycleController, check_mode as check_recycle_mode
 
 PROGRESS_WATCHDOG = 200_000   # cycles without a main-thread commit -> error
 DRAIN_PERIOD = 16
@@ -109,7 +111,23 @@ class EngineError(Exception):
     pass
 
 
-@dataclass
+def check_version(name: str, version) -> None:
+    """Refuse anything but a skeleton version, an int in 0..NUM_VERSIONS-1."""
+    if type(version) is not int or not 0 <= version < NUM_VERSIONS:
+        raise EngineError(f"{name}: must be an integer in "
+                          f"0..{NUM_VERSIONS - 1}, got {version!r}")
+
+
+def check_mode(mode, dla: bool) -> None:
+    """Refuse a mode not in ``MODES``, and an idealized one for a DLA run."""
+    if mode not in MODES:
+        raise EngineError(f"mode: must be one of {MODES}, got {mode!r}")
+    if mode != "normal" and dla:
+        raise EngineError(f"mode: {mode!r} is a baseline-only measurement; "
+                          "a dla run runs in mode 'normal'")
+
+
+@dataclass(frozen=True)
 class CoreParams:
     fetch_width: int = 4
     decode_width: int = 4
@@ -118,37 +136,53 @@ class CoreParams:
     fetch_buffer: int = 32
     mispredict_penalty: int = 20
     btb_penalty: int = 2
+    ZERO_OK: ClassVar = ("mispredict_penalty", "btb_penalty")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoreParams":
-        return cls(**d)
+    def __post_init__(self):
+        check_int_fields(CoreParams, asdict(self), EngineError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DlaParams:
     boq_capacity: int = 512
     fq_capacity: int = 128
     reboot_cycles: int = 64
+    ZERO_OK: ClassVar = ("reboot_cycles",)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DlaParams":
-        return cls(**d)
+    def __post_init__(self):
+        check_int_fields(DlaParams, asdict(self), EngineError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Features:
     t1: bool = False
     value_reuse: bool = False
     fetch_buffer: bool = True
-    recycle: str = "off"            # off | static | dynamic
-    static_versions: dict = field(default_factory=dict)
+    recycle: str = "off"            # one of recycle.MODES
+    static_versions: dict = field(default_factory=dict)   # loop pc -> version
     boq_prefetch_release: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is bool and type(value) is not bool:
+                raise EngineError(f"{f.name}: must be true or false, got {value!r}")
+        check_recycle_mode(self.recycle, EngineError)
+        if type(self.static_versions) is not dict:
+            raise EngineError(f"static_versions: must be an object, "
+                              f"got {self.static_versions!r}")
+        for loop_pc, version in self.static_versions.items():
+            name = f"static_versions.{loop_pc}"
+            check_int(name, loop_pc, 0, EngineError)
+            check_version(name, version)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Features":
-        d = dict(d)
-        if "static_versions" in d:
-            d["static_versions"] = {int(k): v for k, v in d["static_versions"].items()}
+        """The features of a JSON object: a static_versions key "7" is loop pc 7."""
+        sv = d.get("static_versions")
+        if type(sv) is dict:
+            d = {**d, "static_versions": {int(k) if str(k).isdecimal() else k: v
+                                          for k, v in sv.items()}}
         return cls(**d)
 
 
@@ -828,9 +862,8 @@ class Engine:
                  max_cycles: int = 200_000_000,
                  mode: str = "normal"):
         program.validate()
-        if type(version) is not int or not 0 <= version < NUM_VERSIONS:
-            raise EngineError(f"version: must be an integer in "
-                              f"0..{NUM_VERSIONS - 1}, got {version!r}")
+        check_version("version", version)
+        check_mode(mode, skel is not None)
         self.program = program
         self.params = params or CoreParams()
         self.dla = dla or DlaParams()
@@ -838,18 +871,13 @@ class Engine:
         self.skel = skel
         self.dla_on = skel is not None
         self.max_cycles = max_cycles
-        if mode not in MODES:
-            raise EngineError(f"unknown mode {mode!r}")
-        if mode != "normal" and self.dla_on:
-            raise EngineError("idealized modes are baseline-only measurements")
         self.mode = mode
         self.mem = MemorySystem(cache_config)
         self.stats = RunStats()
 
         mt_params = self.params
         if not self.features.fetch_buffer:
-            mt_params = CoreParams(**{**asdict(self.params),
-                                      "fetch_buffer": self.params.decode_width})
+            mt_params = replace(self.params, fetch_buffer=self.params.decode_width)
         self.mt_stream = MainStream(program, limit)
         self.mt = _Core(mt_params, self.mem, MT, self.mt_stream,
                         "mt" if self.dla_on else "baseline")

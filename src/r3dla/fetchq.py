@@ -169,6 +169,8 @@ def monte_carlo(demand: Distribution, supply: Distribution, capacity: int,
     """
     if steps < 1:
         raise ModelError("steps must be >= 1")
+    if not 0 <= q0 <= capacity:
+        raise ModelError(f"q0 must be in 0..{capacity}, got {q0}")
     rng = np.random.default_rng(seed)
     d_draw = rng.choice(np.arange(demand.lo, demand.hi + 1), size=steps,
                         p=np.asarray(demand.probs) / sum(demand.probs))

@@ -29,21 +29,37 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, NamedTuple
 
 MT = "MT"
 LT = "LT"
+LEVELS = ("l1", "l2", "l3")
 
 
 class MemError(Exception):
     pass
 
 
-def _check_at_least(cfg, name: str, minimum: int) -> None:
-    value = getattr(cfg, name)
-    if value < minimum:
-        raise MemError(f"{name}: must be >= {minimum}, got {value!r}")
+def check_int(name: str, value, minimum: int | None = None, error=MemError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int (of at least
+    ``minimum``, if given).  A bool is an int to Python, but true is no width."""
+    if type(value) is not int:
+        raise error(f"{name}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name}: must be >= {minimum}, got {value!r}")
+
+
+def check_int_fields(cls, values: dict, error=MemError) -> None:
+    """``check_int`` on each field of the dataclass ``cls`` that ``values``
+    holds, in field order: a width, size or capacity needs at least one slot,
+    and a field in ``cls.ZERO_OK`` (a latency or penalty) may be zero.  Give
+    an instance's ``asdict``: ``vars`` would build its ``__dict__``, which
+    slows every later attribute read of the instance (CPython 3.11)."""
+    for f in fields(cls):
+        if f.name in values:
+            check_int(f.name, values[f.name], 0 if f.name in cls.ZERO_OK else 1,
+                      error)
 
 
 @dataclass(frozen=True)
@@ -52,14 +68,14 @@ class LevelConfig:
     assoc: int
     line: int
     hit_latency: int
+    ZERO_OK: ClassVar = ("hit_latency",)
 
     def __post_init__(self):
-        for name in ("size", "assoc", "line"):
-            _check_at_least(self, name, 1)
-        _check_at_least(self, "hit_latency", 0)
+        check_int_fields(LevelConfig, asdict(self))
         sets = self.size // (self.line * self.assoc)
         if self.size % (self.line * self.assoc) or sets & (sets - 1):
-            raise MemError("cache size must be a power-of-two multiple of line*assoc")
+            raise MemError(f"size: must be a power-of-two multiple of line*assoc "
+                           f"({self.line * self.assoc}), got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -71,25 +87,44 @@ class CacheConfig:
     mshr: int = 32          # miss-status registers; 0 tracks no fills at all
 
     def __post_init__(self):
-        _check_at_least(self, "dram_latency", 0)
-        _check_at_least(self, "mshr", 0)
-        if not self.l1.line == self.l2.line == self.l3.line:
-            raise MemError("line sizes must match across levels")
+        for name in LEVELS:
+            level = getattr(self, name)
+            if not isinstance(level, LevelConfig):
+                raise MemError(f"{name}: must be a LevelConfig, got {level!r}")
+            if level.line != self.l1.line:
+                raise MemError(f"{name}.line: line sizes must match across "
+                               f"levels, l1.line is {self.l1.line}")
+        check_int("dram_latency", self.dram_latency, 0)
+        check_int("mshr", self.mshr, 0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CacheConfig":
-        kw = {}
-        for name in ("l1", "l2", "l3"):
-            if name in d:
-                kw[name] = LevelConfig(**d[name])
-        for name in ("dram_latency", "mshr"):
-            if name in d:
-                kw[name] = d[name]
+        """The config of a JSON cache block, each level given as an object
+        with all four fields; a level's error names it (``l1.size: ...``)."""
+        kw = dict(d)
+        for name in LEVELS:
+            if type(d.get(name)) is dict:   # else __post_init__ refuses it
+                kw[name] = _level_from_dict(name, d[name])
         return cls(**kw)
 
     def cold_latency(self) -> int:
         return (self.l1.hit_latency + self.l2.hit_latency
                 + self.l3.hit_latency + self.dram_latency)
+
+
+def _level_from_dict(name: str, d: dict) -> LevelConfig:
+    keys = [f.name for f in fields(LevelConfig)]
+    for key in d:
+        if key not in keys:
+            raise MemError(f"{name}.{key}: unknown field")
+    missing = [key for key in keys if key not in d]
+    try:
+        check_int_fields(LevelConfig, d)   # name a bad field before a missing one
+        if not missing:
+            return LevelConfig(**d)
+    except MemError as e:
+        raise MemError(f"{name}.{e}") from None
+    raise MemError(f"{name}: missing {', '.join(missing)}")
 
 
 class AccessResult(NamedTuple):

@@ -20,6 +20,12 @@ LCT_CAPACITY = 16
 MODES = ("off", "static", "dynamic")
 
 
+def check_mode(mode, error=ValueError) -> None:
+    """Refuse a recycle mode that is not one of ``MODES``."""
+    if mode not in MODES:
+        raise error(f"recycle: must be one of {MODES}, got {mode!r}")
+
+
 class LoopTracker:
     """Commit-stream loop detection; keeps a stack of active loops.
 
@@ -134,8 +140,7 @@ class RecycleController:
 
     def __init__(self, mode: str = "dynamic",
                  static_map: dict[int, int] | None = None):
-        if mode not in MODES:
-            raise ValueError(f"unknown recycle mode {mode!r}")
+        check_mode(mode)
         self.mode = mode
         self.static_map = dict(static_map or {})
         self.lct = LoopConfigTable()

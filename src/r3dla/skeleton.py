@@ -324,27 +324,18 @@ def select_seeds(program: uisa.StaticProgram,
 
 @dataclass(frozen=True)
 class SkeletonMask:
-    version_id: int
     bits: frozenset[int]
     converted_branches: frozenset[int] = frozenset()
 
     def to_hex(self) -> str:
-        v = 0
-        for b in self.bits:
-            v |= 1 << b
-        return hex(v)
+        return hex(sum(1 << b for b in self.bits))
 
     @staticmethod
     def bits_from_hex(h: str) -> frozenset[int]:
         v = int(h, 16)
-        out = set()
-        i = 0
-        while v:
-            if v & 1:
-                out.add(i)
-            v >>= 1
-            i += 1
-        return frozenset(out)
+        if v < 0:
+            raise ValueError(f"negative mask {h}")
+        return frozenset(i for i in range(v.bit_length()) if v >> i & 1)
 
 
 @dataclass
@@ -450,8 +441,7 @@ def _store_feeders(program: uisa.StaticProgram, load: uisa.StaticInstr) -> set[i
 
 def backward_closure(program: uisa.StaticProgram, seeds,
                      reaching: list[dict[int, frozenset[int]]] | None = None,
-                     converted_branches: frozenset[int] = frozenset(),
-                     version_id: int = 0) -> SkeletonMask:
+                     converted_branches: frozenset[int] = frozenset()) -> SkeletonMask:
     """Least fixpoint of seeds under register and (approximate) memory deps."""
     if reaching is None:
         reaching = reaching_producers(program)
@@ -474,8 +464,7 @@ def backward_closure(program: uisa.StaticProgram, seeds,
             for s in _store_feeders(program, ins):
                 if s not in included:
                     work.append(s)
-    return SkeletonMask(version_id=version_id, bits=frozenset(included),
-                        converted_branches=converted_branches)
+    return SkeletonMask(frozenset(included), converted_branches)
 
 
 def gen_skeleton_versions(program: uisa.StaticProgram,
@@ -503,18 +492,18 @@ def gen_skeleton_versions(program: uisa.StaticProgram,
     l2 = seeds.l2_targets - s_bits
     vr = seeds.value_reuse_targets - s_bits
 
-    def close(seed_set, vid, converted=frozenset()):
+    def close(seed_set, converted=frozenset()):
         return backward_closure(program, seed_set - set(converted), reaching,
-                                converted_branches=converted, version_id=vid)
+                                converted_branches=converted)
 
     v0_seeds = ctrl | l1 | l2
     versions = [
-        close(v0_seeds, 0),
-        close(ctrl | l2, 1),
-        close(v0_seeds | vr, 2),
-        close(v0_seeds | set(seeds.t1_targets), 3),
-        close(v0_seeds, 4, converted=seeds.biased_branch_conversions),
-        close(ctrl | l2, 5),
+        close(v0_seeds),
+        close(ctrl | l2),
+        close(v0_seeds | vr),
+        close(v0_seeds | set(seeds.t1_targets)),
+        close(v0_seeds, converted=seeds.biased_branch_conversions),
+        close(ctrl | l2),
     ]
     directions = {pc: prof[pc].branch_bias >= 0.5
                   for pc in seeds.biased_branch_conversions}
@@ -553,10 +542,8 @@ def load_skeleton(path, program: uisa.StaticProgram | None = None) -> SkeletonSe
         if program is not None and doc["program_hash"] != program_hash(program):
             raise uisa.UisaError("skeleton file does not match program")
         versions = [
-            SkeletonMask(version_id=i, bits=SkeletonMask.bits_from_hex(h),
-                         converted_branches=frozenset(conv))
-            for i, (h, conv) in enumerate(zip(doc["versions"],
-                                              doc["converted_branches"]))
+            SkeletonMask(SkeletonMask.bits_from_hex(h), frozenset(conv))
+            for h, conv in zip(doc["versions"], doc["converted_branches"])
         ]
         directions = {int(pc): d for pc, d in doc["bias_dirs"].items()}
         return SkeletonSet(versions, frozenset(doc["s_bits"]), directions)

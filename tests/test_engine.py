@@ -1,6 +1,7 @@
 """Timing engine tests: pipeline bounds, the correctness firewall, reboots."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from r3dla import cli, uisa, skeleton, engine, vreuse
 from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
-from r3dla.memsys import CacheConfig
+from r3dla.memsys import CacheConfig, LevelConfig, MemError
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
 from reference import (corrupt_predictions, log_commits, reference_trace,
@@ -23,7 +24,7 @@ from reference import (corrupt_predictions, log_commits, reference_trace,
 def full_skeleton(prog):
     """All six versions contain the whole program (perfect look-ahead)."""
     bits = frozenset(range(len(prog.instrs)))
-    return SkeletonSet(versions=[SkeletonMask(i, bits) for i in range(6)],
+    return SkeletonSet(versions=[SkeletonMask(bits)] * 6,
                        s_bits=frozenset())
 
 
@@ -96,6 +97,46 @@ def test_unknown_mode_rejected():
     prog = uisa.gen_strided_loop(iters=10)
     with pytest.raises(EngineError):
         Engine(prog, mode="bogus")
+
+
+@pytest.mark.parametrize("cls, kwargs, field", [
+    # window_size=0 and boq_capacity=0 ran into the progress watchdog, a
+    # bool ran as width 1, and a string switched T1 on
+    (CoreParams, {"window_size": 0}, "window_size"),
+    (CoreParams, {"commit_width": True}, "commit_width"),
+    (DlaParams, {"boq_capacity": 0}, "boq_capacity"),
+    (Features, {"t1": "no"}, "t1"),
+    (Features, {"recycle": "bogus"}, "recycle"),
+    (Features, {"static_versions": {7: 9}}, "static_versions.7"),
+])
+def test_config_dataclass_names_a_bad_field(cls, kwargs, field):
+    with pytest.raises(EngineError, match=f"^{field}: "):
+        cls(**kwargs)
+
+
+def test_engine_refuses_a_bad_core_before_cycle_1():
+    prog = uisa.gen_strided_loop(iters=10)
+    with pytest.raises(EngineError, match="^window_size: must be >= 1, got 0$"):
+        Engine(prog, params=CoreParams(window_size=0))
+    # a checked config stays checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CoreParams().window_size = 0
+
+
+CONFIG_CLASSES = (CoreParams, DlaParams, Features, LevelConfig, CacheConfig)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_every_config_field_has_a_rule(cls, field):
+    """A string in any field of a config dataclass is refused and the error
+    names the field, so a field added without a rule fails here."""
+    valid = ({"size": 4096, "assoc": 4, "line": 64, "hit_latency": 3}
+             if cls is LevelConfig else {})
+    error = MemError if cls in (LevelConfig, CacheConfig) else EngineError
+    with pytest.raises(error, match=f"^{field}: "):
+        cls(**{**valid, field: "1"})
 
 
 # -- decoupled runs -----------------------------------------------------------
@@ -620,7 +661,7 @@ def test_compiled_lookahead_walk_matches_stepping(make):
     prog, start = made if isinstance(made, tuple) else (made, None)
     start = start or uisa.ArchState.initial(prog)
     every = frozenset(range(len(prog.instrs)))
-    masks = [SkeletonMask(0, every), SkeletonMask(1, every - {1})]
+    masks = [SkeletonMask(every), SkeletonMask(every - {1})]
     masks += skeleton.build(prog).versions[2:]
     skel = SkeletonSet(masks, frozenset(), skeleton.build(prog).bias_dirs)
     for version in range(len(masks)):

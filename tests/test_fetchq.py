@@ -247,6 +247,15 @@ def test_monte_carlo_rejects_bad_steps():
         fetchq.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), 4, 0)
 
 
+@pytest.mark.parametrize("q0", [-1, 5])
+def test_monte_carlo_rejects_q0_outside_the_queue(q0):
+    # q0=-1 counted the first step at occupancy 4 through occ[-1], and
+    # q0=5 raised IndexError
+    with pytest.raises(ModelError, match="^q0 must be in 0..4, got "):
+        fetchq.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), capacity=4,
+                           steps=5, q0=q0)
+
+
 # -- plumbing ---------------------------------------------------------------
 
 def test_l1_distance_pads():

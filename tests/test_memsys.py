@@ -183,6 +183,17 @@ def test_config_from_dict():
     assert cfg.l1.hit_latency == 2
 
 
+@pytest.mark.parametrize("level, fields, error", [
+    ("l2", {"line": 0}, r"l2\.line: must be >= 1, got 0"),
+    ("l3", {"size": 1000}, r"l3\.size: must be a power-of-two multiple"),
+    ("l1", {"bogus": 1}, r"l1\.bogus: unknown field"),
+])
+def test_config_from_dict_names_the_level(level, fields, error):
+    d = {"size": 4096, "assoc": 4, "line": 64, "hit_latency": 3, **fields}
+    with pytest.raises(MemError, match=f"^{error}"):
+        CacheConfig.from_dict({level: d})
+
+
 def test_stats_shape():
     mem = MemorySystem()
     mem.access(0, "load", MT, 0)

@@ -534,11 +534,23 @@ def test_load_rejects_file_without_bias_dirs(tmp_path):
         skeleton.load_skeleton(path, prog)
 
 
+def test_load_rejects_a_negative_mask(tmp_path):
+    # reading the bits of "-0x5" one shift at a time never reached zero
+    prog = uisa.gen_branchy(iters=200, streams=2)
+    path = tmp_path / "skel.json"
+    skeleton.save_skeleton(skeleton.build(prog), prog, path)
+    doc = json.loads(path.read_text())
+    doc["versions"][2] = "-0x5"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(uisa.UisaError, match="malformed: negative mask -0x5"):
+        skeleton.load_skeleton(path, prog)
+
+
 def test_skeleton_set_checks_its_contents():
-    mask = skeleton.SkeletonMask(0, frozenset({0}))
+    mask = skeleton.SkeletonMask(frozenset({0}))
     with pytest.raises(uisa.UisaError, match="versions"):
         skeleton.SkeletonSet(versions=[mask] * 5, s_bits=frozenset())
-    conv = skeleton.SkeletonMask(4, frozenset({0}), converted_branches=frozenset({3}))
+    conv = skeleton.SkeletonMask(frozenset({0}), converted_branches=frozenset({3}))
     with pytest.raises(uisa.UisaError, match="bias direction"):
         skeleton.SkeletonSet(versions=[mask] * 4 + [conv, mask], s_bits=frozenset())
 
