@@ -864,6 +864,8 @@ class Engine:
         program.validate()
         check_version("version", version)
         check_mode(mode, skel is not None)
+        check_int("limit", limit, 1, EngineError)
+        check_int("max_cycles", max_cycles, 1, EngineError)
         self.program = program
         self.params = params or CoreParams()
         self.dla = dla or DlaParams()

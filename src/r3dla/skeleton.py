@@ -78,22 +78,26 @@ class _Run:
     producer comes before the run; ``pairs`` holds (producer ``PcProfile``,
     reader pc) for the reads fed inside it; ``writers`` holds (register,
     ``PcProfile``) for the run's last writer of each register.  ``branch`` is
-    the ``PcProfile`` of a conditional branch that ends the run.  ``fn`` is
-    the run compiled by ``_compile_run``, once it is hot; ``fed`` is the
-    walk's writer generation when the run last fed its live-in reads.
+    the ``PcProfile`` of a conditional branch that ends the run, and
+    ``loops`` says whether that branch targets the run's own start.  Once
+    the run is hot, ``_compile_run`` compiles it into ``loop`` if it loops,
+    else into ``fn``; ``fed`` is the walk's writer generation when the run
+    last fed its live-in reads.
     """
 
-    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "count",
-                 "fn", "fed")
+    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "loops",
+                 "count", "fn", "loop", "fed")
 
-    def __init__(self, body, live_in, pairs, writers, branch):
+    def __init__(self, body, live_in, pairs, writers, branch, loops):
         self.body = body
         self.live_in = live_in
         self.pairs = pairs
         self.writers = writers
         self.branch = branch
+        self.loops = loops
         self.count = 0          # executions
         self.fn = None
+        self.loop = None
         self.fed = -1
 
 
@@ -124,45 +128,79 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
     return _Run([(ins, profs[ins.index] if ins.is_mem else None)
                  for ins in body], tuple(live_in),
                 tuple((profs[w], reader) for w, reader in pairs),
-                tuple((r, profs[w]) for r, w in writers.items()), branch), whole
+                tuple((r, profs[w]) for r, w in writers.items()), branch,
+                branch is not None and last.target == start), whole
 
 
 def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     """One Python function that walks ``run`` as ``profile`` does: it steps
     each instruction like ``uisa.step`` (``uisa.instr_source``), sends each
-    memory op through ``access`` and updates its ``PcProfile``, sets
-    ``state.pc`` and returns the direction of a conditional branch that ends
-    the run (else None).  Called as ``fn(state, seq)``, with ``seq`` the
-    walk's count at the run's first instruction.  An instruction that faults
-    sets ``state.pc`` to itself and calls ``uisa.step``, which raises the
-    interpreter's error.
+    memory op through ``access`` and updates its ``PcProfile``, and sets
+    ``state.pc``.  Called as ``fn(state, seq)``, with ``seq`` the walk's
+    count at the run's first instruction, it returns the direction of a
+    conditional branch that ends the run (else None).  An instruction that
+    faults sets ``state.pc`` to itself and calls ``uisa.step`` at its own
+    ``seq``, which raises the interpreter's error.
+
+    A run that ``loops`` compiles to a loop instead, called as
+    ``fn(state, seq, limit)``: it walks the run again while its branch is
+    taken and the next whole iteration ends at or before ``limit``, and
+    returns ``(iterations, taken branches)``.  It holds each memory op's
+    counters and ``last_addr`` in locals and writes them back when it
+    leaves; a fault leaves through the interpreter's error, which ends the
+    profile, so it writes nothing back.
     """
-    src = ["r = state.regs", "m = state.memory"]
+    loops = run.loops
+    size = len(run.body)
+    at = f"seq + (n - 1) * {size} + " if loops else "seq + "
+    fields = ("latency_sum", "l1_misses", "l2_misses", "last_addr")
+    body, load, store = [], [], []
     free = {"step": uisa.step, "program": program, "access": access}
     for k, (ins, p) in enumerate(run.body):
-        src += uisa.instr_source(
+        lines = uisa.instr_source(
             ins, k, [f"state.pc = {int(ins.index)}",
-                     f"step(state, program, seq + {k})"])
-        if p is not None:
-            # a compiled run has run before, so each of its memory ops has a
-            # last_addr; stride_votes is never replaced, only updated
-            free[f"p{k}"] = p
-            free[f"votes{k}"] = p.stride_votes
-            src += [f"lat, level = access(a{k})",
-                    f"p = p{k}",
-                    "p.latency_sum += lat",
-                    "if level != 'L1':",
-                    "    p.l1_misses += 1",
-                    "    if level != 'L2':",
-                    "        p.l2_misses += 1",
-                    f"d = a{k} - p.last_addr",
-                    f"votes{k}[d] = votes{k}.get(d, 0) + 1",
-                    f"p.last_addr = a{k}"]
-    if ins.opcode == "BR_COND":
-        src.append(f"return t{k}")
-    elif not ins.is_control:
-        src.append(f"state.pc = {int(ins.index) + 1}")
-    return uisa.build_function("state, seq", src, free,
+                     f"step(state, program, {at}{k})"])
+        if loops and k == size - 1:
+            del lines[1:]       # the branch's state.pc is set on the way out
+        body += lines
+        if p is None:
+            continue
+        # a compiled run has run before, so each of its memory ops has a
+        # last_addr; stride_votes is never replaced, only updated
+        free[f"p{k}"] = p
+        free[f"votes{k}"] = p.stride_votes
+        names = [f"{f}{k}" if loops else f"p{k}.{f}" for f in fields]
+        lsum, l1, l2, last = names
+        body += [f"lat, level = access(a{k})",
+                 f"{lsum} += lat",
+                 "if level != 'L1':",
+                 f"    {l1} += 1",
+                 "    if level != 'L2':",
+                 f"        {l2} += 1",
+                 f"d = a{k} - {last}",
+                 f"votes{k}[d] = votes{k}.get(d, 0) + 1",
+                 f"{last} = a{k}"]
+        load += [f"{name} = p{k}.{f}" for name, f in zip(names, fields)]
+        store += [f"p{k}.{f} = {name}" for name, f in zip(names, fields)]
+    src = ["r = state.regs", "m = state.memory"]
+    if loops:
+        params = "state, seq, limit"
+        src += [*load,
+                f"for n in range(1, (limit - seq) // {size} + 1):",
+                *("    " + line for line in body),
+                f"    if not t{k}:",
+                "        break",
+                *store,
+                f"state.pc = {int(ins.target)} if t{k} else {int(ins.index) + 1}",
+                f"return n, n - 1 + t{k}"]
+    else:
+        params = "state, seq"
+        src += body
+        if ins.opcode == "BR_COND":
+            src.append(f"return t{k}")
+        elif not ins.is_control:
+            src.append(f"state.pc = {int(ins.index) + 1}")
+    return uisa.build_function(params, src, free,
                                f"<run from pc {run.body[0][0].index}>")
 
 
@@ -203,6 +241,16 @@ def profile(program: uisa.StaticProgram,
     (the engine counts a run's starts against the same ``COMPILE_AFTER``).
     Compiling costs tens of microseconds per instruction, so a cold run
     stays on ``uisa.step``, and so does the capped last run.
+
+    A run whose conditional branch goes back to its own start compiles to a
+    loop, which walks the run again while the branch is taken and the next
+    whole iteration fits before ``TRAIN_LIMIT``, with its memory ops'
+    counters in locals.  Entering such a run from another, the walk lets it
+    run one iteration, so that its writers become the last writers and its
+    live-in reads are fed from them; from then on the run is ``prev``, its
+    writer updates and feeding change nothing, and one call runs the rest of
+    the visit.  The walk adds the call's iterations to the run's count and
+    its taken branches to the branch's ``taken_count``.
     """
     program.validate()
     access = serial_walk(cache_config or CacheConfig())
@@ -240,6 +288,15 @@ def profile(program: uisa.StaticProgram,
         if fn is not None:
             taken = fn(state, seq)
             seq += len(run.body)
+            run.count += 1
+        elif run.loop is not None:
+            # the first iteration after entering the run goes alone, so that
+            # the writer bookkeeping below sees it; once the run is ``prev``,
+            # that bookkeeping does nothing, and one call runs the rest
+            n, taken = run.loop(state, seq,
+                                limit if run is prev else seq + len(run.body))
+            seq += n * len(run.body)
+            run.count += n
         else:
             for _, p in run.body:
                 eff_addr, _, taken = step(state, program, seq)
@@ -257,20 +314,26 @@ def profile(program: uisa.StaticProgram,
                         d = eff_addr - last
                         votes[d] = votes.get(d, 0) + 1
                     p.last_addr = eff_addr
-        if taken:       # the last step's: only a conditional branch sets it
-            run.branch.taken_count += 1
+            run.count += 1
+        if taken:       # only a conditional branch sets it
+            run.branch.taken_count += taken
         if run is not prev:     # a run that repeats writes what it wrote
             for r, p in run.writers:
                 if last_writer[r] is not p:
                     last_writer[r] = p
                     generation += 1
             prev = run
-        run.count += 1
         if new:
             for p, reader in run.pairs:
                 p.consumer_pcs.add(reader)
         if run.count == compile_after and runs[pc] is run:
-            run.fn = _compile_run(run, program, access)
+            fn = _compile_run(run, program, access)
+            # two slots: a plain compiled run, the walk's most frequent
+            # case, is called without first testing whether it loops
+            if run.loops:
+                run.loop = fn
+            else:
+                run.fn = fn
     for run in built:
         for ins, _ in run.body:
             profs[ins.index].exec_count += run.count
@@ -478,8 +541,8 @@ def gen_skeleton_versions(program: uisa.StaticProgram,
     v4: v0 with biased-branch conversion
     v5: control + L2 targets only
 
-    v5 is the same recipe as v1 (``ctrl | l2``), so it always closes to the
-    same mask; it is kept only so that version ids stay stable.  Strided
+    v5 is the same recipe as v1 (``ctrl | l2``), so it is v1's mask, closed
+    once; it is kept only so that version ids stay stable.  Strided
     (S-bit) instructions are excluded from every seed set except v3.  The
     profile also gives ``bias_dirs``, the majority direction of each branch
     that v4 converts.
@@ -497,13 +560,14 @@ def gen_skeleton_versions(program: uisa.StaticProgram,
                                 converted_branches=converted)
 
     v0_seeds = ctrl | l1 | l2
+    v1 = close(ctrl | l2)
     versions = [
         close(v0_seeds),
-        close(ctrl | l2),
+        v1,
         close(v0_seeds | vr),
         close(v0_seeds | set(seeds.t1_targets)),
         close(v0_seeds, converted=seeds.biased_branch_conversions),
-        close(ctrl | l2),
+        v1,
     ]
     directions = {pc: prof[pc].branch_bias >= 0.5
                   for pc in seeds.biased_branch_conversions}

@@ -123,6 +123,19 @@ def test_engine_refuses_a_bad_core_before_cycle_1():
         CoreParams().window_size = 0
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("limit", 0, "must be >= 1, got 0"),
+    ("limit", -5, "must be >= 1, got -5"),
+    ("limit", True, "must be an integer, got True"),
+    ("limit", None, "must be an integer, got None"),
+    ("max_cycles", 0, "must be >= 1, got 0"),
+])
+def test_engine_checks_limit_and_max_cycles(name, value, message):
+    prog = uisa.gen_branchy(iters=20)
+    with pytest.raises(EngineError, match=f"^{name}: {message}$"):
+        Engine(prog, **{name: value})
+
+
 CONFIG_CLASSES = (CoreParams, DlaParams, Features, LevelConfig, CacheConfig)
 
 

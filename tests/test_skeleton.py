@@ -197,13 +197,15 @@ def test_profile_matches_reference_at_train_limit(monkeypatch):
 RUN_CHASE = dict(length=50, payload=1, filler=24, rounds=2)
 
 
-CUT_LIMITS = [1, 3, 10, 37, 38, 39, 60, 700]
+# the loop body is compiled after its 16th walk, at 37 + 16 * 34: the last
+# two cut the compiled loop's visit at an iteration's end and inside one
+CUT_LIMITS = [1, 3, 10, 37, 38, 39, 60, 700, 37 + 34 * 20, 37 + 34 * 20 + 5]
 
 
 @pytest.mark.parametrize("limit", CUT_LIMITS)
 def test_profile_matches_reference_when_train_limit_cuts_a_run(monkeypatch, limit):
     # inside the first run, at its end, inside the loop body's first visit,
-    # and inside a later visit
+    # and inside later ones
     monkeypatch.setattr(skeleton, "TRAIN_LIMIT", limit)
     prog = uisa.gen_pointer_chase(**RUN_CHASE)
     _assert_profile_matches_reference(prog)
@@ -229,6 +231,97 @@ def test_profile_raises_like_reference_inside_a_run():
         skeleton.profile(prog)
     assert "negative address -8" in str(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_profile_raises_like_reference_inside_a_compiled_loop():
+    # the 27th LOAD reads address -16, in an iteration of the loop body
+    # after it was compiled (at the default COMPILE_AFTER)
+    prog = uisa.parse_program("""
+        ADDI r1, r0, 400
+        ADDI r2, r0, 100
+    loop:
+        ADDI r3, r3, 1
+        LOAD r4, 0(r1)
+        ADDI r1, r1, -16
+        ADDI r2, r2, -1
+        BNEZ r2, loop
+        HALT
+    """)
+    with pytest.raises(uisa.ExecError) as want:
+        reference_profile(prog)
+    with pytest.raises(uisa.ExecError) as got:
+        skeleton.profile(prog)
+    assert str(want.value) == "seq 133: load from negative address -16"
+    assert str(got.value) == str(want.value)
+
+
+# The inner loop (its run is pcs 5-8) runs once per outer iteration i up to
+# i = 17, so its 16 walks before it is compiled never repeat it; from i = 18
+# on it runs i - 16 times.  Its registers' producers inside the loop (pc 6
+# feeding pcs 5 and 6 of the next iteration) are first seen by a compiled
+# visit.
+NESTED = """
+        ADDI r20, r0, 0
+    outer:
+        ADDI r20, r20, 1
+        ADDI r2, r20, -17
+        ADDI r1, r0, 0
+        JMP inner
+    inner:
+        ADD  r3, r3, r1
+        ADDI r1, r1, 1
+        ADDI r2, r2, -1
+        BGE  r2, r0, inner
+        ADDI r4, r20, -20
+        BNEZ r4, outer
+        HALT
+"""
+
+
+def _count_loop_calls(monkeypatch):
+    """Wrap each function ``_compile_run`` makes for a run that loops; list
+    (start pc, returned (iterations, taken branches)) per call."""
+    calls = []
+    real = skeleton._compile_run
+
+    def counted_compile(run, program, access):
+        fn = real(run, program, access)
+        if not run.loops:
+            return fn
+        start = run.body[0][0].index
+
+        def counted(state, seq, limit):
+            out = fn(state, seq, limit)
+            calls.append((start, out))
+            return out
+        return counted
+
+    monkeypatch.setattr(skeleton, "_compile_run", counted_compile)
+    return calls
+
+
+def test_profile_walks_a_compiled_loop_visit_in_one_call(monkeypatch):
+    # RUN_CHASE's loop body is compiled after its 16th walk, in its one
+    # visit: the other 99 - 16 iterations are one call
+    calls = _count_loop_calls(monkeypatch)
+    prof = skeleton.profile(uisa.gen_pointer_chase(**RUN_CHASE))
+    assert calls == [(3, (99 - skeleton.COMPILE_AFTER,
+                          99 - skeleton.COMPILE_AFTER - 1))]
+    assert prof[3].exec_count == 1 + 99
+
+
+def test_profile_feeds_a_compiled_loop_after_its_first_iteration(monkeypatch):
+    """A compiled loop entered from outside walks its first iteration alone,
+    so that the walk feeds the loop's own producers to the second; then one
+    call walks the rest of the visit."""
+    calls = _count_loop_calls(monkeypatch)
+    prog = uisa.parse_program(NESTED)
+    prof = skeleton.profile(prog)
+    # i = 17 (one iteration), then i = 18, 19, 20 (2, 3, 4 iterations)
+    assert calls == [(5, (1, 0)), (5, (1, 1)), (5, (1, 0)), (5, (1, 1)),
+                     (5, (2, 1)), (5, (1, 1)), (5, (3, 2))]
+    assert prof[6].consumer_pcs == {5, 6}
+    _assert_profile_matches_reference(prog)
 
 
 @pytest.mark.parametrize("prog,starts", [
@@ -260,6 +353,8 @@ def test_profile_matches_reference_at_any_compile_threshold(monkeypatch,
         test_profile_matches_reference_on_generators(kind, params)
     test_profile_matches_reference_on_random_programs()
     test_profile_raises_like_reference_inside_a_run()
+    test_profile_raises_like_reference_inside_a_compiled_loop()
+    _assert_profile_matches_reference(uisa.parse_program(NESTED))
     test_profile_matches_reference_at_train_limit(monkeypatch)
     for limit in CUT_LIMITS:
         test_profile_matches_reference_when_train_limit_cuts_a_run(monkeypatch,
@@ -398,17 +493,22 @@ def fake_access(log):
 
 
 @settings(max_examples=300, deadline=None)
-@given(straight_runs(), st.integers(0, 10**6))
-def test_compiled_run_matches_stepping(case, seq):
+@given(straight_runs(), st.integers(0, 10**6), st.integers(1, 3))
+def test_compiled_run_matches_stepping(case, seq, iterations):
     """A compiled run leaves the same registers, memory, pc and call stack
     as ``uisa.step`` on each of its instructions, returns the same branch
     direction, makes the same accesses, updates each memory op's
     ``PcProfile`` as ``profile``'s stepping loop does, and faults with the
-    interpreter's error at the same instruction."""
+    interpreter's error at the same instruction.  A run whose branch goes
+    back to its own start (pc 0) is compiled to a loop; given room for
+    ``iterations`` walks of the run, it walks it again while the branch is
+    taken and returns the iterations and the taken branches."""
     prog, start = case
     profs = [skeleton.PcProfile(last_addr=0) for _ in prog.instrs]
     run, whole = skeleton._straight_run(prog.instrs, profs, 0, len(prog.instrs))
     assert whole and len(run.body) == len(prog.instrs) - 1
+    last = run.body[-1][0]
+    assert run.loops == (last.opcode == "BR_COND" and last.target == 0)
     got_log = []
     fn = skeleton._compile_run(run, prog, fake_access(got_log))
     assert fn is not None
@@ -417,33 +517,49 @@ def test_compiled_run_matches_stepping(case, seq):
     want_log = []
     want_profs = {}
     want_taken = want_error = None
+    want_walks = want_taken_walks = 0
     try:
-        for k, (ins, p) in enumerate(run.body):
-            addr, _, want_taken = uisa.step(want, prog, seq + k)
-            if p is not None:
-                want_log.append(addr)
-                lat, level = addr % 7, LEVELS[addr % 4]
-                w = want_profs.setdefault(ins.index, skeleton.PcProfile(last_addr=0))
-                w.latency_sum += lat
-                w.l1_misses += level != "L1"
-                w.l2_misses += level in ("L3", "DRAM")
-                d = addr - w.last_addr
-                w.stride_votes[d] = w.stride_votes.get(d, 0) + 1
-                w.last_addr = addr
+        while True:
+            for k, (ins, p) in enumerate(run.body):
+                addr, _, want_taken = uisa.step(
+                    want, prog, seq + want_walks * len(run.body) + k)
+                if p is not None:
+                    want_log.append(addr)
+                    lat, level = addr % 7, LEVELS[addr % 4]
+                    w = want_profs.setdefault(ins.index,
+                                              skeleton.PcProfile(last_addr=0))
+                    w.latency_sum += lat
+                    w.l1_misses += level != "L1"
+                    w.l2_misses += level in ("L3", "DRAM")
+                    d = addr - w.last_addr
+                    w.stride_votes[d] = w.stride_votes.get(d, 0) + 1
+                    w.last_addr = addr
+            want_walks += 1
+            want_taken_walks += bool(want_taken)
+            if not (run.loops and want_taken and want_walks < iterations):
+                break
     except uisa.ExecError as e:
         want_error = str(e)
 
     got = start.clone()
     got_taken = got_error = None
     try:
-        got_taken = fn(got, seq)
+        if run.loops:
+            got_taken = fn(got, seq, seq + iterations * len(run.body))
+        else:
+            got_taken = fn(got, seq)
     except uisa.ExecError as e:
         got_error = str(e)
     assert got_error == want_error
     assert got == want
-    if want_error is None:
-        assert got_taken is want_taken
     assert got_log == want_log
+    if want_error is None:
+        if run.loops:
+            assert got_taken == (want_walks, want_taken_walks)
+        else:
+            assert got_taken is want_taken
+    elif run.loops:
+        return      # a loop's fault ends the profile before it writes back
     for pc, p in enumerate(profs):
         assert asdict(p) == asdict(want_profs.get(pc, skeleton.PcProfile(last_addr=0)))
 
@@ -497,6 +613,12 @@ def test_version_recipes_relationships():
     assert v[1].bits <= v[0].bits            # dropping L1 targets shrinks
     assert v[0].bits <= v[2].bits            # adding reuse targets grows
     assert v[0].bits <= v[3].bits            # adding strided targets grows
+
+
+@pytest.mark.parametrize("kind,params", GENERATOR_CASES)
+def test_v5_is_v1_closed_once(kind, params):
+    skel = skeleton.build(uisa.gen_workload(kind, params, seed=3))
+    assert skel.versions[5] is skel.versions[1]
 
 
 def test_s_bits_excluded_except_v3():
