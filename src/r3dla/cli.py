@@ -129,10 +129,9 @@ def validate_config(cfg: dict) -> dict:
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
         _fail("engine", f"expected 'baseline' or 'dla', got {eng!r}")
-    for key in ("limit", "max_cycles"):
-        if key in cfg:
-            check_int(key, cfg[key], 1, ConfigError)
     try:
+        engine.check_limits(**{key: cfg[key] for key in ("limit", "max_cycles")
+                               if key in cfg})
         engine.check_version("version", cfg.get("version", 0))
         engine.check_mode(cfg.get("mode", "normal"), eng == "dla")
     except engine.EngineError as e:

@@ -118,6 +118,12 @@ def check_version(name: str, version) -> None:
                           f"0..{NUM_VERSIONS - 1}, got {version!r}")
 
 
+def check_limits(**limits) -> None:
+    """Refuse a run ``limit`` or ``max_cycles`` that is not an int >= 1."""
+    for name, value in limits.items():
+        check_int(name, value, 1, EngineError)
+
+
 def check_mode(mode, dla: bool) -> None:
     """Refuse a mode not in ``MODES``, and an idealized one for a DLA run."""
     if mode not in MODES:
@@ -864,8 +870,7 @@ class Engine:
         program.validate()
         check_version("version", version)
         check_mode(mode, skel is not None)
-        check_int("limit", limit, 1, EngineError)
-        check_int("max_cycles", max_cycles, 1, EngineError)
+        check_limits(limit=limit, max_cycles=max_cycles)
         self.program = program
         self.params = params or CoreParams()
         self.dla = dla or DlaParams()

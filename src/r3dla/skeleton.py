@@ -78,23 +78,21 @@ class _Run:
     producer comes before the run; ``pairs`` holds (producer ``PcProfile``,
     reader pc) for the reads fed inside it; ``writers`` holds (register,
     ``PcProfile``) for the run's last writer of each register.  ``branch`` is
-    the ``PcProfile`` of a conditional branch that ends the run, and
-    ``loops`` says whether that branch targets the run's own start.  Once
-    the run is hot, ``_compile_run`` compiles it into ``loop`` if it loops,
-    else into ``fn``; ``fed`` is the walk's writer generation when the run
-    last fed its live-in reads.
+    the ``PcProfile`` of a conditional branch that ends the run.  Once the
+    run is hot, ``_compile_run`` compiles it into ``loop`` if that branch
+    targets the run's own start (``_loops``), else into ``fn``; ``fed`` is
+    the walk's writer generation when the run last fed its live-in reads.
     """
 
-    __slots__ = ("body", "live_in", "pairs", "writers", "branch", "loops",
+    __slots__ = ("body", "live_in", "pairs", "writers", "branch",
                  "count", "fn", "loop", "fed")
 
-    def __init__(self, body, live_in, pairs, writers, branch, loops):
+    def __init__(self, body, live_in, pairs, writers, branch):
         self.body = body
         self.live_in = live_in
         self.pairs = pairs
         self.writers = writers
         self.branch = branch
-        self.loops = loops
         self.count = 0          # executions
         self.fn = None
         self.loop = None
@@ -128,8 +126,13 @@ def _straight_run(instrs: list[uisa.StaticInstr], profs: list[PcProfile],
     return _Run([(ins, profs[ins.index] if ins.is_mem else None)
                  for ins in body], tuple(live_in),
                 tuple((profs[w], reader) for w, reader in pairs),
-                tuple((r, profs[w]) for r, w in writers.items()), branch,
-                branch is not None and last.target == start), whole
+                tuple((r, profs[w]) for r, w in writers.items()), branch), whole
+
+
+def _loops(run: _Run) -> bool:
+    """Whether ``run`` ends in a conditional branch back to its own start."""
+    return (run.branch is not None
+            and run.body[-1][0].target == run.body[0][0].index)
 
 
 def _compile_run(run: _Run, program: uisa.StaticProgram, access):
@@ -142,15 +145,15 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     faults sets ``state.pc`` to itself and calls ``uisa.step`` at its own
     ``seq``, which raises the interpreter's error.
 
-    A run that ``loops`` compiles to a loop instead, called as
+    A run that ``_loops`` compiles to a loop instead, called as
     ``fn(state, seq, limit)``: it walks the run again while its branch is
     taken and the next whole iteration ends at or before ``limit``, and
     returns ``(iterations, taken branches)``.  It holds each memory op's
-    counters and ``last_addr`` in locals and writes them back when it
-    leaves; a fault leaves through the interpreter's error, which ends the
-    profile, so it writes nothing back.
+    ``latency_sum``, miss counters and ``last_addr`` in locals and writes
+    them back however it leaves, a fault included, so each ``PcProfile``
+    holds every access made before the fault, as the plain form's do.
     """
-    loops = run.loops
+    loops = _loops(run)
     size = len(run.body)
     at = f"seq + (n - 1) * {size} + " if loops else "seq + "
     fields = ("latency_sum", "l1_misses", "l2_misses", "last_addr")
@@ -186,11 +189,13 @@ def _compile_run(run: _Run, program: uisa.StaticProgram, access):
     if loops:
         params = "state, seq, limit"
         src += [*load,
-                f"for n in range(1, (limit - seq) // {size} + 1):",
-                *("    " + line for line in body),
-                f"    if not t{k}:",
-                "        break",
-                *store,
+                "try:",
+                f"    for n in range(1, (limit - seq) // {size} + 1):",
+                *("        " + line for line in body),
+                f"        if not t{k}:",
+                "            break",
+                "finally:",
+                *("    " + line for line in store or ["pass"]),
                 f"state.pc = {int(ins.target)} if t{k} else {int(ins.index) + 1}",
                 f"return n, n - 1 + t{k}"]
     else:
@@ -245,7 +250,7 @@ def profile(program: uisa.StaticProgram,
     A run whose conditional branch goes back to its own start compiles to a
     loop, which walks the run again while the branch is taken and the next
     whole iteration fits before ``TRAIN_LIMIT``, with its memory ops'
-    counters in locals.  Entering such a run from another, the walk lets it
+    counters in locals, written back when it returns or faults.  Entering such a run from another, the walk lets it
     run one iteration, so that its writers become the last writers and its
     live-in reads are fed from them; from then on the run is ``prev``, its
     writer updates and feeding change nothing, and one call runs the rest of
@@ -330,7 +335,7 @@ def profile(program: uisa.StaticProgram,
             fn = _compile_run(run, program, access)
             # two slots: a plain compiled run, the walk's most frequent
             # case, is called without first testing whether it loops
-            if run.loops:
+            if _loops(run):
                 run.loop = fn
             else:
                 run.fn = fn

@@ -6,7 +6,7 @@ import random
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from r3dla import uisa, skeleton, memsys
 
@@ -286,7 +286,7 @@ def _count_loop_calls(monkeypatch):
 
     def counted_compile(run, program, access):
         fn = real(run, program, access)
-        if not run.loops:
+        if not skeleton._loops(run):
             return fn
         start = run.body[0][0].index
 
@@ -492,23 +492,39 @@ def fake_access(log):
     return access
 
 
+def _loop_that_faults():
+    """A run that loops: its LOAD reads address 8, then -8 on the second
+    iteration, which faults after the first iteration's access."""
+    body = [uisa.StaticInstr(0, "LOAD", dst=1, mem_base=2, mem_offset=0),
+            uisa.StaticInstr(1, "ALUI", "add", dst=2, srcs=(2,), imm=-16),
+            uisa.StaticInstr(2, "BR_COND", "nez", srcs=(3,), target=0),
+            uisa.StaticInstr(3, "HALT")]
+    regs = [0] * uisa.NUM_REGS
+    regs[2], regs[3] = 8, 1
+    return uisa.StaticProgram(body), uisa.ArchState(regs=regs, pc=0, memory={},
+                                                     call_stack=[])
+
+
 @settings(max_examples=300, deadline=None)
 @given(straight_runs(), st.integers(0, 10**6), st.integers(1, 3))
+@example(_loop_that_faults(), 0, 3)
 def test_compiled_run_matches_stepping(case, seq, iterations):
     """A compiled run leaves the same registers, memory, pc and call stack
     as ``uisa.step`` on each of its instructions, returns the same branch
     direction, makes the same accesses, updates each memory op's
     ``PcProfile`` as ``profile``'s stepping loop does, and faults with the
-    interpreter's error at the same instruction.  A run whose branch goes
-    back to its own start (pc 0) is compiled to a loop; given room for
-    ``iterations`` walks of the run, it walks it again while the branch is
-    taken and returns the iterations and the taken branches."""
+    interpreter's error at the same instruction, each access before the
+    fault counted.  A run whose branch goes back to its own start (pc 0) is
+    compiled to a loop; given room for ``iterations`` walks of the run, it
+    walks it again while the branch is taken and returns the iterations and
+    the taken branches."""
     prog, start = case
     profs = [skeleton.PcProfile(last_addr=0) for _ in prog.instrs]
     run, whole = skeleton._straight_run(prog.instrs, profs, 0, len(prog.instrs))
     assert whole and len(run.body) == len(prog.instrs) - 1
     last = run.body[-1][0]
-    assert run.loops == (last.opcode == "BR_COND" and last.target == 0)
+    loops = last.opcode == "BR_COND" and last.target == 0
+    assert skeleton._loops(run) == loops
     got_log = []
     fn = skeleton._compile_run(run, prog, fake_access(got_log))
     assert fn is not None
@@ -536,7 +552,7 @@ def test_compiled_run_matches_stepping(case, seq, iterations):
                     w.last_addr = addr
             want_walks += 1
             want_taken_walks += bool(want_taken)
-            if not (run.loops and want_taken and want_walks < iterations):
+            if not (loops and want_taken and want_walks < iterations):
                 break
     except uisa.ExecError as e:
         want_error = str(e)
@@ -544,7 +560,7 @@ def test_compiled_run_matches_stepping(case, seq, iterations):
     got = start.clone()
     got_taken = got_error = None
     try:
-        if run.loops:
+        if loops:
             got_taken = fn(got, seq, seq + iterations * len(run.body))
         else:
             got_taken = fn(got, seq)
@@ -554,12 +570,10 @@ def test_compiled_run_matches_stepping(case, seq, iterations):
     assert got == want
     assert got_log == want_log
     if want_error is None:
-        if run.loops:
+        if loops:
             assert got_taken == (want_walks, want_taken_walks)
         else:
             assert got_taken is want_taken
-    elif run.loops:
-        return      # a loop's fault ends the profile before it writes back
     for pc, p in enumerate(profs):
         assert asdict(p) == asdict(want_profs.get(pc, skeleton.PcProfile(last_addr=0)))
 
