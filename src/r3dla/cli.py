@@ -69,7 +69,8 @@ def load_config(path: str) -> dict:
 TOP_KEYS = {"workload", "core", "cache", "engine", "dla", "features",
             "skeleton", "version", "limit", "max_cycles", "mode", "seed",
             "name"}
-WORKLOAD_KEYS = {"kind", "params", "program_file", "seed"}
+WORKLOAD_KEYS = {"kind", "params", "program_file"}
+SEED_HINT = 'give the seed as the config\'s "seed" (R3DLA_SEED overrides it)'
 # the config blocks that a dataclass checks field by field
 SECTIONS = {"core": CoreParams, "dla": DlaParams, "features": Features,
             "cache": CacheConfig}
@@ -98,11 +99,11 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(cfg, "", TOP_KEYS)
     if "name" in cfg:
         _expect(cfg["name"], "name", str)
+    check_int("seed", cfg.get("seed", 0), error=ConfigError)
     wl = _expect(cfg.get("workload"), "workload")
+    if "seed" in wl:
+        _fail("workload.seed", SEED_HINT)
     _check_keys(wl, "workload", WORKLOAD_KEYS)
-    for path, d in (("seed", cfg), ("workload.seed", wl)):
-        if "seed" in d:
-            check_int(path, d["seed"], error=ConfigError)
     if "program_file" in wl:
         path = _expect(wl["program_file"], "workload.program_file", str)
         if not os.path.exists(path):
@@ -116,16 +117,11 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(params, "workload.params",
                     inspect.signature(uisa._GENERATORS[kind]).parameters)
         if "seed" in params:
-            _fail("workload.params.seed", 'give the seed as the config\'s "seed" '
-                                          "(R3DLA_SEED overrides it)")
+            _fail("workload.params.seed", SEED_HINT)
         for name, v in params.items():      # every generator param is an int
             check_int(f"workload.params.{name}", v, error=ConfigError)
     for name in SECTIONS:
         section(cfg, name)
-    # CacheConfig takes mshr=0, a cache that tracks no fills (the tests'
-    # serial reference profile); a run needs at least one miss-status register
-    if "mshr" in cfg.get("cache", {}):
-        check_int("cache.mshr", cfg["cache"]["mshr"], 1, ConfigError)
     eng = cfg.get("engine", "baseline")
     if eng not in ("baseline", "dla"):
         _fail("engine", f"expected 'baseline' or 'dla', got {eng!r}")
@@ -154,8 +150,7 @@ def config_hash(cfg: dict) -> str:
 def workload_seed(cfg: dict) -> int | None:
     """The seed a generated workload is built with (``R3DLA_SEED`` wins);
     None for a program file."""
-    wl = cfg["workload"]
-    if "program_file" in wl:
+    if "program_file" in cfg["workload"]:
         return None
     env_seed = os.environ.get("R3DLA_SEED")
     if env_seed is not None:
@@ -163,7 +158,7 @@ def workload_seed(cfg: dict) -> int | None:
             return int(env_seed)
         except ValueError:
             _fail("R3DLA_SEED", f"not an integer: {env_seed!r}")
-    return cfg.get("seed", wl.get("seed", 0))
+    return cfg.get("seed", 0)
 
 
 def build_workload(cfg: dict) -> uisa.StaticProgram:
@@ -298,8 +293,10 @@ def cmd_compare(args) -> int:
 def _set_path(cfg: dict, dotted: str, value):
     keys = dotted.split(".")
     d = cfg
-    for k in keys[:-1]:
+    for i, k in enumerate(keys[:-1], 1):
         d = d.setdefault(k, {})
+        if not isinstance(d, dict):
+            _fail("--param", f"{'.'.join(keys[:i])} is not an object")
     d[keys[-1]] = value
 
 
@@ -369,9 +366,11 @@ def cmd_skel_build(args) -> int:
 
 
 def _load_pair(path: str) -> tuple[fetchq.Distribution, fetchq.Distribution]:
-    with open(path) as f:
-        doc = json.load(f)
-    return fetchq.harvest_distributions(doc)
+    try:
+        with open(path) as f:
+            return fetchq.harvest_distributions(_expect(json.load(f), "--pair"))
+    except (OSError, ValueError, fetchq.ModelError) as e:
+        raise ConfigError(f"--pair: {path}: {e}") from None
 
 
 def cmd_fetchq_analyze(args) -> int:

@@ -613,7 +613,8 @@ class _Core:
         self.fetch_idx = 0
         self.fetch_blocked_until = 0
         self.wait_resolution: int | None = None
-        self.pending_flags: dict[int, str] = {}
+        # MT branches that the BOQ mispredicted and have not yet dispatched
+        self.boq_mispredicted: set[int] = set()
         self.reg_ready = [0] * uisa.NUM_REGS
         self.committed = 0
         self.branches = 0
@@ -724,8 +725,8 @@ class _Core:
             if idx == self.wait_resolution:
                 self.fetch_blocked_until = complete + p.mispredict_penalty
                 self.wait_resolution = None
-                flag = self.pending_flags.pop(idx, None)
-                if flag == "boq":
+                if idx in self.boq_mispredicted:
+                    self.boq_mispredicted.remove(idx)
                     eng.schedule_reboot(complete, "boq_mispredict")
             window.append((complete, now, rec))
             if not squashed:
@@ -747,7 +748,6 @@ class _Core:
             if idx == self.wait_resolution:
                 self.fetch_blocked_until = now + 1 + self.p.mispredict_penalty
                 self.wait_resolution = None
-                self.pending_flags.pop(idx, None)
             self.committed += 1
             recs.popleft()
         self.last_dispatched = n
@@ -798,10 +798,10 @@ class _Core:
                         if entry.pc != ins.index or entry.taken != taken:
                             self.mispredicts += 1
                             eng.stats.boq_mispredicts += 1
-                            self.pending_flags[idx] = "boq"
+                            self.boq_mispredicted.add(idx)
                             self.wait_resolution = idx
                             stop = True
-                    elif idx in self.pending_flags:
+                    elif idx in self.boq_mispredicted:
                         self.wait_resolution = idx
                         stop = True
                 elif self.is_lt and ins.index in self.stream.converted:
@@ -815,8 +815,6 @@ class _Core:
                         predictor[pc] = c - 1 if c > 0 else 0
                     if (c >= 2) != taken:
                         self.mispredicts += 1
-                        if idx not in self.pending_flags:
-                            self.pending_flags[idx] = "pred"
                         self.wait_resolution = idx
                         stop = True
                 redirect = taken and not stop
@@ -915,10 +913,10 @@ class Engine:
             self.vru = ValueReuseUnit()
             self.t1 = T1Table()
             self.lat_est = LatencyEstimator(default=float(self.mem.cfg.cold_latency()))
-            self.recycler = RecycleController(
-                mode=self.features.recycle,
-                static_map=self.features.static_versions)
-            self.fn_counts = {"prefetch": 0, "reuse": 0}
+            self.recycler = (None if self.features.recycle == "off" else
+                             RecycleController(self.features.recycle,
+                                               self.features.static_versions))
+            self.prefetch_footnotes = 0
             self.boq_occ = [0] * (self.dla.boq_capacity + 1)
         self.fb_occ = [0] * (self.mt.fb_cap + 1)
 
@@ -946,7 +944,6 @@ class Engine:
             if self.boq:
                 self.fq.append(("reuse", ins.index, ins.dst, rec[2], rec[4]))
                 self.boq[-1].fq_count += 1
-                self.fn_counts["reuse"] += 1
                 self.vru.counters.emitted += 1
             else:
                 self.stats.fq_drops += 1
@@ -957,7 +954,7 @@ class Engine:
         if self.boq and len(self.fq) < self.dla.fq_capacity:
             self.fq.append(("prefetch", addr))
             self.boq[-1].fq_count += 1
-            self.fn_counts["prefetch"] += 1
+            self.prefetch_footnotes += 1
         else:
             self.stats.fq_drops += 1
 
@@ -1073,9 +1070,9 @@ class Engine:
             if kind == "exit":
                 if self.features.t1:
                     self.t1.loop_end(loop_pc)
-                if self.features.recycle == "dynamic":
+                if self.recycler is not None:
                     self.recycler.on_exit(loop_pc)
-            elif self.features.recycle in ("dynamic", "static"):
+            elif self.recycler is not None:
                 if kind == "enter":
                     want = self.recycler.on_enter(loop_pc, now, core.committed)
                 else:
@@ -1115,7 +1112,6 @@ class Engine:
         lt.fetch_buffer.clear()
         lt.fetch_idx = 0
         lt.wait_resolution = None
-        lt.pending_flags.clear()
         lt.reg_ready = [0] * uisa.NUM_REGS
         lt.fetch_blocked_until = now + self.dla.reboot_cycles
         self.boq.clear()
@@ -1287,14 +1283,17 @@ class Engine:
         if self.dla_on:
             st.lt_committed = self.lt.committed
             st.lt_walked = self.lt_stream.walked
-            st.footnotes = dict(self.fn_counts)
+            st.footnotes = {"prefetch": self.prefetch_footnotes,
+                            "reuse": self.vru.counters.emitted}
             st.vreuse = self.vru.counters.to_dict()
             st.t1 = self.t1.stats()
             st.boq_occupancy = self.boq_occ
+            rec = self.recycler
             st.recycle = {
-                "chosen": self.recycler.chosen_versions(),
+                "chosen": rec.chosen_versions() if rec else {},
                 "measurements": [(m.loop_pc, m.version, round(m.ipc, 4),
-                                  m.instructions) for m in self.recycler.measurements],
+                                  m.instructions)
+                                 for m in (rec.measurements if rec else ())],
                 "final_version": self.version,
             }
         st.config = {

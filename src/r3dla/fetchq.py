@@ -11,7 +11,8 @@ by the condition that the occupancies sum to 1.  A chain with several
 closed classes has no unique steady state and gets the minimum-norm one.
 Expected fetch bubbles per cycle follow directly from the steady state and D.
 
-A Monte Carlo simulation of the same queue serves as the independent check.
+The tests check the solve against a power iteration and a Monte Carlo
+simulation of the same queue, both in ``tests/fetchq_oracle.py``.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ class Distribution:
 
     def to_map(self) -> dict[int, float]:
         return {self.lo + i: p for i, p in enumerate(self.probs)}
-
-    def prob(self, k: int) -> float:
-        i = k - self.lo
-        return self.probs[i] if 0 <= i < len(self.probs) else 0.0
-
-    def mean(self) -> float:
-        return float(sum((self.lo + i) * p for i, p in enumerate(self.probs)))
 
 
 def convolve(demand: Distribution, supply: Distribution) -> Distribution:
@@ -139,65 +133,18 @@ def expected_bubbles(q: np.ndarray, demand: Distribution) -> float:
 
 @dataclass
 class QueueModel:
-    capacity: int
     demand: Distribution
-    supply: Distribution
-    change: Distribution
     transition: np.ndarray
     q_ss: np.ndarray
 
     @classmethod
     def solve(cls, demand: Distribution, supply: Distribution,
               capacity: int) -> "QueueModel":
-        change = convolve(demand, supply)
-        p = build_transition(change, capacity)
-        return cls(capacity=capacity, demand=demand, supply=supply,
-                   change=change, transition=p, q_ss=steady_state(p))
+        p = build_transition(convolve(demand, supply), capacity)
+        return cls(demand=demand, transition=p, q_ss=steady_state(p))
 
     def bubbles(self) -> float:
         return expected_bubbles(self.q_ss, self.demand)
-
-
-def monte_carlo(demand: Distribution, supply: Distribution, capacity: int,
-                steps: int, seed: int = 0,
-                q0: int = 0) -> tuple[Distribution, float]:
-    """Simulate the queue; returns (occupancy distribution, bubbles/cycle).
-
-    Each step: draw supply s and demand d, serve min(d, q), count unserved
-    demand as bubbles, then fill, truncating at capacity.  Serve-then-fill
-    matches the engine's fetch-buffer ordering.
-    """
-    if steps < 1:
-        raise ModelError("steps must be >= 1")
-    if not 0 <= q0 <= capacity:
-        raise ModelError(f"q0 must be in 0..{capacity}, got {q0}")
-    rng = np.random.default_rng(seed)
-    d_draw = rng.choice(np.arange(demand.lo, demand.hi + 1), size=steps,
-                        p=np.asarray(demand.probs) / sum(demand.probs))
-    s_draw = rng.choice(np.arange(supply.lo, supply.hi + 1), size=steps,
-                        p=np.asarray(supply.probs) / sum(supply.probs))
-    occ = np.zeros(capacity + 1, dtype=np.int64)
-    q = q0
-    bubbles = 0
-    dl = d_draw.tolist()
-    sl = s_draw.tolist()
-    for d, s in zip(dl, sl):
-        occ[q] += 1
-        served = d if d < q else q
-        bubbles += d - served
-        q = q - served + s
-        if q > capacity:
-            q = capacity
-    return Distribution(0, tuple(occ / steps)), bubbles / steps
-
-
-def l1_distance(a, b) -> float:
-    av = np.asarray(a.probs if isinstance(a, Distribution) else a, dtype=float)
-    bv = np.asarray(b.probs if isinstance(b, Distribution) else b, dtype=float)
-    n = max(len(av), len(bv))
-    av = np.pad(av, (0, n - len(av)))
-    bv = np.pad(bv, (0, n - len(bv)))
-    return float(np.abs(av - bv).sum())
 
 
 def harvest_distributions(report: dict) -> tuple[Distribution, Distribution]:

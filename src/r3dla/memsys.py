@@ -20,9 +20,9 @@ the demand hit that counts it useful, as before.  The default hierarchy has
 
 ``serial_walk`` is the main thread's demand path alone, for a caller that
 makes one access at a time and waits out each fill (the skeleton profile):
-the same L1/L2/L3 sets and LRU order as ``MemorySystem`` with ``mshr=0``,
-and no in-flight table, prefetch marks or counters, which such a walk
-never changes or reads.
+the same L1/L2/L3 sets and LRU order as ``MemorySystem``, and no in-flight
+table (such a walk finds each fill complete), prefetch marks or counters,
+which it never changes or reads.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class CacheConfig:
     l2: LevelConfig = LevelConfig(256 * 1024, 8, 64, 9)
     l3: LevelConfig = LevelConfig(2 * 1024 * 1024, 16, 64, 36)
     dram_latency: int = 200
-    mshr: int = 32          # miss-status registers; 0 tracks no fills at all
+    mshr: int = 32          # miss-status registers
 
     def __post_init__(self):
         for name in LEVELS:
@@ -95,7 +95,7 @@ class CacheConfig:
                 raise MemError(f"{name}.line: line sizes must match across "
                                f"levels, l1.line is {self.l1.line}")
         check_int("dram_latency", self.dram_latency, 0)
-        check_int("mshr", self.mshr, 0)
+        check_int("mshr", self.mshr, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CacheConfig":
@@ -323,11 +323,11 @@ def serial_walk(cfg: CacheConfig) -> Callable[[int], tuple[int, str]]:
     """The main thread's demand accesses, one at a time, for a serial walk.
 
     Returns ``access(addr) -> (latency, hit_level)``, which gives what
-    ``MemorySystem(replace(cfg, mshr=0)).access(addr, kind, MT, now)`` gives
-    for a load or a store at any ``now``: with no miss-status register, no
-    fill is ever in flight, and with no prefetch no line is ever marked.
-    It keeps only the MT's L1, L2 and L3 sets, in the same LRU order, and no
-    counters.  ``cfg.mshr`` is not read.
+    ``MemorySystem(cfg).access(addr, kind, MT, now)`` gives for a load or a
+    store made once the previous access's fill is ready: each earlier fill
+    is then complete, so none merges, and with no prefetch no line is ever
+    marked.  It keeps only the MT's L1, L2 and L3 sets, in the same LRU
+    order, and no counters.  ``cfg.mshr`` is not read.
     """
     line = cfg.l1.line
     # each level's sets, its set-index mask (n_sets is a power of two) and ways

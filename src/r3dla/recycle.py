@@ -17,10 +17,10 @@ from .skeleton import NUM_VERSIONS
 
 UNIT_INSTRUCTIONS = 10_000
 LCT_CAPACITY = 16
-MODES = ("off", "static", "dynamic")
+MODES = ("off", "static", "dynamic")     # "off" runs no controller
 
 
-def check_mode(mode, error=ValueError) -> None:
+def check_mode(mode, error) -> None:
     """Refuse a recycle mode that is not one of ``MODES``."""
     if mode not in MODES:
         raise error(f"recycle: must be one of {MODES}, got {mode!r}")
@@ -132,15 +132,18 @@ class Measurement:
 class RecycleController:
     """Decides which skeleton version should be active.
 
-    Modes: "off" (``on_enter`` answers version 0), "static" (fixed per-loop
-    map, version 0 elsewhere, no measurement), "dynamic" (cycle-and-select).
+    Modes: "static" (fixed per-loop map, version 0 elsewhere, no
+    measurement) and "dynamic" (cycle-and-select).  With recycle "off" the
+    engine builds no controller and keeps the version it started with.
     The engine asks ``on_enter``/``on_progress`` when the loop context
     changes and performs the actual swap (which costs a reboot).
     """
 
     def __init__(self, mode: str = "dynamic",
                  static_map: dict[int, int] | None = None):
-        check_mode(mode)
+        if mode not in MODES[1:]:
+            raise ValueError(f"recycle: a controller runs in one of "
+                             f"{MODES[1:]}, got {mode!r}")
         self.mode = mode
         self.static_map = dict(static_map or {})
         self.lct = LoopConfigTable()
@@ -150,8 +153,6 @@ class RecycleController:
     # -- loop lifecycle ------------------------------------------------------
 
     def on_enter(self, loop_pc: int, cycle: int, committed: int) -> int:
-        if self.mode == "off":
-            return 0
         if self.mode == "static":
             return self.static_map.get(loop_pc, 0)
         cached = self.lct.get(loop_pc)
@@ -167,9 +168,8 @@ class RecycleController:
         return st.measuring
 
     def on_progress(self, loop_pc: int, cycle: int, committed: int) -> int | None:
-        """Called while a loop is active; returns a new version on unit close."""
-        if self.mode != "dynamic":
-            return None
+        """Called while a loop is active; returns a new version on unit close.
+        A static controller measures nothing, so it has no state to close."""
         st = self.state.get(loop_pc)
         if st is None or st.measuring is None or st.chosen is not None:
             return None

@@ -217,12 +217,12 @@ def profile(program: uisa.StaticProgram,
 
     The walk is serial: every fill is complete before the next access starts.
     Its cache is ``memsys.serial_walk``: the main thread's demand path of
-    ``MemorySystem`` with no outstanding fills tracked (``mshr=0``), and no
-    prefetch marks or counters, which a serial walk never reads.  With no
-    fill tracked, an access's result does not depend on when it is made, nor
-    on whether it is a load or a store, so the walk keeps no clock and
-    passes only the address.  A non-memory instruction's latency is fixed by
-    its opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
+    ``MemorySystem`` with no in-flight table, prefetch marks or counters,
+    which a serial walk never reads.  With every fill complete, an access
+    merges with none, so its result does not depend on when it is made, nor
+    on whether it is a load or a store: the walk keeps no clock and passes
+    only the address.  A non-memory instruction's latency is fixed by its
+    opcode (``EXEC_LATENCY``), so its ``latency_sum`` is set from its
     ``exec_count`` after the walk; a memory instruction's is summed from the
     cache model's latencies.  Only pcs that ran are in the result.
 

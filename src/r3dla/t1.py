@@ -3,11 +3,11 @@
 T1 lives in the main thread's core and is deliberately dumb: skeleton
 generation marks the strided instructions (S bits), so T1 never has to
 discover streams among unrelated addresses.  Per marked instruction it keeps
-one table entry that walks INVALID -> TRANSIENT1 -> TRANSIENT2 -> STEADY,
-confirming the stride once before trusting it.  The prefetch distance is the
-smoothed memory latency divided by the smoothed time between instances; a
-cursor tracks the highest line already requested so catch-up bursts never
-re-issue covered addresses.
+one table entry, made at its first instance, that starts in TRANSIENT1 and
+walks to TRANSIENT2 and STEADY, confirming the stride once before trusting
+it.  The prefetch distance is the smoothed memory latency divided by the
+smoothed time between instances; a cursor tracks the highest line already
+requested so catch-up bursts never re-issue covered addresses.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ LATENCY_ALPHA = 0.5
 LATENCY_MARGIN = 1.25   # safety factor on the smoothed miss latency
 ITER_ALPHA = 0.5
 
-INVALID = "INVALID"
 TRANSIENT1 = "TRANSIENT1"
 TRANSIENT2 = "TRANSIENT2"
 STEADY = "STEADY"
@@ -95,7 +94,7 @@ class T1Table:
             e.last_addr = eff_addr
             e.last_cycle = cycle
             e.lru = self._tick
-            return out  # never prefetch out of INVALID/first touch
+            return out  # never prefetch on an entry's first touch
 
         e.lru = self._tick
         delta = eff_addr - e.last_addr

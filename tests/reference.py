@@ -5,10 +5,9 @@ thread's commits and fault injection into value-reuse predictions."""
 
 import random
 from collections import deque
-from dataclasses import replace
 
 from r3dla import skeleton, uisa
-from r3dla.memsys import MT, CacheConfig, MemorySystem
+from r3dla.memsys import MT, MemorySystem
 from r3dla.skeleton import EXEC_LATENCY, PcProfile
 
 
@@ -26,8 +25,10 @@ def reference_trace(program, limit):
 
 def reference_profile(program, cache_config=None):
     """``skeleton.profile`` written as a plain walk: a clock, a lazily built
-    dict per pc, and every statistic updated per instruction."""
-    mem = MemorySystem(replace(cache_config or CacheConfig(), mshr=0))
+    dict per pc, and every statistic updated per instruction.  The clock
+    moves on by each instruction's latency, so each access is made once the
+    previous one's fill is ready, as the profile's serial walk assumes."""
+    mem = MemorySystem(cache_config)
     state = uisa.ArchState.initial(program)
     per_pc = {}
     last_writer = {}

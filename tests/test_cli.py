@@ -222,6 +222,9 @@ def test_bad_static_version_rejected(tmp_path, capsys):
     ("name", {"name": ["x", 1]}),
     # a skeleton is built whenever no path is given; there is no switch
     ("skeleton.auto: unknown field", {"skeleton": {"auto": False}}),
+    # the config's "seed" is the one seed, not a second one in the workload
+    ('workload.seed: give the seed as the config\'s "seed"',
+     {"workload": {"kind": "strided_loop", "seed": 3}}),
 ])
 def test_wrongly_typed_field_rejected(tmp_path, capsys, field, extra):
     # a bool is no version, and an on/off feature is JSON true or false
@@ -521,6 +524,18 @@ def test_sweep_refuses_a_bad_value_before_any_run(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.startswith("config error: core.fetch_buffer: ")
 
 
+@pytest.mark.parametrize("param, scalar", [
+    ("seed.x", "seed"), ("name.x", "name"),
+    ("workload.params.iters.x", "workload.params.iters"),
+    ("workload.params.iters.x.y", "workload.params.iters")])
+def test_sweep_param_through_a_scalar_exits_2(tmp_path, capsys, param, scalar):
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(seed=3, name="n"))
+    assert cli.sim_main(["sweep", "--config", cfg, "--param", param,
+                         "--values", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --param: {scalar} is not an object\n"
+
+
 def test_runtime_error_in_a_later_run_names_that_run(tmp_path, capsys,
                                                      monkeypatch):
     wl = {"kind": "pointer_chase", "params": {"length": 200, "rounds": 1}}
@@ -700,6 +715,21 @@ def test_fetchq_analyze_bad_args_exit_2(tmp_path, capsys, args, field):
                                 "supply_hist": {"4": 1}}))
     assert cli.fetchq_main(["analyze", "--pair", str(pair), *args]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, error", [
+    (None, "No such file"),
+    ("{not json", "Expecting property name"),
+    ('{"demand_hist": {"0": 1}}', "report has no supply_hist"),
+    ("[1, 2]", "expected dict, got list"),
+], ids=["missing", "not-json", "no-supply-hist", "not-an-object"])
+def test_fetchq_analyze_bad_pair_exits_2(tmp_path, capsys, text, error):
+    pair = tmp_path / "pair.json"
+    if text is not None:
+        pair.write_text(text)
+    assert cli.fetchq_main(["analyze", "--pair", str(pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --pair: ") and error in err
 
 
 def test_harvest_rejects_dla_config(tmp_path):

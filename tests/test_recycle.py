@@ -2,6 +2,8 @@
 
 import pytest
 
+from r3dla import skeleton, uisa
+from r3dla.engine import Engine, Features
 from r3dla.recycle import (LoopTracker, LoopConfigTable, RecycleController,
                            UNIT_INSTRUCTIONS)
 
@@ -78,12 +80,6 @@ def test_lct_lru_eviction():
 
 # -- controller ---------------------------------------------------------------
 
-def test_off_mode_is_noop():
-    c = RecycleController(mode="off")
-    assert c.on_enter(5, 0, 0) == 0
-    assert c.on_progress(5, 100, 50_000) is None
-
-
 def test_static_mode_uses_map():
     c = RecycleController(mode="static", static_map={5: 4})
     assert c.on_enter(5, 0, 0) == 4
@@ -93,6 +89,17 @@ def test_static_mode_uses_map():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         RecycleController(mode="banana")
+
+
+def test_off_mode_has_no_controller():
+    # with recycle "off" the engine builds none, so a controller refuses it
+    prog = uisa.gen_strided_loop(iters=3)
+    eng = Engine(prog, skel=skeleton.build(prog), features=Features(recycle="off"))
+    assert eng.recycler is None
+    assert eng.run().recycle == {"chosen": {}, "measurements": [],
+                                 "final_version": 0}
+    with pytest.raises(ValueError, match="^recycle: a controller runs in "):
+        RecycleController(mode="off")
 
 
 def drive_units(c, loop_pc, ipcs):

@@ -3,7 +3,7 @@
 import gc
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from r3dla import uisa, skeleton, memsys
 
 from closure_oracle import oracle_closure
+from random_programs import random_program
 from reference import reference_profile, reference_trace
 
 
@@ -35,7 +36,7 @@ def test_closure_empty_seeds():
 def test_closure_matches_oracle_small():
     rng = random.Random(11)
     for _ in range(25):
-        prog = uisa.random_program(rng, rng.randrange(10, 80))
+        prog = random_program(rng, rng.randrange(10, 80))
         idxs = [i.index for i in prog.instrs if i.opcode != "HALT"]
         seeds = set(rng.sample(idxs, max(1, len(idxs) // 5)))
         got = skeleton.backward_closure(prog, seeds).bits
@@ -45,7 +46,7 @@ def test_closure_matches_oracle_small():
 def test_closure_idempotent():
     rng = random.Random(5)
     for _ in range(10):
-        prog = uisa.random_program(rng, 60)
+        prog = random_program(rng, 60)
         seeds = {i.index for i in prog.instrs if i.is_control}
         once = skeleton.backward_closure(prog, seeds).bits
         twice = skeleton.backward_closure(prog, set(once)).bits
@@ -55,7 +56,7 @@ def test_closure_idempotent():
 def test_closure_monotone():
     rng = random.Random(6)
     for _ in range(10):
-        prog = uisa.random_program(rng, 60)
+        prog = random_program(rng, 60)
         idxs = [i.index for i in prog.instrs]
         a = set(rng.sample(idxs, 3))
         b = a | set(rng.sample(idxs, 3))
@@ -152,7 +153,7 @@ def _check_random_programs(cache_config=None):
     rng = random.Random(23)
     for _ in range(50):
         _assert_profile_matches_reference(
-            uisa.random_program(rng, rng.randrange(10, 120)), cache_config)
+            random_program(rng, rng.randrange(10, 120)), cache_config)
 
 
 def test_profile_matches_reference_on_random_programs():
@@ -174,10 +175,12 @@ def test_profile_matches_reference_at_a_tiny_cache():
         if kind == "branchy":       # no loads or stores
             continue
         # more misses than lines at a level means a set of it evicted
-        mem = memsys.MemorySystem(replace(TINY_CACHE, mshr=0))
+        # on a serial clock: each access waits out the previous one's fill
+        mem = memsys.MemorySystem(TINY_CACHE)
+        now = 0
         for pc, addr, _, _ in reference_trace(prog, skeleton.TRAIN_LIMIT):
             if prog.instrs[pc].is_mem:
-                mem.access(addr)
+                now += mem.access(addr, "load", memsys.MT, now).latency
         for cache in (mem.l1[memsys.MT], mem.l2[memsys.MT], mem.l3):
             lines = cache.cfg.size // cache.cfg.line
             assert cache.misses > lines, (kind, cache.cfg)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from r3dla import uisa
 
+from random_programs import random_program
 from reference import reference_trace
 
 
@@ -107,7 +108,7 @@ def test_validate_rejects_entry_outside_program():
 def test_generated_programs_validate():
     for seed in range(100):
         rng = random.Random(seed)
-        uisa.random_program(rng, n_instrs=rng.randrange(4, 120)).validate()
+        random_program(rng, n_instrs=rng.randrange(4, 120)).validate()
     for kind in uisa._GENERATORS:
         uisa.gen_workload(kind, seed=1).validate()
 
@@ -130,7 +131,7 @@ def test_print_parse_round_trip_generators():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(8, 120))
 def test_print_parse_round_trip_random(seed, n):
-    prog = uisa.random_program(random.Random(seed), n)
+    prog = random_program(random.Random(seed), n)
     again = uisa.parse_program(uisa.print_program(prog))
     assert again.instrs == prog.instrs
 
@@ -396,6 +397,6 @@ def test_mixed_phases_runs_to_halt():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_programs_terminate(seed):
-    prog = uisa.random_program(random.Random(seed), 60)
+    prog = random_program(random.Random(seed), 60)
     tr = reference_trace(prog, 200_000)
     assert len(tr) < 200_000   # always reaches HALT
