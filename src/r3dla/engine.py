@@ -9,8 +9,8 @@ a timing bug can slow the machine down but can never corrupt results.
 
 Per cycle the look-ahead core ticks first, then the main core; within a core
 the order is commit, dispatch, fetch.  Branch outcomes travel through the
-branch outcome queue (BOQ), typed hints (prefetch addresses, reusable values,
-branch targets) through the footnote queue attached to BOQ entries.  The main
+branch outcome queue (BOQ), typed hints (prefetch addresses and reusable
+values) through the footnote queue attached to BOQ entries.  The main
 thread consumes one BOQ entry per conditional branch at fetch; a mismatch is
 a mispredict and triggers a look-ahead reboot from the main thread's fetch
 frontier.
@@ -662,7 +662,7 @@ class _Core:
             n += 1
             if not is_lt:
                 if ((track and (op == "BR_COND" or op == "CALL"))
-                        or eng.train_iteration is not None):
+                        or eng.training):
                     eng.on_mt_commit(self, rec, dispatched, complete, now)
                 recs.popleft()
 
@@ -898,9 +898,9 @@ class Engine:
         # the loads T1 observes (on_mt_load's pcs): the S-bit pcs, when T1 is on
         self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
                        else frozenset())
-        # value-reuse training: the innermost loop's iteration index while it
-        # is inside the training window, else None (see on_mt_commit)
-        self.train_iteration: int | None = None
+        # value-reuse training: the innermost loop is in its first
+        # TRAIN_ITERATIONS iterations (see on_mt_commit)
+        self.training = False
 
         self.lt = None
         if self.dla_on:
@@ -937,8 +937,8 @@ class Engine:
                 return False
             self.boq.append(BoqEntry(ins.index, rec[3]))
             self.boq_pushed += 1
-        elif (self.features.value_reuse and ins.dst is not None
-                and rec[2] is not None and self.vru.should_emit(ins.index)):
+        elif (ins.dst is not None and rec[2] is not None
+                and self.vru.should_emit(ins.index)):
             if len(self.fq) >= self.dla.fq_capacity:
                 return False
             if self.boq:
@@ -1045,16 +1045,17 @@ class Engine:
         """One main-thread commit.
 
         The core calls this only in DLA runs: for BR_COND and CALL (loop
-        tracking) and while value reuse trains (``train_iteration`` is set);
+        tracking) and while value reuse trains (``training`` is set);
         other commits have nothing to do here.  Only the DLA units act on
-        loop events, so a baseline run does not track loops.
+        loop events, so a baseline run does not track loops.  Value reuse
+        trains on the commits within the innermost loop's first
+        ``TRAIN_ITERATIONS`` iterations; this is the one window test.
         """
         ins = rec[0]
         op = ins.opcode
         if op != "BR_COND" and op != "CALL":
-            if self.train_iteration is not None:
-                self.vru.train(ins.index, complete - dispatched,
-                               self.train_iteration)
+            if self.training:
+                self.vru.train(ins.index, complete - dispatched)
             return
         events = self.tracker.observe(ins.index, op, rec[3], ins.target)
         if not events:
@@ -1062,8 +1063,7 @@ class Engine:
         if self.features.value_reuse:
             # the tracker's loop state changes only with an event
             it = self.tracker.iterations.get(self.tracker.current)
-            self.train_iteration = (it - 1 if it is not None
-                                    and it <= TRAIN_ITERATIONS else None)
+            self.training = it is not None and it <= TRAIN_ITERATIONS
         for kind, loop_pc in events:
             if kind == "enter" and self.features.value_reuse:
                 self.vru.sif.clear()    # training restarts per loop

@@ -158,10 +158,9 @@ class Cache:
         self.misses = 0
 
     def fill(self, line_addr: int, prefetched: bool = False) -> None:
+        """Put in a line that just missed here, evicting a full set's LRU."""
         s = self.sets[line_addr % self.n_sets]
-        if line_addr in s:
-            del s[line_addr]
-        elif len(s) >= self.cfg.assoc:
+        if len(s) >= self.cfg.assoc:
             victim = next(iter(s))
             del s[victim]
             self.pref_lines.discard(victim)

@@ -5,8 +5,9 @@ backward taken branches (and repeated same-target calls, which behave like
 loops for recursive code).  While a loop is hot, the controller cycles the
 six skeleton versions, timing each over a measurement unit of at least
 10,000 committed instructions, then locks in the version with the best IPC.
-Chosen versions are cached in a small loop-configuration table so a loop
-that comes back does not pay for re-measurement.
+Chosen versions are kept in a loop-configuration table so a loop that comes
+back does not pay for re-measurement.  Unlike the paper's bounded table, it
+keeps every chosen version for the whole run and never evicts one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from .skeleton import NUM_VERSIONS
 
 UNIT_INSTRUCTIONS = 10_000
-LCT_CAPACITY = 16
 MODES = ("off", "static", "dynamic")     # "off" runs no controller
 
 
@@ -91,34 +91,12 @@ class LoopTracker:
         return ("exit", pc)
 
 
-class LoopConfigTable:
-    """loop pc -> chosen skeleton version, LRU over 16 entries."""
-
-    def __init__(self):
-        self._map: dict[int, int] = {}      # insertion order doubles as LRU
-
-    def get(self, loop_pc: int) -> int | None:
-        v = self._map.get(loop_pc)
-        if v is not None:
-            del self._map[loop_pc]
-            self._map[loop_pc] = v
-        return v
-
-    def put(self, loop_pc: int, version: int) -> None:
-        if loop_pc in self._map:
-            del self._map[loop_pc]
-        elif len(self._map) >= LCT_CAPACITY:
-            del self._map[next(iter(self._map))]
-        self._map[loop_pc] = version
-
-
 @dataclass
 class _CycleState:
     samples: dict[int, float] = field(default_factory=dict)
     measuring: int | None = None
     unit_start_instr: int = 0
     unit_start_cycle: int = 0
-    chosen: int | None = None
 
 
 @dataclass
@@ -146,7 +124,7 @@ class RecycleController:
                              f"{MODES[1:]}, got {mode!r}")
         self.mode = mode
         self.static_map = dict(static_map or {})
-        self.lct = LoopConfigTable()
+        self.lct: dict[int, int] = {}       # loop pc -> chosen version
         self.state: dict[int, _CycleState] = {}
         self.measurements: list[Measurement] = []
 
@@ -159,8 +137,6 @@ class RecycleController:
         if cached is not None:
             return cached
         st = self.state.setdefault(loop_pc, _CycleState())
-        if st.chosen is not None:
-            return st.chosen
         if st.measuring is None:
             st.measuring = self._next_unmeasured(st)
         st.unit_start_instr = committed
@@ -171,7 +147,7 @@ class RecycleController:
         """Called while a loop is active; returns a new version on unit close.
         A static controller measures nothing, so it has no state to close."""
         st = self.state.get(loop_pc)
-        if st is None or st.measuring is None or st.chosen is not None:
+        if st is None or st.measuring is None:
             return None
         instrs = committed - st.unit_start_instr
         if instrs < UNIT_INSTRUCTIONS:
@@ -182,11 +158,9 @@ class RecycleController:
         self.measurements.append(Measurement(loop_pc, st.measuring, ipc, instrs))
         if len(st.samples) >= NUM_VERSIONS:
             # best IPC wins; ties break toward the lowest version id
-            best = min(sorted(st.samples),
-                       key=lambda v: (-st.samples[v], v))
-            st.chosen = best
+            best = min(st.samples, key=lambda v: (-st.samples[v], v))
             st.measuring = None
-            self.lct.put(loop_pc, best)
+            self.lct[loop_pc] = best
             return best
         st.measuring = self._next_unmeasured(st)
         st.unit_start_instr = committed
@@ -197,15 +171,13 @@ class RecycleController:
         # partial unit abandoned: samples gathered so far survive for the
         # next time the loop turns up
         st = self.state.get(loop_pc)
-        if st is not None and st.chosen is None:
+        if st is not None:
             st.measuring = None
 
     def _next_unmeasured(self, st: _CycleState) -> int:
-        for v in range(NUM_VERSIONS):
-            if v not in st.samples:
-                return v
-        return 0
+        # called only while a version is left: all six measured means chosen
+        return next(v for v in range(NUM_VERSIONS) if v not in st.samples)
 
     def chosen_versions(self) -> dict[int, int]:
-        return {pc: st.chosen for pc, st in self.state.items()
-                if st.chosen is not None}
+        # in the loops' first-seen order
+        return {pc: self.lct[pc] for pc in self.state if pc in self.lct}

@@ -114,7 +114,8 @@ class T1Table:
             self.prefetches_issued += len(out)
             return out
 
-        if delta != e.stride or delta == 0:
+        # TRANSIENT2 or STEADY: the stride is nonzero and the cursor is set
+        if delta != e.stride:
             # mismatch: guard against bogus strides, fall back to transient
             e.state = TRANSIENT1
             e.stride = None
@@ -126,8 +127,6 @@ class T1Table:
         e.last_addr = eff_addr
         e.distance = max(1, math.ceil(mem_latency_estimate / max(1.0, e.iter_time)))
         target = eff_addr + e.distance * e.stride
-        if e.next_prefetch is None:
-            e.next_prefetch = eff_addr + e.stride
         # catch up from the cursor toward A + n*stride, bounded per instance
         step = e.stride
         a = e.next_prefetch
@@ -137,11 +136,9 @@ class T1Table:
                 out.append(a)
                 a += step
             e.next_prefetch = a
-        if e.state == TRANSIENT2:
-            e.state = STEADY
+        e.state = STEADY    # the stride is confirmed
         self.prefetches_issued += len(out)
-        if e.state == STEADY:
-            self.steady_prefetches += len(out)
+        self.steady_prefetches += len(out)
         return out
 
     def loop_end(self, loop_pc: int) -> None:

@@ -122,17 +122,16 @@ class ReuseCounters:
 
 
 class ValueReuseUnit:
-    """Glue: the filter, the scoreboard, and training-window bookkeeping."""
+    """Glue: the filter, the scoreboard and the reuse counters."""
 
     def __init__(self):
         self.sif = SlowInstructionFilter()
         self.scoreboard = Scoreboard()
         self.counters = ReuseCounters()
 
-    def train(self, pc: int, latency: int, loop_iteration: int | None) -> None:
-        """Observe one committed main-thread instruction during training."""
-        if loop_iteration is None or loop_iteration >= TRAIN_ITERATIONS:
-            return
+    def train(self, pc: int, latency: int) -> None:
+        """Observe one committed main-thread instruction during training;
+        the engine calls this only inside the training window."""
         if latency >= SLOW_THRESHOLD:
             self.sif.insert(pc)
 

@@ -63,6 +63,12 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_such.json"
+    assert cli.sim_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_unknown_field_named_in_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", base_cfg(tubro=True))
     assert cli.sim_main(["run", "--config", cfg]) == 2
@@ -220,6 +226,10 @@ def test_bad_static_version_rejected(tmp_path, capsys):
      {"workload": {"kind": "pointer_chase", "params": {"rounds": 0}}}),
     # a name lands in the report and in CSV rows
     ("name", {"name": ["x", 1]}),
+    # a file the config names that is not there
+    ("workload.program_file: no such file",
+     {"workload": {"program_file": "no-such-dir/prog.s"}}),
+    ("skeleton.path: no such file", {"skeleton": {"path": "no-such-dir/skel.json"}}),
     # a skeleton is built whenever no path is given; there is no switch
     ("skeleton.auto: unknown field", {"skeleton": {"auto": False}}),
     # the config's "seed" is the one seed, not a second one in the workload
@@ -423,6 +433,16 @@ def test_sweep_varies_param(tmp_path):
     rows = read_rows(out)
     assert [r["name"] for r in rows] == [
         "core.fetch_buffer=8", "core.fetch_buffer=16", "core.fetch_buffer=32"]
+
+
+def test_sweep_passes_non_json_values_as_strings(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", base_cfg(engine="dla"))
+    out = tmp_path / "sweep.csv"
+    assert cli.sim_main(["sweep", "--config", cfg, "--param",
+                         "features.recycle", "--values", "off,dynamic",
+                         "--out", str(out)]) == 0
+    assert [r["name"] for r in read_rows(out)] == [
+        "features.recycle=off", "features.recycle=dynamic"]
 
 
 def test_ablate_requires_dla(tmp_path, capsys):

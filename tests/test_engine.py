@@ -249,6 +249,48 @@ def test_reboot_flushes_queues():
     assert eng.stats.reboot_reasons == {"guard": 1}
 
 
+def test_refetched_boq_mispredicted_branch_waits_for_resolution():
+    # a replay can re-fetch a branch whose BOQ entry was already consumed and
+    # mispredicted: it waits again without a second BOQ pop, and its dispatch
+    # still reboots the look-ahead thread
+    prog = uisa.gen_branchy(iters=20, streams=2)
+    eng = Engine(prog, skel=skeleton.build(prog))
+    mt = eng.mt
+    mt.engine = eng
+    br = next(i for i, ins in enumerate(prog.instrs) if ins.opcode == "BR_COND")
+    assert br == 7
+    for idx in range(br):
+        eng.mt_stream.get(idx)
+    mt.fetch_idx = mt.boq_done_idx = br
+    mt.boq_mispredicted = {br}
+    mt.fetch(1)
+    assert mt.wait_resolution == br
+    assert [idx for idx, _ in mt.fetch_buffer] == [br]
+    assert eng.boq_popped == eng.stats.boq_consumed == 0
+    mt.dispatch(2)
+    assert mt.wait_resolution is None and mt.boq_mispredicted == set()
+    assert [reason for _, reason in eng.pending_reboots] == ["boq_mispredict"]
+
+
+def test_value_replay_clears_a_younger_wait_resolution():
+    # a wrong value prediction squashes everything younger, a branch waiting
+    # for resolution included, and refetches after the predicted instruction
+    prog = uisa.gen_branchy(iters=20, streams=2)
+    eng = Engine(prog, skel=skeleton.build(prog),
+                 features=Features(value_reuse=True))
+    mt = eng.mt
+    rec = eng.mt_stream.get(0)
+    ins = rec[0]
+    eng.predictions[0] = (ins.index, ins.dst, rec[2] + 1)
+    mt.fetch_buffer.extend([(0, rec), (1, eng.mt_stream.get(1))])
+    mt.wait_resolution = 5
+    _, _, squashed = eng.on_mt_dispatch(mt, 0, ins, rec, complete=2, now=1)
+    assert squashed
+    assert not mt.fetch_buffer and mt.wait_resolution is None
+    assert mt.fetch_idx == 1
+    assert eng.vru.counters.mispredicted == 1
+
+
 def test_boq_capacity_backpressures_lt():
     prog = uisa.gen_strided_loop(iters=5000)
     skel = skeleton.build(prog)
@@ -290,6 +332,33 @@ def test_value_reuse_produces_confirmations():
     assert st.vreuse["confirmed"] == st.vreuse["emitted"]
     assert st.vreuse["skipped"] > 0         # scoreboard rule fires
     assert st.vreuse["mispredicted"] == 0   # LT values are exact here
+
+
+def test_value_reuse_trains_in_the_first_iterations_only():
+    # the engine alone tests the training window: the innermost loop's
+    # iterations 1..TRAIN_ITERATIONS, counted as the loop tracker counts them
+    prog = uisa.gen_pointer_chase(length=300, rounds=4, payload=1, filler=24)
+    eng = Engine(prog, skel=skeleton.build(prog),
+                 features=Features(value_reuse=True))
+    tracker = eng.tracker
+    trained_at = []
+    peak = 0
+    train, observe = eng.vru.train, tracker.observe
+
+    def spy_train(pc, latency):
+        trained_at.append(tracker.iterations.get(tracker.current))
+        train(pc, latency)
+
+    def spy_observe(*args):
+        nonlocal peak
+        events = observe(*args)
+        peak = max(peak, *tracker.iterations.values(), 0)
+        return events
+
+    eng.vru.train, tracker.observe = spy_train, spy_observe
+    eng.run()
+    assert set(trained_at) == set(range(1, vreuse.TRAIN_ITERATIONS + 1))
+    assert peak > vreuse.TRAIN_ITERATIONS       # the loop ran past the window
 
 
 def test_recycle_dynamic_converges_in_engine():

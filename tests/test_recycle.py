@@ -4,8 +4,7 @@ import pytest
 
 from r3dla import skeleton, uisa
 from r3dla.engine import Engine, Features
-from r3dla.recycle import (LoopTracker, LoopConfigTable, RecycleController,
-                           UNIT_INSTRUCTIONS)
+from r3dla.recycle import LoopTracker, RecycleController, UNIT_INSTRUCTIONS
 
 
 # -- loop tracker ---------------------------------------------------------------
@@ -56,26 +55,6 @@ def test_call_streak_pseudo_loop():
     evs = t.observe(10, "CALL", None, 100)
     assert evs == [("iterate", 10)]
     assert t.observe(10, "CALL", None, 200) == []      # different target
-
-
-# -- loop-config table -------------------------------------------------------------
-
-def test_lct_put_get():
-    lct = LoopConfigTable()
-    lct.put(5, 3)
-    assert lct.get(5) == 3
-    assert lct.get(6) is None
-
-
-def test_lct_lru_eviction():
-    lct = LoopConfigTable()
-    for pc in range(16):
-        lct.put(pc, pc % 6)
-    lct.get(0)                  # refresh loop 0
-    lct.put(99, 1)              # evicts loop 1 (oldest untouched)
-    assert lct.get(0) == 0
-    assert lct.get(1) is None
-    assert all(lct.get(pc) is not None for pc in [*range(2, 16), 99])
 
 
 # -- controller ---------------------------------------------------------------
@@ -150,6 +129,19 @@ def test_reentry_hits_lct():
     assert c.on_enter(5, 10 ** 6, 10 ** 6) == 2     # cached, no re-measurement
     c.on_progress(5, 10 ** 6 + 50_000, 10 ** 6 + 50_000)
     assert len(c.measurements) == n_measurements
+
+
+def test_chosen_versions_keep_every_loop_in_first_seen_order():
+    # the table never evicts, and the report lists loops as they first came,
+    # not in the order their choices closed
+    c = RecycleController(mode="dynamic")
+    c.on_enter(1000, 0, 0)                      # seen first, chosen last
+    for pc in range(40):
+        drive_units(c, pc, [1.0 + (v == pc % 6) for v in range(6)])
+    drive_units(c, 1000, [1.0, 1.0, 1.0, 3.0, 1.0, 1.0])
+    assert list(c.chosen_versions()) == [1000, *range(40)]
+    assert c.chosen_versions() == {1000: 3, **{pc: pc % 6 for pc in range(40)}}
+    assert c.lct == c.chosen_versions()
 
 
 def test_exit_abandons_partial_unit_but_keeps_samples():

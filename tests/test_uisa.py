@@ -56,6 +56,19 @@ def test_parse_errors():
         uisa.parse_program("ADDI r1\nHALT\n")            # missing operands
     with pytest.raises(uisa.ParseError, match="duplicate"):
         uisa.parse_program("x: ADDI r1, r0, 1\nx: HALT\n")
+    # each error names the line it is on
+    for line, error in [
+        ("ADDI x1, r0, 1", "expected register, got 'x1'"),
+        ("ADDI rx, r0, 1", "bad register 'rx'"),
+        ("ADDI r1, r0, abc", "expected integer, got 'abc'"),
+        ("LOAD r1, 8", "expected off(reg), got '8'"),
+        ("1x: HALT", "bad label '1x'"),
+        (".data 5", ".data needs ADDR VALUE"),
+    ]:
+        with pytest.raises(uisa.ParseError) as e:
+            uisa.parse_program(f"ADDI r1, r0, 1\n{line}\nHALT\n")
+        assert str(e.value) == f"line 2: {error}"
+        assert e.value.line_no == 2
 
 
 def test_validate_dangling_target():
@@ -119,6 +132,9 @@ def test_print_parse_round_trip_generators():
         uisa.gen_pointer_chase(length=16, rounds=2, payload=1, filler=3),
         uisa.gen_branchy(iters=10, streams=3),
         uisa.gen_mixed_phases(phase_iters=5, outer=2),
+        # no generator emits JMP, CALL or RET
+        uisa.parse_program("CALL f\nJMP end\nf: ADDI r1, r1, 1\nRET\n"
+                           "end: HALT\n"),
     ]
     for p in progs:
         text = uisa.print_program(p)

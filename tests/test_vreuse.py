@@ -151,26 +151,25 @@ def test_scoreboard_skip_soundness(seed):
 # -- unit glue ---------------------------------------------------------------
 
 def test_train_inserts_slow_pcs_in_window():
+    # the window itself is the engine's (test_engine's training-window test)
     vru = ValueReuseUnit()
-    vru.train(pc=7, latency=200, loop_iteration=0)
-    vru.train(pc=8, latency=3, loop_iteration=0)       # fast: not slow
-    vru.train(pc=9, latency=200, loop_iteration=50)    # outside the window
+    vru.train(pc=7, latency=200)
+    vru.train(pc=8, latency=3)          # fast: not slow
     assert vru.should_emit(7)
     assert not vru.should_emit(8)
-    assert not vru.should_emit(9)
 
 
 def test_train_boundary_latency():
     vru = ValueReuseUnit()
-    vru.train(pc=1, latency=20, loop_iteration=0)      # exactly threshold
-    vru.train(pc=2, latency=19, loop_iteration=0)
+    vru.train(pc=1, latency=20)      # exactly threshold
+    vru.train(pc=2, latency=19)
     assert vru.should_emit(1)
     assert not vru.should_emit(2)
 
 
 def test_mispredict_deletes_from_filter():
     vru = ValueReuseUnit()
-    vru.train(pc=7, latency=200, loop_iteration=0)
+    vru.train(pc=7, latency=200)
     assert vru.should_emit(7)
     vru.on_mispredict(7)
     assert not vru.should_emit(7)
