@@ -226,12 +226,12 @@ def test_bad_static_version_rejected(tmp_path, capsys):
      {"workload": {"kind": "pointer_chase", "params": {"rounds": 0}}}),
     # a name lands in the report and in CSV rows
     ("name", {"name": ["x", 1]}),
+    # a skeleton is built whenever no path is given; there is no switch
+    ("skeleton.auto: unknown field", {"skeleton": {"auto": False}}),
     # a file the config names that is not there
     ("workload.program_file: no such file",
      {"workload": {"program_file": "no-such-dir/prog.s"}}),
     ("skeleton.path: no such file", {"skeleton": {"path": "no-such-dir/skel.json"}}),
-    # a skeleton is built whenever no path is given; there is no switch
-    ("skeleton.auto: unknown field", {"skeleton": {"auto": False}}),
     # the config's "seed" is the one seed, not a second one in the workload
     ('workload.seed: give the seed as the config\'s "seed"',
      {"workload": {"kind": "strided_loop", "seed": 3}}),
