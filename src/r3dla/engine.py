@@ -28,6 +28,40 @@ BOQ empty stalls if the main thread starved, and the last periodic cache
 drain of the stretch.  Every ``RunStats`` field is the same as stepping each
 cycle.
 
+A baseline run in mode "normal" runs no cycle loop at all
+(``Engine._walk_in_order``).  One core that fetches, dispatches and
+commits in program order gives each instruction i its fetch (F), dispatch
+(D), complete (C) and commit (K) cycles from earlier instructions' alone,
+so one walk over the main thread's records computes them:
+
+- F_i is F_{i-1}, or F_{i-1} + 1 once i-1 ended its fetch group
+  (``fetch_width`` reached, a taken branch, a jump, a call, a return or a
+  mispredict).  It is at least the fetch block (a BTB miss blocks until
+  F + 1 + ``btb_penalty``, a mispredicted branch b until
+  C_b + ``mispredict_penalty``) and D_{i - fetch_buffer}, as dispatch runs
+  before fetch in a cycle.  The record is ``MainStream.get(i)`` at F_i; the
+  first None is the cycle H at which the halt is seen.
+- D_i is at least F_i + 1, D_{i-1} and K_{i - window_size}, and one more
+  once ``decode_width`` instructions dispatched at D_{i-1}.  The operands'
+  start, the access (after the periodic drains below D_i) and C_i are as
+  in ``_Core.dispatch``.
+- K_i is at least C_i, D_i + 1 and K_{i-1}, and one more once
+  ``commit_width`` instructions committed at K_{i-1}.  It pops the record
+  at the left of ``MainStream.recs``.
+
+The run ends at max(H, K_last).  The fetch-buffer histogram and the fetch
+bubbles, counted per cycle by the loop, come from the fetch and dispatch
+groups and the D and K cycles, and the walk keeps nothing per instruction
+beyond the pipeline's depth.  Where the loop would decide the outcome (a
+cycle past ``max_cycles``, a gap from one commit, or from the start, to
+the next commit or to H past the watchdog, or a fault in the main stream)
+the walk hands the run back, and ``run`` runs the cycle loop on a fresh
+memory system, stream and core, which gives the partial result or the
+error message with its cycle.  The cycle loop stays for DLA runs, whose
+two cores act on each other every cycle, for the idealized modes, and as
+the walk's oracle: ``test_walk_in_order_matches_the_cycle_loop`` forces
+the loop and compares the results.
+
 In the cycles that do run, an idle unit or stage costs one test.  Value
 reuse acts at main-thread dispatch only on a pending prediction or a set
 scoreboard bit (the scoreboard is not ``clean``), and at look-ahead commit
@@ -67,7 +101,8 @@ The engine takes only what a config gives it; tests watch and perturb a run
 through the state it already keeps.  Every main-thread commit pops its record
 at the left of ``MainStream.recs``, so a deque subclass put in as
 ``eng.mt_stream.recs`` sees each committed record in order (the commit log
-that the firewall tests compare with the functional interpreter).  Every
+that the firewall tests compare with the functional interpreter; a
+baseline run that the walk hands back starts over on a fresh stream).  Every
 value-reuse prediction is stored in ``Engine.predictions`` when its branch
 reaches main-thread fetch, so a dict subclass put in there can flip a value
 as it is stored (fault injection, which must cost replays and never change a
@@ -1150,6 +1185,17 @@ class Engine:
         return wake
 
     def run(self) -> RunStats:
+        if not self.dla_on and self.mode == "normal":
+            stats = self._walk_in_order()
+            if stats is not None:
+                return stats
+            # start over on fresh state: the cycle loop gives the partial
+            # run or the error message
+            self.mem = MemorySystem(self.mem.cfg)
+            self.mt_stream = MainStream(self.program, self.mt_stream.limit)
+            self.mt = _Core(self.mt.p, self.mem, MT, self.mt_stream, "baseline")
+            self.stats = RunStats()
+            self.fb_occ = [0] * (self.mt.fb_cap + 1)
         cores = (self.mt, self.lt) if self.dla_on else (self.mt,)
         for core in cores:
             core.engine = self
@@ -1158,6 +1204,203 @@ class Engine:
         finally:
             for core in cores:
                 core.engine = None
+
+    def _walk_in_order(self) -> RunStats | None:
+        """A baseline run in mode "normal" as one walk in program order.
+
+        Each instruction's fetch (F), dispatch (D), complete (C) and commit
+        (K) cycles follow from earlier instructions' cycles, as the module
+        docstring sets out.  Returns the ``RunStats`` the cycle loop would,
+        or None, with the run's state spent, where the loop must decide: a
+        cycle past ``max_cycles``, a gap between commits (or to the halt)
+        past the watchdog, or a fault in the main stream.
+        """
+        core = self.mt
+        p = core.p
+        fetch_width, decode_width = p.fetch_width, p.decode_width
+        commit_width, window_size = p.commit_width, p.window_size
+        mispredict_penalty, btb_penalty = p.mispredict_penalty, p.btb_penalty
+        max_cycles = self.max_cycles
+        stream = self.mt_stream
+        recs = stream.recs
+        get = stream.get
+        access = self.mem.access
+        drain = self.mem.drain
+        instrs = self.program.instrs
+        # per pc: (kind, registers read, destination, latency if not memory)
+        # kind: 0 ALU/MUL, 1 LOAD, 2 STORE, 3 BR_COND, 4 BR_UNCOND/CALL, 5 RET
+        kinds = {"LOAD": 1, "STORE": 2, "BR_COND": 3, "BR_UNCOND": 4, "CALL": 4,
+                 "RET": 5}
+        table = [(kinds.get(ins.opcode, 0), ins.reads, ins.dst,
+                  MUL_LATENCY if ins.opcode == "MUL" else 1) for ins in instrs]
+        predictor = [2] * len(instrs)   # 2-bit counters, weakly taken
+        btb = [False] * len(instrs)
+        reg_ready = [0] * uisa.NUM_REGS
+        # D of the last fetch_buffer instructions, K of the last window_size
+        dispatched = deque([0] * core.fb_cap, maxlen=core.fb_cap)
+        committed = deque([0] * window_size, maxlen=window_size)
+        # the open fetch, dispatch and commit groups: cycle and size
+        f_at = d_at = k_at = 0
+        f_n = d_n = k_n = 0
+        f_next = 1              # the earliest cycle the next fetch can take
+        blocked = 0             # fetch_blocked_until
+        drained_to = 0          # the last periodic drain applied
+        # fetch-buffer occupancy per cycle: a fetch group of n at cycle F
+        # adds n from F + 1 on, a dispatch group takes its n out from D + 1
+        # on.  No later group can show before a closed fetch group does, so
+        # its close counts the cycles up to it; ``shown`` holds the dispatch
+        # groups that show after the last fetch group counted.
+        shown: deque[tuple[int, int]] = deque()
+        fb_occ = self.fb_occ
+        occ = 0
+        swept = 1               # cycles before this one are counted
+        # a cycle's dispatch demand is min(window_size - window, decode_width):
+        # width = min(decode_width, window_size), less one for each window
+        # entry past the first lag = window_size - width.  Instruction j is
+        # such an entry in the cycles after D_j and before K_{j - lag}, so the
+        # run's demand is width * cycles less those cycles, and its bubbles
+        # are the demand less the instructions dispatched.
+        width = min(decode_width, window_size)
+        taken_slots = 0
+        branches = mispredicts = 0
+        i = 0
+        end = stream.end
+        while True:
+            # -- fetch: the record at F, with the group's redirect rules
+            f = f_next
+            t = dispatched[0]   # a free fetch-buffer slot
+            if t > f:
+                f = t
+            if blocked > f:
+                f = blocked
+            if f != f_at:
+                if f_n:
+                    at = f_at + 1
+                    while shown and shown[0][0] <= at:
+                        t, n = shown.popleft()
+                        if t > swept:
+                            fb_occ[occ] += t - swept
+                            swept = t
+                        occ -= n
+                    if at > swept:
+                        fb_occ[occ] += at - swept
+                        swept = at
+                    occ += f_n
+                f_at = f
+                f_n = 0
+            if i < end:
+                rec = recs[i - end]
+            else:
+                stream.next = i
+                try:
+                    rec = get(i)
+                except uisa.ExecError:
+                    return None
+                if rec is None:
+                    break
+                end = stream.end
+            ins = rec[0]
+            pc = ins.index
+            kind, reads, dst, latency = table[pc]
+            f_n += 1
+            stop = f_n == fetch_width
+            mispredicted = False
+            if kind >= 3:
+                # a taken branch, a jump, a call, a return or a mispredict
+                # ends the group; a redirect to a cold target blocks fetch
+                redirect = kind == 4
+                if kind == 3:
+                    taken = rec[3]
+                    c = predictor[pc]
+                    if taken:
+                        predictor[pc] = c + 1 if c < 3 else 3
+                    else:
+                        predictor[pc] = c - 1 if c > 0 else 0
+                    branches += 1
+                    if (c >= 2) != taken:
+                        mispredicts += 1
+                        mispredicted = stop = True
+                    else:
+                        redirect = taken
+                else:
+                    stop = True
+                if redirect:
+                    stop = True
+                    if not btb[pc]:
+                        btb[pc] = True
+                        blocked = f + 1 + btb_penalty
+            f_next = f + 1 if stop else f
+            # -- dispatch: in order, decode_width a cycle, a free window slot
+            d = d_at + 1 if d_n == decode_width else d_at
+            if f >= d:
+                d = f + 1
+            t = committed[0]
+            if t > d:
+                d = t
+            if d != d_at:
+                if d_n:
+                    shown.append((d_at + 1, d_n))
+                d_at = d
+                d_n = 0
+            d_n += 1
+            start = d
+            for r in reads:
+                t = reg_ready[r]
+                if t > start:
+                    start = t
+            if kind == 1 or kind == 2:
+                if d > drained_to + DRAIN_PERIOD:
+                    drained_to = (d - 1) // DRAIN_PERIOD * DRAIN_PERIOD
+                    drain(drained_to)
+                if kind == 1:
+                    complete = start + access(rec[1], "load", MT, start)[0]
+                else:
+                    access(rec[1], "store", MT, start)
+                    complete = start + 1
+            else:
+                complete = start + latency
+            if dst is not None:
+                reg_ready[dst] = complete
+            if mispredicted:
+                blocked = complete + mispredict_penalty
+            dispatched.append(d)
+            # -- commit: in order, commit_width a cycle, after dispatch
+            k = k_at + 1 if k_n == commit_width else k_at
+            if d >= k:
+                k = d + 1
+            if complete > k:
+                k = complete
+            if k != k_at:
+                if k - k_at > PROGRESS_WATCHDOG or k > max_cycles:
+                    return None
+                k_at = k
+                k_n = 0
+            k_n += 1
+            recs.popleft()
+            committed.append(k)
+            t = committed[width - 1] - d - 1     # K_{i - lag} - D_i - 1
+            if t > 0:
+                taken_slots += t
+            i += 1
+        # the halt is seen at cycle f; the run ends once it is and all committed
+        if f - k_at > PROGRESS_WATCHDOG:
+            return None
+        cycles = f if f > k_at else k_at
+        if cycles > max_cycles:
+            return None
+        stream.next = i
+        # the groups still open, then the end of the run
+        for t, n in sorted([*shown, (f_at + 1, -f_n), (d_at + 1, d_n),
+                            (cycles + 1, 0)]):
+            if t > swept:
+                fb_occ[occ] += t - swept
+                swept = t
+            occ -= n
+        core.committed = i
+        core.branches = branches
+        core.mispredicts = mispredicts
+        core.fetch_bubbles = width * cycles - taken_slots - i
+        return self._finalize(cycles)
 
     def _simulate(self) -> RunStats:
         mt = self.mt

@@ -560,6 +560,13 @@ def gen_pointer_chase(length: int = 1000, seed: int = 0, node_spread: int = 64,
     if rounds < 1:
         # the loop counter would start at or below zero and never reach it
         raise UisaError("pointer_chase: rounds must be >= 1")
+    for name, count in (("payload", payload), ("filler", filler)):
+        if count < 0:
+            # a negative count would run silently as 0
+            raise UisaError(f"pointer_chase: {name} must be >= 0")
+    if node_spread == 0:
+        raise UisaError("pointer_chase: node_spread must not be 0 "
+                        "(every node would sit at one address)")
     if payload_lines < 1 or payload_lines & (payload_lines - 1):
         raise UisaError("pointer_chase: payload_lines must be a power of two")
     if min(base, base + (length - 1) * node_spread, payload_base) < 0:

@@ -266,6 +266,23 @@ def test_seed_is_not_a_workload_param(tmp_path, capsys, monkeypatch):
     assert '"seed"' in err and "R3DLA_SEED" in err
 
 
+@pytest.mark.parametrize("param, value, error", [
+    # a negative count ran silently as 0, and a spread of 0 put every node
+    # at one address; each exited 0
+    ("filler", -3, "filler must be >= 0"),
+    ("payload", -2, "payload must be >= 0"),
+    ("node_spread", 0, "node_spread must not be 0"),
+])
+def test_pointer_chase_refuses_nonsense_params(tmp_path, capsys, param, value,
+                                               error):
+    doc = {"workload": {"kind": "pointer_chase",
+                        "params": {"length": 20, param: value}}}
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert cli.sim_main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: workload.params: pointer_chase: {error}")
+
+
 def test_every_generator_param_is_an_int():
     # validate_config checks every workload param as an integer
     for gen in uisa._GENERATORS.values():

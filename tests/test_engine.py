@@ -375,9 +375,12 @@ def step_every_cycle(self, cycle, last_commit_cycle):
     return cycle + 1
 
 
-def engine_factory(prog, dla=True, skel=None, corrupt=None, **kw):
+def engine_factory(prog, dla=True, skel=None, corrupt=None, cycle_loop=False,
+                   **kw):
     """A fresh Engine per call; a DLA run builds its skeleton once if not
-    given.  ``corrupt`` is (rate, seed) of injected value-prediction faults."""
+    given.  ``corrupt`` is (rate, seed) of injected value-prediction faults.
+    ``cycle_loop`` makes a baseline run's walk in program order hand the
+    run back at once, so that the cycle loop runs it."""
     if dla and skel is None:
         skel = skeleton.build(prog, cache_config=kw.get("cache_config"))
 
@@ -385,6 +388,8 @@ def engine_factory(prog, dla=True, skel=None, corrupt=None, **kw):
         eng = Engine(prog, skel=skel, **kw)
         if corrupt is not None:
             corrupt_predictions(eng, *corrupt)
+        if cycle_loop:
+            eng._walk_in_order = lambda: None
         return eng
     return make
 
@@ -436,8 +441,8 @@ def lt_stuck_on_stale_memory():
 
 # each config reaches one wake-up or credit path; ``reached`` checks it did
 SKIP_CASES = {
-    "chase-baseline": (
-        lambda: engine_factory(chase(), dla=False),
+    "chase-baseline": (     # the cycle loop, which the walk in order skips
+        lambda: engine_factory(chase(), dla=False, cycle_loop=True),
         lambda d: d["fetch_bubbles"] > 0),
     "chase-dla-t1-reuse": (
         lambda: engine_factory(chase(), features=Features(t1=True, value_reuse=True)),
@@ -512,6 +517,169 @@ def test_idle_skip_matches_per_cycle_oracle(monkeypatch, case):
     assert sum(k for k in skipped if k > 0) > 0, "no cycle was skipped"
     assert reached(fast[0])
     assert fast == slow
+
+
+# -- the baseline walk in program order vs the cycle loop ------------------------
+
+def baseline_outcome(make, walk=True):
+    """``make()``'s baseline run: ((RunStats dict, the MT's fetch bubbles,
+    the commit log) or (the error message,), and whether the cycle loop
+    ran.  With ``walk`` false, ``Engine._walk_in_order`` hands every run
+    back at once, so the cycle loop runs it."""
+    logs = []
+    simulate = Engine._simulate
+
+    def logged(self):
+        logs.append(log_commits(self))      # the fresh stream the loop runs on
+        return simulate(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_simulate", logged)
+        if not walk:
+            mp.setattr(Engine, "_walk_in_order", lambda self: None)
+        eng = make()
+        log = log_commits(eng)
+        try:
+            stats = eng.run().to_dict()
+        except (EngineError, uisa.ExecError) as e:
+            return (str(e),), bool(logs)
+    return (stats, eng.mt.fetch_bubbles, logs[0] if logs else log), bool(logs)
+
+
+def calls_and_jumps():
+    """A loop with a CALL, a RET and a JMP; no generator makes one."""
+    return uisa.parse_program("""
+        ADDI r1, r0, 40
+        ADDI r2, r0, 4096
+    loop:
+        CALL sub
+        ANDI r6, r1, 3
+        BEQZ r6, skip
+        JMP over
+    skip:
+        STORE r5, 8(r2)
+    over:
+        ADDI r1, r1, -1
+        BNEZ r1, loop
+        HALT
+    sub:
+        LOAD r7, 8(r2)
+        ADD  r5, r7, r1
+        RET
+    """)
+
+
+def negative_load():
+    """The MT's sixth LOAD (seq 22) reads from address -16."""
+    return uisa.parse_program("""
+        ADDI r1, r0, 64
+        ADDI r2, r0, 6
+    loop:
+        LOAD r3, 0(r1)
+        ADDI r1, r1, -16
+        ADDI r2, r2, -1
+        BNEZ r2, loop
+        HALT
+    """)
+
+
+def random_level(rng, max_assoc, max_sets_log2, hit_latency):
+    assoc = rng.randrange(1, max_assoc + 1)
+    sets = 2 ** rng.randrange(max_sets_log2)
+    return LevelConfig(64 * assoc * sets, assoc, 64, rng.choice([0, 1, hit_latency]))
+
+
+def random_baseline(seed):
+    """A small baseline run: a random program or a generator's, with random
+    widths, window, fetch buffer, penalties (zero included), caches (zero
+    hit latencies, one MSHR included), ``limit`` and ``max_cycles``."""
+    rng = random.Random(seed)
+    s = rng.randrange(100)
+    prog = rng.choice([
+        lambda: random_program(rng, rng.randrange(10, 120)),
+        lambda: uisa.gen_strided_loop(stride=rng.choice([8, 64, 4096]),
+                                      iters=rng.randrange(1, 300), seed=s),
+        lambda: uisa.gen_pointer_chase(length=rng.randrange(2, 100),
+                                       rounds=rng.randrange(1, 3),
+                                       payload=rng.randrange(3),
+                                       filler=rng.randrange(8), seed=s),
+        lambda: uisa.gen_branchy(iters=rng.randrange(1, 150),
+                                 streams=rng.randrange(1, 4), seed=s),
+        lambda: uisa.gen_mixed_phases(phase_iters=rng.randrange(1, 60),
+                                      outer=rng.randrange(1, 3), seed=s),
+        calls_and_jumps])()
+    params = CoreParams(
+        fetch_width=rng.randrange(1, 9), decode_width=rng.randrange(1, 9),
+        commit_width=rng.randrange(1, 9),
+        window_size=rng.choice([1, 2, rng.randrange(1, 193)]),
+        fetch_buffer=rng.choice([1, rng.randrange(1, 33)]),
+        mispredict_penalty=rng.choice([0, rng.randrange(30)]),
+        btb_penalty=rng.choice([0, rng.randrange(6)]))
+    cache = CacheConfig(l1=random_level(rng, 4, 4, 3),
+                        l2=random_level(rng, 8, 6, 9),
+                        l3=random_level(rng, 8, 8, 36),
+                        dram_latency=rng.choice([0, rng.randrange(400)]),
+                        mshr=rng.choice([1, rng.randrange(1, 33)]))
+    kw = {}
+    if rng.random() < 0.2:
+        kw["limit"] = rng.randrange(1, 3000)
+    if rng.random() < 0.1:
+        kw["max_cycles"] = rng.randrange(1, 3000)
+    return engine_factory(prog, dla=False, params=params, cache_config=cache, **kw)
+
+
+# perfbench's baseline configs at seed 1
+PERFBENCH_BASELINES = {
+    "chase": lambda: uisa.gen_pointer_chase(length=1000, payload=1, filler=24,
+                                            rounds=2, seed=1),
+    "stride": lambda: uisa.gen_strided_loop(stride=8, iters=10000, seed=1),
+    "phases": lambda: uisa.gen_mixed_phases(outer=8, phase_iters=2100, seed=1),
+    "branchy": lambda: uisa.gen_branchy(iters=2000, streams=2, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", list(PERFBENCH_BASELINES))
+def test_walk_in_order_matches_the_cycle_loop(case):
+    make = engine_factory(PERFBENCH_BASELINES[case](), dla=False)
+    walked, looped = baseline_outcome(make)
+    assert not looped
+    assert walked == baseline_outcome(make, walk=False)[0]
+
+
+def test_walk_in_order_matches_the_cycle_loop_on_random_runs():
+    started_over = 0
+    for seed in range(300):
+        make = random_baseline(seed)
+        walked, looped = baseline_outcome(make)
+        started_over += looped
+        assert walked == baseline_outcome(make, walk=False)[0], seed
+    assert 0 < started_over < 100       # a few pass max_cycles
+
+
+# each run makes the walk start over; ``reached`` checks how the loop ended
+START_OVER_CASES = {
+    "max_cycles": (
+        lambda: engine_factory(chase(), dla=False, max_cycles=5000),
+        lambda out: out[0]["partial"] and out[0]["cycles"] == 5000),
+    "watchdog": (
+        lambda: engine_factory(uisa.gen_pointer_chase(length=200, rounds=1),
+                               dla=False,
+                               cache_config=CacheConfig(dram_latency=300_000)),
+        lambda out: out[0].endswith("at cycle 200004")),
+    "negative-load": (
+        lambda: engine_factory(negative_load(), dla=False),
+        lambda out: out[0].endswith("seq 22: load from negative address -16")),
+}
+
+
+@pytest.mark.parametrize("case", list(START_OVER_CASES))
+def test_walk_in_order_starts_over_where_the_cycle_loop_decides(case):
+    make_factory, reached = START_OVER_CASES[case]
+    make = make_factory()
+    walked, looped = baseline_outcome(make)
+    assert looped
+    assert reached(walked)
+    assert walked == baseline_outcome(make, walk=False)[0]
 
 
 # -- fast paths vs the slow paths they skip ------------------------------------
@@ -1044,10 +1212,12 @@ def test_run_stats_identical_to_recorded_digests():
 # the streams began to run each hot straight-line run as one compiled
 # function, not one uisa.step per record: the counts went from 9.47, 12.58
 # and 8.03 (DLA) and 4.09 and 5.14 (baseline) to 8.34, 11.42, 6.86, 3.29 and
-# 4.44.
+# 4.44.  The baseline ceilings were tightened again when a baseline run
+# became one walk in program order with no stage calls: the counts went
+# from 3.30 (phases) and 4.48 (branchy) to 0.88 and 0.63.
 CALLS_PER_INSTRUCTION_CEILING = {("phases", "dla"): 8.6, ("branchy", "dla"): 11.8,
                                  ("chase", "dla"): 7.1,
-                                 ("phases", "base"): 3.4, ("branchy", "base"): 4.6}
+                                 ("phases", "base"): 0.96, ("branchy", "base"): 0.68}
 
 
 def test_calls_per_instruction_ceiling():
