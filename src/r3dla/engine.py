@@ -52,15 +52,49 @@ so one walk over the main thread's records computes them:
 The run ends at max(H, K_last).  The fetch-buffer histogram and the fetch
 bubbles, counted per cycle by the loop, come from the fetch and dispatch
 groups and the D and K cycles, and the walk keeps nothing per instruction
-beyond the pipeline's depth.  Where the loop would decide the outcome (a
+beyond the pipeline's depth.
+
+A DLA run walks too when its skeleton version's bits hold no LOAD or
+STORE and recycling is off (``Engine._walkable``).  Its look-ahead thread
+(LT) then touches no memory: the cache belongs to the main thread (MT) and
+T1, no prefetch footnote can be made, and no version swap happens, so the
+two cores share only the BOQ.  The run is two walks in program order that
+meet there:
+
+- The MT walk is the baseline walk with the same rules, except that a
+  conditional branch is predicted by its BOQ entry, not by the 2-bit
+  counters.  MT branch b is fetched no earlier than P_b, the cycle in which
+  LT branch b commits and is pushed (the LT ticks first in a cycle), and
+  each cycle from F'_b, the fetch cycle the rules above give it, to P_b
+  finds the BOQ empty: max(0, P_b - F'_b) goes to ``boq_empty_stalls``.
+  The commit hooks (loop tracking, and with it T1's ``loop_end`` and value
+  reuse's training) run for every commit with K <= D before a T1 observe
+  at D, and T1's prefetches issue at the end of each cycle, as
+  ``_issue_prefetches`` does, before any later access.
+- The LT walk (``Engine._lookahead_walk``) is a generator over the
+  ``LookaheadStream`` with the same rules, except that a converted branch
+  never mispredicts and nothing touches memory.  LT branch j commits no
+  earlier than one cycle after the MT pops branch j - ``boq_capacity``
+  (a full BOQ holds the LT's commit).  It runs ahead only as far as the MT
+  asks, and at the end up to the run's last cycle, for ``lt_committed``
+  and ``lt_walked``.
+
+``boq_occupancy`` comes from the push and pop cycles, and the depth law is
+checked at each of them (``Engine._boq_occupancy``).
+
+Where the loop would decide the outcome, a walk hands the run back: a
 cycle past ``max_cycles``, a gap from one commit, or from the start, to
-the next commit or to H past the watchdog, or a fault in the main stream)
-the walk hands the run back, and ``run`` runs the cycle loop on a fresh
-memory system, stream and core, which gives the partial result or the
-error message with its cycle.  The cycle loop stays for DLA runs, whose
-two cores act on each other every cycle, for the idealized modes, and as
-the walk's oracle: ``test_walk_in_order_matches_the_cycle_loop`` forces
-the loop and compares the results.
+the next commit or to H past the watchdog, or a fault in the main stream;
+in a DLA run also a BOQ entry that does not match (a reboot), an LT walk
+that ends before the MT's next branch (a guard reboot), and value reuse's
+slow-instruction filter arming (reuse footnotes).  ``_hand_back`` then
+rebuilds the run's state as ``__init__`` did, and ``run`` runs the cycle
+loop, which gives the partial result, the error message with its cycle,
+or the run with its reboots.  The cycle loop stays for DLA runs whose LT
+touches memory, for the idealized modes, and as the walks' oracle:
+``test_walk_in_order_matches_the_cycle_loop`` and
+``test_dla_walk_matches_the_cycle_loop`` force the loop and compare the
+results.
 
 In the cycles that do run, an idle unit or stage costs one test.  Value
 reuse acts at main-thread dispatch only on a pending prediction or a set
@@ -101,12 +135,13 @@ The engine takes only what a config gives it; tests watch and perturb a run
 through the state it already keeps.  Every main-thread commit pops its record
 at the left of ``MainStream.recs``, so a deque subclass put in as
 ``eng.mt_stream.recs`` sees each committed record in order (the commit log
-that the firewall tests compare with the functional interpreter; a
-baseline run that the walk hands back starts over on a fresh stream).  Every
+that the firewall tests compare with the functional interpreter).  Every
 value-reuse prediction is stored in ``Engine.predictions`` when its branch
 reaches main-thread fetch, so a dict subclass put in there can flip a value
 as it is stored (fault injection, which must cost replays and never change a
-committed value).  ``tests/reference.py`` holds both helpers.
+committed value).  A run that a walk hands back starts over on both objects
+cleared, not replaced, so the log holds the cycle loop's commits.
+``tests/reference.py`` holds both helpers.
 
 Who references what: the ``Engine`` owns its cores (``mt``, ``lt``), and
 each core holds the ``MemorySystem`` and its stream.  A core's stages call
@@ -906,19 +941,39 @@ class Engine:
         check_limits(limit=limit, max_cycles=max_cycles)
         self.program = program
         self.params = params or CoreParams()
+        self.cache_config = cache_config or CacheConfig()
         self.dla = dla or DlaParams()
         self.features = features or Features()
         self.skel = skel
         self.dla_on = skel is not None
+        self.limit = limit
         self.max_cycles = max_cycles
         self.mode = mode
-        self.mem = MemorySystem(cache_config)
-        self.stats = RunStats()
+        # the loads T1 observes (on_mt_load's pcs): the S-bit pcs, when T1 is on
+        self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
+                       else frozenset())
+        if self.dla_on:
+            self.lt_tables: dict[int, _RunTable] = {}     # by skeleton version
+        self._start_run(version, deque(), {})
 
+    def _start_run(self, version: int, recs: deque, predictions: dict) -> None:
+        """Build every part of the state a run changes.
+
+        ``__init__`` calls it, and so does a walk that hands its run back
+        to the cycle loop (``_hand_back``), which must start from the same
+        state.  ``recs`` and ``predictions`` are emptied and put in as
+        ``mt_stream.recs`` and ``predictions``: a hand-back passes the
+        run's own, so a subclass that a test put in there stays in place.
+        """
+        recs.clear()
+        predictions.clear()
+        self.mem = MemorySystem(self.cache_config)
+        self.stats = RunStats()
         mt_params = self.params
         if not self.features.fetch_buffer:
             mt_params = replace(self.params, fetch_buffer=self.params.decode_width)
-        self.mt_stream = MainStream(program, limit)
+        self.mt_stream = MainStream(self.program, self.limit)
+        self.mt_stream.recs = recs
         self.mt = _Core(mt_params, self.mem, MT, self.mt_stream,
                         "mt" if self.dla_on else "baseline")
 
@@ -926,23 +981,18 @@ class Engine:
         self.fq: deque[tuple] = deque()
         self.boq_pushed = 0
         self.boq_popped = 0
-        self.predictions: dict[int, tuple] = {}
+        self.predictions: dict[int, tuple] = predictions
         self.pending_reboots: list[tuple[int, str]] = []
         self.pf_queue: deque[int] = deque()   # prefetches awaiting MSHR room
-
-        # the loads T1 observes (on_mt_load's pcs): the S-bit pcs, when T1 is on
-        self.t1_pcs = (skel.s_bits if self.dla_on and self.features.t1
-                       else frozenset())
         # value-reuse training: the innermost loop is in its first
         # TRAIN_ITERATIONS iterations (see on_mt_commit)
         self.training = False
 
+        self.version = version
         self.lt = None
         if self.dla_on:
-            self.version = version
-            self.lt_tables: dict[int, _RunTable] = {}     # by skeleton version
             self.lt_stream = self._lookahead_stream(
-                uisa.ArchState.initial(program))
+                uisa.ArchState.initial(self.program))
             self.lt = _Core(self.params, self.mem, LT, self.lt_stream, "lt")
             self.tracker = LoopTracker()
             self.vru = ValueReuseUnit()
@@ -954,6 +1004,11 @@ class Engine:
             self.prefetch_footnotes = 0
             self.boq_occ = [0] * (self.dla.boq_capacity + 1)
         self.fb_occ = [0] * (self.mt.fb_cap + 1)
+
+    def _hand_back(self) -> None:
+        """A walk gives its run up (and returns None): the run starts over,
+        on the state ``__init__`` built, in the cycle loop."""
+        self._start_run(self.version, self.mt_stream.recs, self.predictions)
 
     # -- look-ahead side hooks -------------------------------------------------
 
@@ -1185,17 +1240,10 @@ class Engine:
         return wake
 
     def run(self) -> RunStats:
-        if not self.dla_on and self.mode == "normal":
+        if self.mode == "normal" and self._walkable():
             stats = self._walk_in_order()
             if stats is not None:
                 return stats
-            # start over on fresh state: the cycle loop gives the partial
-            # run or the error message
-            self.mem = MemorySystem(self.mem.cfg)
-            self.mt_stream = MainStream(self.program, self.mt_stream.limit)
-            self.mt = _Core(self.mt.p, self.mem, MT, self.mt_stream, "baseline")
-            self.stats = RunStats()
-            self.fb_occ = [0] * (self.mt.fb_cap + 1)
         cores = (self.mt, self.lt) if self.dla_on else (self.mt,)
         for core in cores:
             core.engine = self
@@ -1205,15 +1253,31 @@ class Engine:
             for core in cores:
                 core.engine = None
 
-    def _walk_in_order(self) -> RunStats | None:
-        """A baseline run in mode "normal" as one walk in program order.
+    def _walkable(self) -> bool:
+        """Whether ``_walk_in_order`` can run this run: a baseline run, or a
+        DLA run whose look-ahead thread touches no memory (no LOAD or STORE
+        in its skeleton version) and never changes version (recycle off)."""
+        if not self.dla_on:
+            return True
+        bits = self.skel.versions[self.version].bits
+        return (self.features.recycle == "off"
+                and not any(ins.is_mem and ins.index in bits
+                            for ins in self.program.instrs))
 
-        Each instruction's fetch (F), dispatch (D), complete (C) and commit
-        (K) cycles follow from earlier instructions' cycles, as the module
-        docstring sets out.  Returns the ``RunStats`` the cycle loop would,
-        or None, with the run's state spent, where the loop must decide: a
-        cycle past ``max_cycles``, a gap between commits (or to the halt)
-        past the watchdog, or a fault in the main stream.
+    def _walk_in_order(self) -> RunStats | None:
+        """A run ``_walkable`` allows, as one walk in program order.
+
+        Each main-thread instruction's fetch (F), dispatch (D), complete (C)
+        and commit (K) cycles follow from earlier instructions' cycles, as
+        the module docstring sets out; in a DLA run a conditional branch
+        also waits for its BOQ entry, which ``_lookahead_walk`` gives.
+        Returns the ``RunStats`` the cycle loop would, or None where the
+        loop must decide, after ``_hand_back`` has rebuilt the run's state:
+        a cycle past ``max_cycles``, a gap between commits (or to the halt)
+        past the watchdog, a fault in the main stream and, in a DLA run, a
+        BOQ entry that does not match, a look-ahead walk that ends (or
+        passes ``max_cycles``) before the main thread's next branch, or
+        value reuse's slow-instruction filter arming.
         """
         core = self.mt
         p = core.p
@@ -1227,12 +1291,26 @@ class Engine:
         access = self.mem.access
         drain = self.mem.drain
         instrs = self.program.instrs
-        # per pc: (kind, registers read, destination, latency if not memory)
-        # kind: 0 ALU/MUL, 1 LOAD, 2 STORE, 3 BR_COND, 4 BR_UNCOND/CALL, 5 RET
-        kinds = {"LOAD": 1, "STORE": 2, "BR_COND": 3, "BR_UNCOND": 4, "CALL": 4,
-                 "RET": 5}
-        table = [(kinds.get(ins.opcode, 0), ins.reads, ins.dst,
-                  MUL_LATENCY if ins.opcode == "MUL" else 1) for ins in instrs]
+        dla = self.dla_on
+        t1_pcs = self.t1_pcs
+        # per pc: (kind, registers read, destination, latency if not memory,
+        # commit hook).  kind: 0 ALU/MUL, 1 LOAD, 2 STORE, 3 a LOAD that T1
+        # observes, 4 BR_COND the predictor predicts, 5 BR_COND the BOQ
+        # predicts (DLA), 6 BR_UNCOND/CALL, 7 RET.  hook (DLA): 1 BR_COND and
+        # CALL (loop tracking), 2 the rest while value reuse trains.
+        kinds = {"LOAD": 1, "STORE": 2, "BR_COND": 5 if dla else 4,
+                 "BR_UNCOND": 6, "CALL": 6, "RET": 7}
+        reuse = dla and self.features.value_reuse
+        table = []
+        for ins in instrs:
+            op = ins.opcode
+            kind = kinds.get(op, 0)
+            if kind == 1 and ins.index in t1_pcs:
+                kind = 3
+            hook = (0 if not dla else 1 if op == "BR_COND" or op == "CALL"
+                    else 2 if reuse else 0)
+            table.append((kind, ins.reads, ins.dst,
+                          MUL_LATENCY if op == "MUL" else 1, hook))
         predictor = [2] * len(instrs)   # 2-bit counters, weakly taken
         btb = [False] * len(instrs)
         reg_ready = [0] * uisa.NUM_REGS
@@ -1263,16 +1341,81 @@ class Engine:
         width = min(decode_width, window_size)
         taken_slots = 0
         branches = mispredicts = 0
+        # DLA: the look-ahead walk, the cycles of the BOQ's pushes and pops
+        # not yet counted, the commits whose hooks wait for a T1 observe,
+        # and the queued prefetches, whose end-of-cycle issue is due from
+        # ``issue_from`` on
+        pf_queue = self.pf_queue
+        issue_from = 0
+        if dla:
+            pushes: deque[int] = deque()
+            pops: deque[int] = deque()
+            boq = (0, 1)        # the BOQ's depth, and the first cycle not counted
+            freed: deque[int] = deque()     # pops the look-ahead walk awaits
+            lt_end = [max_cycles]
+            lt = self._lookahead_walk(freed, lt_end)
+            next_lt = lt.__next__
+            starved = 0
+            on_commit = self.on_mt_commit
+            on_load = self.on_mt_load
+            sif = self.vru.sif
+            defer = bool(t1_pcs)    # T1 reads the loop state at dispatch
+            pending: deque[tuple] = deque()     # (K, hook, rec, D, C)
+
+            def hooks_until(now: int) -> bool:
+                """Run the hooks of the commits by cycle ``now``; False once
+                value reuse's filter arms."""
+                while pending and pending[0][0] <= now:
+                    k, hook, rec, d, c = pending.popleft()
+                    if hook == 1:
+                        on_commit(core, rec, d, c, k)
+                    elif self.training:
+                        on_commit(core, rec, d, c, k)
+                        if sif.armed:
+                            return False
+                return True
         i = 0
         end = stream.end
         while True:
             # -- fetch: the record at F, with the group's redirect rules
+            if i < end:
+                rec = recs[i - end]
+            else:
+                stream.next = i
+                try:
+                    rec = get(i)
+                except uisa.ExecError:
+                    return self._hand_back()
+                end = stream.end
             f = f_next
             t = dispatched[0]   # a free fetch-buffer slot
             if t > f:
                 f = t
             if blocked > f:
                 f = blocked
+            if rec is None:
+                break
+            ins = rec[0]
+            pc = ins.index
+            kind, reads, dst, latency, hook = table[pc]
+            if kind == 5:
+                # fetched once the look-ahead thread has pushed its outcome;
+                # each cycle before that the BOQ is found empty
+                try:
+                    t, lt_rec = next_lt()
+                except StopIteration:
+                    return self._hand_back()
+                if lt_rec[0] is not ins or lt_rec[3] != rec[3]:
+                    return self._hand_back()
+                pushes.append(t)
+                if t > f:
+                    starved += t - f
+                    f = t
+                pops.append(f)
+                freed.append(f)
+                if len(pops) >= 4096:
+                    # no later push or pop comes before this push
+                    boq = self._boq_occupancy(pushes, pops, t, *boq)
             if f != f_at:
                 if f_n:
                     at = f_at + 1
@@ -1288,28 +1431,14 @@ class Engine:
                     occ += f_n
                 f_at = f
                 f_n = 0
-            if i < end:
-                rec = recs[i - end]
-            else:
-                stream.next = i
-                try:
-                    rec = get(i)
-                except uisa.ExecError:
-                    return None
-                if rec is None:
-                    break
-                end = stream.end
-            ins = rec[0]
-            pc = ins.index
-            kind, reads, dst, latency = table[pc]
             f_n += 1
             stop = f_n == fetch_width
             mispredicted = False
-            if kind >= 3:
+            if kind >= 4:
                 # a taken branch, a jump, a call, a return or a mispredict
                 # ends the group; a redirect to a cold target blocks fetch
-                redirect = kind == 4
-                if kind == 3:
+                redirect = kind == 6
+                if kind == 4:
                     taken = rec[3]
                     c = predictor[pc]
                     if taken:
@@ -1322,6 +1451,9 @@ class Engine:
                         mispredicted = stop = True
                     else:
                         redirect = taken
+                elif kind == 5:
+                    branches += 1
+                    redirect = rec[3]
                 else:
                     stop = True
                 if redirect:
@@ -1348,15 +1480,28 @@ class Engine:
                 t = reg_ready[r]
                 if t > start:
                     start = t
-            if kind == 1 or kind == 2:
+            if 0 < kind < 4:
+                # the end-of-cycle prefetch issues, then periodic drains,
+                # below D run before its access
+                if pf_queue and issue_from < d:
+                    self._prefetch_cycles(issue_from, d - 1)
+                    issue_from = d
                 if d > drained_to + DRAIN_PERIOD:
                     drained_to = (d - 1) // DRAIN_PERIOD * DRAIN_PERIOD
                     drain(drained_to)
-                if kind == 1:
-                    complete = start + access(rec[1], "load", MT, start)[0]
-                else:
+                if kind == 2:
                     access(rec[1], "store", MT, start)
                     complete = start + 1
+                else:
+                    res = access(rec[1], "load", MT, start)
+                    complete = start + res[0]
+                    if kind == 3:
+                        # T1 sees the loop state of the commits by D
+                        if not hooks_until(d):
+                            return self._hand_back()
+                        on_load(ins, rec, res, d)
+                        if pf_queue:
+                            issue_from = d
             else:
                 complete = start + latency
             if dst is not None:
@@ -1372,7 +1517,7 @@ class Engine:
                 k = complete
             if k != k_at:
                 if k - k_at > PROGRESS_WATCHDOG or k > max_cycles:
-                    return None
+                    return self._hand_back()
                 k_at = k
                 k_n = 0
             k_n += 1
@@ -1381,14 +1526,34 @@ class Engine:
             t = committed[width - 1] - d - 1     # K_{i - lag} - D_i - 1
             if t > 0:
                 taken_slots += t
+            if hook:
+                if defer:
+                    pending.append((k, hook, rec, d, complete))
+                elif hook == 1:
+                    on_commit(core, rec, d, complete, k)
+                elif self.training:
+                    on_commit(core, rec, d, complete, k)
+                    if sif.armed:
+                        return self._hand_back()
             i += 1
         # the halt is seen at cycle f; the run ends once it is and all committed
         if f - k_at > PROGRESS_WATCHDOG:
-            return None
+            return self._hand_back()
         cycles = f if f > k_at else k_at
         if cycles > max_cycles:
-            return None
+            return self._hand_back()
         stream.next = i
+        if dla:
+            if not hooks_until(cycles):
+                return self._hand_back()
+            if pf_queue:
+                self._prefetch_cycles(issue_from, cycles)
+            # the look-ahead thread's pushes, fetches and commits up to the end
+            lt_end[0] = cycles
+            pushes.extend(t for t, _ in lt if t <= cycles)
+            self._boq_occupancy(pushes, pops, cycles + 1, *boq)
+            self.stats.boq_consumed = branches
+            self.stats.boq_empty_stalls = starved
         # the groups still open, then the end of the run
         for t, n in sorted([*shown, (f_at + 1, -f_n), (d_at + 1, d_n),
                             (cycles + 1, 0)]):
@@ -1401,6 +1566,212 @@ class Engine:
         core.mispredicts = mispredicts
         core.fetch_bubbles = width * cycles - taken_slots - i
         return self._finalize(cycles)
+
+    def _lookahead_walk(self, freed: deque[int], end: list[int]):
+        """The look-ahead thread of a DLA walk, in program order: a
+        generator of ``(P, rec)`` per conditional branch, P being the cycle
+        in which it commits and pushes its outcome ``rec`` to the BOQ.
+
+        The rules are ``_walk_in_order``'s, except that a converted branch
+        never mispredicts, nothing touches memory, and branch j commits no
+        earlier than one cycle after the main thread popped branch
+        j - ``boq_capacity``.  ``freed`` holds the cycles of the main
+        thread's pops, in order, from that of branch j - ``boq_capacity``
+        on; the walk takes each off as its branch needs it.  The walk
+        fetches up to cycle ``end[0]``, which it reads again after each
+        branch; a branch whose pop never comes commits after it.  At its end
+        ``lt.committed`` holds the commits by then, and ``lt_stream`` has
+        handed out what was fetched by then.
+        """
+        core = self.lt
+        p = core.p
+        fetch_width, decode_width = p.fetch_width, p.decode_width
+        commit_width, window_size = p.commit_width, p.window_size
+        mispredict_penalty, btb_penalty = p.mispredict_penalty, p.btb_penalty
+        cap = self.dla.boq_capacity
+        stream = self.lt_stream
+        get = stream.get
+        converted = stream.converted
+        instrs = self.program.instrs
+        # per pc: (kind, registers read, destination, latency).  kind: 0
+        # ALU/MUL, 4 BR_COND the predictor predicts, 5 a converted BR_COND,
+        # 6 BR_UNCOND/CALL, 7 RET
+        kinds = {"BR_COND": 4, "BR_UNCOND": 6, "CALL": 6, "RET": 7}
+        table = [(5 if ins.index in converted else kinds.get(ins.opcode, 0),
+                  ins.reads, ins.dst, MUL_LATENCY if ins.opcode == "MUL" else 1)
+                 for ins in instrs]
+        predictor = [2] * len(instrs)
+        btb = [False] * len(instrs)
+        reg_ready = [0] * uisa.NUM_REGS
+        dispatched = deque([0] * core.fb_cap, maxlen=core.fb_cap)
+        committed = deque([0] * window_size, maxlen=window_size)
+        f_at = d_at = k_at = 0
+        f_n = d_n = k_n = 0
+        f_next = 1
+        blocked = 0
+        limit = end[0]
+        i = 0
+        j = 0                   # conditional branches
+        late = 0                # instructions that commit after ``limit``
+        # the records of the stream's last compiled batch are read here,
+        # not one ``get`` each; the stream learns how far at the next get
+        batch = stream.batch
+        pos = stream.pos
+        while True:
+            f = f_next
+            t = dispatched[0]
+            if t > f:
+                f = t
+            if blocked > f:
+                f = blocked
+            if f > limit:
+                break
+            if pos < len(batch):
+                rec = batch[pos]
+                pos += 1
+            else:
+                stream.pos = pos
+                stream.next = i
+                rec = get(i)
+                if rec is None:
+                    break
+                batch = stream.batch
+                pos = stream.pos
+            if f != f_at:
+                f_at = f
+                f_n = 0
+            pc = rec[0].index
+            kind, reads, dst, latency = table[pc]
+            f_n += 1
+            stop = f_n == fetch_width
+            mispredicted = False
+            if kind >= 4:
+                redirect = kind == 6
+                if kind == 4:
+                    taken = rec[3]
+                    c = predictor[pc]
+                    if taken:
+                        predictor[pc] = c + 1 if c < 3 else 3
+                    else:
+                        predictor[pc] = c - 1 if c > 0 else 0
+                    if (c >= 2) != taken:
+                        mispredicted = stop = True
+                    else:
+                        redirect = taken
+                elif kind == 5:
+                    redirect = rec[3]
+                else:
+                    stop = True
+                if redirect:
+                    stop = True
+                    if not btb[pc]:
+                        btb[pc] = True
+                        blocked = f + 1 + btb_penalty
+            f_next = f + 1 if stop else f
+            d = d_at + 1 if d_n == decode_width else d_at
+            if f >= d:
+                d = f + 1
+            t = committed[0]
+            if t > d:
+                d = t
+            if d != d_at:
+                d_at = d
+                d_n = 0
+            d_n += 1
+            start = d
+            for r in reads:
+                t = reg_ready[r]
+                if t > start:
+                    start = t
+            complete = start + latency
+            if dst is not None:
+                reg_ready[dst] = complete
+            if mispredicted:
+                blocked = complete + mispredict_penalty
+            dispatched.append(d)
+            k = k_at + 1 if k_n == commit_width else k_at
+            if d >= k:
+                k = d + 1
+            if complete > k:
+                k = complete
+            branch = kind == 4 or kind == 5
+            if branch and j >= cap:
+                # a full BOQ holds the branch until the pop that frees a slot
+                t = freed.popleft() + 1 if freed else limit + 1
+                if t > k:
+                    k = t
+            if k != k_at:
+                k_at = k
+                k_n = 0
+            k_n += 1
+            committed.append(k)
+            i += 1
+            if k > limit:
+                late += 1
+            if branch:
+                j += 1
+                yield k, rec
+                limit = end[0]
+        stream.pos = pos
+        stream.next = i
+        core.committed = i - late
+
+    def _prefetch_cycles(self, c: int, last: int) -> None:
+        """The cycle loop's end-of-cycle memory work in cycles ``c`` to
+        ``last`` while prefetches wait, for a walk that makes no access in
+        them after cycle ``c``'s: issue as ``_issue_prefetches`` does, then
+        the periodic drain.  Once the MSHRs are full, nothing changes until
+        a fill comes due, so the cycles before that are skipped."""
+        queue = self.pf_queue
+        while c <= last:
+            self._issue_prefetches(c)
+            if c % DRAIN_PERIOD == 0:
+                self.mem.drain(c)
+            if not queue:
+                return
+            c = self.mem.earliest_ready()
+
+    def _boq_occupancy(self, pushes: deque[int], pops: deque[int],
+                       until: int, occ: int, swept: int) -> tuple[int, int]:
+        """Count the BOQ's depth at the end of each cycle from ``swept`` to
+        ``until`` - 1 into ``boq_occ``, taking the push and pop cycles before
+        ``until`` off the fronts of ``pushes`` and ``pops``; ``occ`` is the
+        depth before ``swept``.  No push or pop still to come may fall before
+        ``until``.  Returns the depth and ``until``.
+
+        The depth law is checked as the cycle loop checks it: a cycle's
+        pushes come before its pops, so after them the queue holds at most
+        ``boq_capacity`` entries, and after its pops at least none.
+        """
+        cap = self.dla.boq_capacity
+        hist = self.boq_occ
+        while True:
+            c = until
+            if pushes and pushes[0] < c:
+                c = pushes[0]
+            if pops and pops[0] < c:
+                c = pops[0]
+            if c == until:
+                break
+            hist[occ] += c - swept
+            while pushes and pushes[0] == c:
+                pushes.popleft()
+                occ += 1
+            if occ > cap:
+                raise EngineError(
+                    f"branch outcome queue depth law broke at cycle {c}: "
+                    f"{occ} entries pushed, capacity {cap}")
+            while pops and pops[0] == c:
+                pops.popleft()
+                occ -= 1
+            if occ < 0:
+                raise EngineError(
+                    f"branch outcome queue depth law broke at cycle {c}: "
+                    f"a pop found no pushed entry")
+            hist[occ] += 1
+            swept = c + 1
+        hist[occ] += until - swept
+        return occ, until
 
     def _simulate(self) -> RunStats:
         mt = self.mt

@@ -103,7 +103,8 @@ def run_counting_t1_loads(eng, warmup):
 class _LoggingRecords(deque):
     """``MainStream.recs`` that logs each record its ``popleft`` takes: the
     core pops the oldest record at every main-thread commit, and nothing
-    else pops it."""
+    else pops it.  A run that a walk hands back to the cycle loop starts
+    over on these records cleared, so ``clear`` drops the log too."""
 
     def __init__(self, recs, log):
         super().__init__(recs)
@@ -113,6 +114,10 @@ class _LoggingRecords(deque):
         rec = super().popleft()
         self.log.append((rec[0].index, rec[1], rec[2], rec[3]))
         return rec
+
+    def clear(self):
+        super().clear()
+        self.log.clear()
 
 
 def log_commits(eng):

@@ -168,9 +168,12 @@ def test_criterion_04_engine_vs_model():
 
 @pytest.mark.slow
 def test_criterion_05_boq_depth_law():
-    # Engine.run checks the law on every cycle it steps and raises
-    # EngineError if it breaks; a skipped idle cycle cannot change the BOQ or
-    # its two counters.  This test drives enough decoupled execution through it
+    # Engine.run raises EngineError where the law breaks.  The cycle loop
+    # (the chase and phases runs) checks it on every cycle it steps; a
+    # skipped idle cycle cannot change the BOQ or its two counters.  The DLA
+    # walk (the strided and branchy runs, whose look-ahead threads touch no
+    # memory) checks it at every push and pop (Engine._boq_occupancy).  This
+    # test drives enough decoupled execution through both
     total = 0
     runs = [
         (uisa.gen_strided_loop(stride=8, iters=1_900_000),
@@ -187,7 +190,8 @@ def test_criterion_05_boq_depth_law():
         st = Engine(prog, skel=skel, features=feats).run()
         total += st.instructions
     report(5, total >= 10 ** 7,
-           f"depth law checked on every stepped cycle over {total} instructions")
+           f"depth law checked on every stepped cycle of the cycle loop and "
+           f"at every push and pop of the DLA walk over {total} instructions")
 
 
 # -- 6: correctness firewall under fuzzing ---------------------------------------
