@@ -1217,7 +1217,8 @@ class Engine:
 
         Only the clock can end an idle stretch: a window head completing, a
         fetch block running out, a reboot falling due, an MSHR freeing up for
-        a queued prefetch, or the watchdog and ``max_cycles`` bounds.  A head
+        a queued prefetch (in the next cycle if the cycle's drain freed one),
+        or the watchdog and ``max_cycles`` bounds.  A head
         that is complete but held back by ``lt_commit`` waits on the main
         thread, not on time.
         """
@@ -1234,8 +1235,13 @@ class Engine:
             if at < wake:
                 wake = at
         if self.pf_queue:
-            ready = self.mem.earliest_ready()
-            if ready is not None and ready < wake:
+            mem = self.mem
+            if len(mem.in_flight) < mem.cfg.mshr:
+                # a fill of no latency, retired by the cycle's drain, left
+                # an MSHR free: the next cycle issues
+                return cycle + 1
+            ready = mem.earliest_ready()
+            if ready < wake:
                 wake = ready
         return wake
 
@@ -1255,14 +1261,8 @@ class Engine:
 
     def _walkable(self) -> bool:
         """Whether ``_walk_in_order`` can run this run: a baseline run, or a
-        DLA run whose look-ahead thread touches no memory (no LOAD or STORE
-        in its skeleton version) and never changes version (recycle off)."""
-        if not self.dla_on:
-            return True
-        bits = self.skel.versions[self.version].bits
-        return (self.features.recycle == "off"
-                and not any(ins.is_mem and ins.index in bits
-                            for ins in self.program.instrs))
+        DLA run that never changes version (recycle off)."""
+        return not self.dla_on or self.features.recycle == "off"
 
     def _walk_in_order(self) -> RunStats | None:
         """A run ``_walkable`` allows, as one walk in program order.
@@ -1315,14 +1315,14 @@ class Engine:
         btb = [False] * len(instrs)
         reg_ready = [0] * uisa.NUM_REGS
         # D of the last fetch_buffer instructions, K of the last window_size
-        dispatched = deque([0] * core.fb_cap, maxlen=core.fb_cap)
+        fb_cap = core.fb_cap
+        dispatched = deque([0] * fb_cap, maxlen=fb_cap)
         committed = deque([0] * window_size, maxlen=window_size)
         # the open fetch, dispatch and commit groups: cycle and size
         f_at = d_at = k_at = 0
         f_n = d_n = k_n = 0
         f_next = 1              # the earliest cycle the next fetch can take
         blocked = 0             # fetch_blocked_until
-        drained_to = 0          # the last periodic drain applied
         # fetch-buffer occupancy per cycle: a fetch group of n at cycle F
         # adds n from F + 1 on, a dispatch group takes its n out from D + 1
         # on.  No later group can show before a closed fetch group does, so
@@ -1342,145 +1342,288 @@ class Engine:
         taken_slots = 0
         branches = mispredicts = 0
         # DLA: the look-ahead walk, the cycles of the BOQ's pushes and pops
-        # not yet counted, the commits whose hooks wait for a T1 observe,
-        # and the queued prefetches, whose end-of-cycle issue is due from
-        # ``issue_from`` on
+        # not yet counted, the commits whose hooks wait for a T1 observe (or,
+        # when the look-ahead thread touches memory and value reuse is on,
+        # for its commits), and the queued prefetches, whose end-of-cycle
+        # issue is due from ``issue_from`` on
         pf_queue = self.pf_queue
         issue_from = 0
+        drained_to = 0          # the last periodic drain applied
+
+        def before_access(d: int) -> None:
+            """The end-of-cycle prefetch issues, then the periodic drains,
+            of the cycles before an access at cycle ``d``."""
+            nonlocal issue_from, drained_to
+            if pf_queue and issue_from < d:
+                self._prefetch_cycles(issue_from, d - 1)
+                issue_from = d
+            if d > drained_to + DRAIN_PERIOD:
+                drained_to = (d - 1) // DRAIN_PERIOD * DRAIN_PERIOD
+                drain(drained_to)
+        sync = False
         if dla:
             pushes: deque[int] = deque()
             pops: deque[int] = deque()
             boq = (0, 1)        # the BOQ's depth, and the first cycle not counted
             freed: deque[int] = deque()     # pops the look-ahead walk awaits
-            lt_end = [max_cycles]
-            lt = self._lookahead_walk(freed, lt_end)
-            next_lt = lt.__next__
+            # the look-ahead walk's horizon, whether the run has ended, and
+            # the cycle before which it has no event (sync)
+            lt_end = [max_cycles, False, 0]
+            bits = self.skel.versions[self.version].bits
+            sync = any(ins.is_mem and ins.index in bits for ins in instrs)
             starved = 0
             on_commit = self.on_mt_commit
             on_load = self.on_mt_load
             sif = self.vru.sif
-            defer = bool(t1_pcs)    # T1 reads the loop state at dispatch
+            # T1 reads the loop state at dispatch, and a look-ahead commit
+            # reads value reuse's filter
+            defer = bool(t1_pcs) or (sync and reuse)
             pending: deque[tuple] = deque()     # (K, hook, rec, D, C)
 
             def hooks_until(now: int) -> bool:
                 """Run the hooks of the commits by cycle ``now``; False once
-                value reuse's filter arms."""
+                value reuse's filter arms, unless the look-ahead walk makes
+                the reuse footnotes."""
                 while pending and pending[0][0] <= now:
                     k, hook, rec, d, c = pending.popleft()
                     if hook == 1:
                         on_commit(core, rec, d, c, k)
                     elif self.training:
                         on_commit(core, rec, d, c, k)
-                        if sif.armed:
+                        if sif.armed and not sync:
                             return False
                 return True
+            if sync:
+                lt = self._lookahead_events(freed, lt_end, pending,
+                                            hooks_until, before_access)
+                lt_buf: deque[tuple] = deque()  # pushes the MT has not fetched
+                bq = self.boq
+                on_footnotes = self.process_footnotes
+                on_dispatch = self.on_mt_dispatch
+                predictions = self.predictions
+                sb = self.vru.scoreboard
+                # per pc: how far the next control instruction is after it
+                to_ctrl = [0] * len(instrs)
+                t = 1
+                for ins in reversed(instrs):
+                    to_ctrl[ins.index] = t
+                    t = 1 if ins.is_control or ins.opcode == "HALT" else t + 1
+            else:
+                lt = self._lookahead_walk(freed, lt_end)
+            next_lt = lt.__next__
+        # sync: the instructions fetched before an earlier LOAD's or STORE's
+        # access, as (f, rec, kind, reads, dst, latency, hook), and that
+        # access's instruction while it waits for them, dispatched at
+        # ``lim``.  ``alt`` is set while either holds something; then
+        # ``skip`` says which steps instruction i (or one fetched ahead)
+        # still takes: -1 fetch only, 0 all, 1 dispatch and access, 2 access.
+        ahead: deque[tuple] = deque()
+        wait = None
+        lim = 0
+        alt = False
+        reuse_dispatch = sync and reuse
         i = 0
         end = stream.end
         while True:
-            # -- fetch: the record at F, with the group's redirect rules
-            if i < end:
-                rec = recs[i - end]
-            else:
-                stream.next = i
-                try:
-                    rec = get(i)
-                except uisa.ExecError:
-                    return self._hand_back()
-                end = stream.end
-            f = f_next
-            t = dispatched[0]   # a free fetch-buffer slot
-            if t > f:
-                f = t
-            if blocked > f:
-                f = blocked
-            if rec is None:
-                break
-            ins = rec[0]
-            pc = ins.index
-            kind, reads, dst, latency, hook = table[pc]
-            if kind == 5:
-                # fetched once the look-ahead thread has pushed its outcome;
-                # each cycle before that the BOQ is found empty
-                try:
-                    t, lt_rec = next_lt()
-                except StopIteration:
-                    return self._hand_back()
-                if lt_rec[0] is not ins or lt_rec[3] != rec[3]:
-                    return self._hand_back()
-                pushes.append(t)
-                if t > f:
-                    starved += t - f
-                    f = t
-                pops.append(f)
-                freed.append(f)
-                if len(pops) >= 4096:
-                    # no later push or pop comes before this push
-                    boq = self._boq_occupancy(pushes, pops, t, *boq)
-            if f != f_at:
-                if f_n:
-                    at = f_at + 1
-                    while shown and shown[0][0] <= at:
-                        t, n = shown.popleft()
-                        if t > swept:
-                            fb_occ[occ] += t - swept
-                            swept = t
-                        occ -= n
-                    if at > swept:
-                        fb_occ[occ] += at - swept
-                        swept = at
-                    occ += f_n
-                f_at = f
-                f_n = 0
-            f_n += 1
-            stop = f_n == fetch_width
-            mispredicted = False
-            if kind >= 4:
-                # a taken branch, a jump, a call, a return or a mispredict
-                # ends the group; a redirect to a cold target blocks fetch
-                redirect = kind == 6
-                if kind == 4:
-                    taken = rec[3]
-                    c = predictor[pc]
-                    if taken:
-                        predictor[pc] = c + 1 if c < 3 else 3
-                    else:
-                        predictor[pc] = c - 1 if c > 0 else 0
-                    branches += 1
-                    if (c >= 2) != taken:
-                        mispredicts += 1
-                        mispredicted = stop = True
-                    else:
-                        redirect = taken
-                elif kind == 5:
-                    branches += 1
-                    redirect = rec[3]
+            if alt:
+                if wait is None:
+                    f, rec, kind, reads, dst, latency, hook = ahead.popleft()
+                    ins = rec[0]
+                    alt = bool(ahead)
+                    skip = 1
                 else:
-                    stop = True
-                if redirect:
-                    stop = True
-                    if not btb[pc]:
-                        btb[pc] = True
-                        blocked = f + 1 + btb_penalty
-            f_next = f + 1 if stop else f
-            # -- dispatch: in order, decode_width a cycle, a free window slot
-            d = d_at + 1 if d_n == decode_width else d_at
-            if f >= d:
-                d = f + 1
-            t = committed[0]
-            if t > d:
-                d = t
-            if d != d_at:
-                if d_n:
-                    shown.append((d_at + 1, d_n))
-                d_at = d
-                d_n = 0
-            d_n += 1
+                    # fetch n comes before the waiting access if it falls
+                    # before that access's cycle; else the access goes
+                    n = i + 1 + len(ahead)
+                    if n < end:
+                        rec = recs[n - end]
+                    else:
+                        stream.next = n
+                        try:
+                            rec = get(n)
+                        except uisa.ExecError:
+                            return self._hand_back()
+                        end = stream.end
+                    f = f_next
+                    t = dispatched[n - i] if n - i < fb_cap else lim
+                    if t > f:
+                        f = t
+                    if blocked > f:
+                        f = blocked
+                    skip = -1
+                    if rec is None or f >= lim:
+                        skip = 2
+                    elif table[rec[0].index][0] == 5:
+                        # its BOQ entry, if the look-ahead thread pushes it
+                        # before ``lim``
+                        if not lt_buf and lim >= lt_end[2]:
+                            lt_end[0] = lim
+                            ev = next_lt()
+                            if ev is not None:
+                                lt_buf.append(ev)
+                        if not lt_buf or lt_buf[0][0] >= lim:
+                            skip = 2
+                    if skip == 2:
+                        rec, ins, kind, reads, dst, latency, hook, d = wait
+                        wait = None
+                        alt = bool(ahead)
+            else:
+                skip = 0
+                # -- fetch: the record at F, with the group's redirect rules
+                if i < end:
+                    rec = recs[i - end]
+                else:
+                    stream.next = i
+                    try:
+                        rec = get(i)
+                    except uisa.ExecError:
+                        return self._hand_back()
+                    end = stream.end
+                f = f_next
+                t = dispatched[0]   # a free fetch-buffer slot
+                if t > f:
+                    f = t
+                if blocked > f:
+                    f = blocked
+            if skip < 1:
+                if rec is None:
+                    break
+                ins = rec[0]
+                pc = ins.index
+                kind, reads, dst, latency, hook = table[pc]
+                if kind == 5:
+                    # fetched once the look-ahead thread has pushed its
+                    # outcome; each cycle before that the BOQ is found empty
+                    if sync:
+                        if not lt_buf:
+                            lt_end[0] = max_cycles
+                            ev = next_lt()
+                            if ev is None:
+                                return self._hand_back()
+                            lt_buf.append(ev)
+                        t, lt_rec = lt_buf.popleft()
+                    else:
+                        try:
+                            t, lt_rec = next_lt()
+                        except StopIteration:
+                            return self._hand_back()
+                    if lt_rec[0] is not ins or lt_rec[3] != rec[3]:
+                        return self._hand_back()
+                    pushes.append(t)
+                    if t > f:
+                        starved += t - f
+                        f = t
+                    if sync:
+                        # the pop, after the look-ahead thread's events
+                        # of its cycle: the entry's footnotes go to the
+                        # prefetch queue and the predictions
+                        if f >= lt_end[2]:
+                            lt_end[0] = f
+                            ev = next_lt()
+                            while ev is not None:
+                                lt_buf.append(ev)
+                                ev = next_lt()
+                        entry = bq.popleft()
+                        if entry.fq_count:
+                            if pf_queue and issue_from < f:
+                                self._prefetch_cycles(issue_from, f - 1)
+                            # branch i, or one fetched ahead of it
+                            b = i + len(ahead) + 1 if skip else i
+                            on_footnotes(entry, b, f)
+                            if pf_queue:
+                                issue_from = f
+                    pops.append(f)
+                    freed.append(f)
+                    if len(pops) >= 4096:
+                        # no later push or pop comes before this push
+                        boq = self._boq_occupancy(pushes, pops, t, *boq)
+                if f != f_at:
+                    if f_n:
+                        at = f_at + 1
+                        while shown and shown[0][0] <= at:
+                            t, m = shown.popleft()
+                            if t > swept:
+                                fb_occ[occ] += t - swept
+                                swept = t
+                            occ -= m
+                        if at > swept:
+                            fb_occ[occ] += at - swept
+                            swept = at
+                        occ += f_n
+                    f_at = f
+                    f_n = 0
+                f_n += 1
+                stop = f_n == fetch_width
+                mispredicted = False
+                if kind >= 4:
+                    # a taken branch, a jump, a call, a return or a
+                    # mispredict ends the group; a redirect to a cold
+                    # target blocks fetch
+                    redirect = kind == 6
+                    if kind == 4:
+                        taken = rec[3]
+                        c = predictor[pc]
+                        if taken:
+                            predictor[pc] = c + 1 if c < 3 else 3
+                        else:
+                            predictor[pc] = c - 1 if c > 0 else 0
+                        branches += 1
+                        if (c >= 2) != taken:
+                            mispredicts += 1
+                            mispredicted = stop = True
+                        else:
+                            redirect = taken
+                    elif kind == 5:
+                        branches += 1
+                        redirect = rec[3]
+                    else:
+                        stop = True
+                    if redirect:
+                        stop = True
+                        if not btb[pc]:
+                            btb[pc] = True
+                            blocked = f + 1 + btb_penalty
+                f_next = f + 1 if stop else f
+                if skip:
+                    ahead.append((f, rec, kind, reads, dst, latency, hook))
+                    continue
+            if skip < 2:
+                # -- dispatch: in order, decode_width a cycle, a free window
+                # slot
+                d = d_at + 1 if d_n == decode_width else d_at
+                if f >= d:
+                    d = f + 1
+                t = committed[0]
+                if t > d:
+                    d = t
+                if d != d_at:
+                    if d_n:
+                        shown.append((d_at + 1, d_n))
+                    d_at = d
+                    d_n = 0
+                d_n += 1
+                if (sync and 0 < kind < 4 and (ahead or to_ctrl[ins.index]
+                                               <= (d - f_next) * fetch_width)):
+                    # every fetch before D comes first (a pop there moves the
+                    # look-ahead thread and the prefetch queue), if one of
+                    # them can be a branch
+                    wait = (rec, ins, kind, reads, dst, latency, hook, d)
+                    lim = d
+                    alt = True
+                    continue
             start = d
             for r in reads:
                 t = reg_ready[r]
                 if t > start:
                     start = t
             if 0 < kind < 4:
+                if sync and d >= lt_end[2]:
+                    # the look-ahead thread's events through D come first
+                    lt_end[0] = d
+                    ev = next_lt()
+                    while ev is not None:
+                        lt_buf.append(ev)
+                        ev = next_lt()
                 # the end-of-cycle prefetch issues, then periodic drains,
                 # below D run before its access
                 if pf_queue and issue_from < d:
@@ -1504,7 +1647,14 @@ class Engine:
                             issue_from = d
             else:
                 complete = start + latency
-            if dst is not None:
+            if reuse_dispatch and (i in predictions or not sb.clean):
+                complete, ready, squashed = on_dispatch(core, i, ins, rec,
+                                                        complete, d)
+                if squashed:
+                    return self._hand_back()   # a replay
+                if dst is not None:
+                    reg_ready[dst] = ready
+            elif dst is not None:
                 reg_ready[dst] = complete
             if mispredicted:
                 blocked = complete + mispredict_penalty
@@ -1544,13 +1694,21 @@ class Engine:
             return self._hand_back()
         stream.next = i
         if dla:
+            lt_end[0] = cycles
+            if sync:
+                # the look-ahead thread's events up to the end come before
+                # the main thread's last hooks and prefetch issues
+                lt_end[1] = True
+                lt_buf.extend(ev for ev in lt if ev is not None)
+                pushes.extend(t for t, _ in lt_buf)
             if not hooks_until(cycles):
                 return self._hand_back()
             if pf_queue:
                 self._prefetch_cycles(issue_from, cycles)
-            # the look-ahead thread's pushes, fetches and commits up to the end
-            lt_end[0] = cycles
-            pushes.extend(t for t, _ in lt if t <= cycles)
+            if not sync:
+                # the look-ahead thread's pushes, fetches and commits up to
+                # the end
+                pushes.extend(t for t, _ in lt if t <= cycles)
             self._boq_occupancy(pushes, pops, cycles + 1, *boq)
             self.stats.boq_consumed = branches
             self.stats.boq_empty_stalls = starved
@@ -1716,20 +1874,285 @@ class Engine:
         stream.next = i
         core.committed = i - late
 
+    def _lookahead_events(self, freed: deque[int], end: list, pending: deque,
+                          hooks_until, before_access):
+        """The look-ahead thread of a DLA walk whose skeleton version loads
+        or stores: ``_lookahead_walk``'s rules, made in the cycle loop's
+        order, since the thread now shares the cache, the BOQ and the
+        footnote queue with the main thread.
+
+        It yields ``(P, rec)`` as branch ``rec`` commits and pushes its
+        outcome at cycle P, and None once it has made every event up to
+        cycle ``end[0]``.  Each time it is resumed, the main thread has made
+        all of its own events before cycle ``end[0]``: its BOQ pops (whose
+        cycles ``freed`` holds from that of branch j - ``boq_capacity`` on),
+        its accesses and its commit hooks, of which ``pending`` holds those
+        not yet run and ``hooks_until`` runs them up to a cycle.  So the
+        walk keeps each event in the order of (cycle, stage): an instruction
+        is fetched, dispatched and committed in program order, and the
+        instructions dispatched but not yet committed wait in ``window``; a
+        commit comes before a dispatch, and a dispatch before a fetch, of the
+        same cycle.  A commit waits for the pop that frees its BOQ slot and,
+        while value reuse's filter is armed, for room in the footnote queue
+        (``lt_commit`` says when it is full).  A LOAD or STORE accesses
+        ``MemorySystem`` as ``LT`` at its dispatch, after the end-of-cycle
+        prefetch issues and periodic drains of the cycles before it, which
+        the main thread's ``before_access`` makes, and a load that misses L1
+        gives ``on_lt_miss`` its prefetch footnote.  The BOQ and the footnote queue are the engine's
+        own, so the hooks act on them as in the loop.
+
+        Once ``end[1]`` is set the walk also fetches, without dispatching
+        them, the instructions it fetches by ``end[0]``, and returns with
+        ``lt.committed`` and ``lt_stream`` as ``_lookahead_walk`` leaves them.
+        """
+        core = self.lt
+        p = core.p
+        fetch_width, decode_width = p.fetch_width, p.decode_width
+        commit_width, window_size = p.commit_width, p.window_size
+        mispredict_penalty, btb_penalty = p.mispredict_penalty, p.btb_penalty
+        cap = self.dla.boq_capacity
+        stream = self.lt_stream
+        get = stream.get
+        converted = stream.converted
+        instrs = self.program.instrs
+        # per pc: (kind, registers read, destination, latency, whether value
+        # reuse can make a footnote of its commit).  kind: 0 ALU/MUL, 1 LOAD,
+        # 2 STORE, 4 BR_COND the predictor predicts, 5 a converted BR_COND,
+        # 6 BR_UNCOND/CALL, 7 RET
+        kinds = {"LOAD": 1, "STORE": 2, "BR_COND": 4, "BR_UNCOND": 6,
+                 "CALL": 6, "RET": 7}
+        reuse = self.features.value_reuse
+        table = [(5 if ins.index in converted else kinds.get(ins.opcode, 0),
+                  ins.reads, ins.dst, MUL_LATENCY if ins.opcode == "MUL" else 1,
+                  reuse and ins.dst is not None and ins.opcode != "BR_COND")
+                 for ins in instrs]
+        predictor = [2] * len(instrs)
+        btb = [False] * len(instrs)
+        reg_ready = [0] * uisa.NUM_REGS
+        dispatched = deque([0] * core.fb_cap, maxlen=core.fb_cap)
+        committed = deque([0] * window_size, maxlen=window_size)
+        window: deque[tuple] = deque()      # (rec, kind, emits, D, C)
+        f_at = d_at = k_at = 0
+        f_n = d_n = k_n = 0
+        f_next = 1
+        blocked = 0
+        access = self.mem.access
+        on_miss = self.on_lt_miss
+        lt_commit = self.lt_commit
+        boq = self.boq
+        sif = self.vru.sif
+        i = 0                   # instructions fetched
+        nk = 0                  # instructions committed
+        j = 0                   # conditional branches committed
+        held = False            # instruction i - 1 is fetched, not dispatched
+        done = False            # the stream has no record left
+        stall = 0               # the head commits no earlier (full footnote queue)
+        limit = end[0]
+        never = self.max_cycles + 1
+        batch = stream.batch
+        pos = stream.pos
+        kc = None               # the head's commit cycle, if decided
+        stale = True            # kc must be worked out again
+        while True:
+            if stale:
+                # None while the window is empty or its head waits for a pop
+                kc = None
+                if window:
+                    c_rec, c_kind, c_emits, c_d, c_c = window[0]
+                    kc = k_at + 1 if k_n == commit_width else k_at
+                    if c_d >= kc:
+                        kc = c_d + 1
+                    if c_c > kc:
+                        kc = c_c
+                    if stall > kc:
+                        kc = stall
+                    if c_kind >= 4 and c_kind < 6 and j >= cap:
+                        if freed:
+                            t = freed[0] + 1
+                            if t > kc:
+                                kc = t
+                        else:
+                            kc = None
+                stale = False
+            if not held and not done:
+                # -- fetch, unless the head commits first
+                f = f_next
+                t = dispatched[0]
+                if t > f:
+                    f = t
+                if blocked > f:
+                    f = blocked
+                if f <= limit and (kc is None or f < kc):
+                    if pos < len(batch):
+                        rec = batch[pos]
+                        pos += 1
+                    else:
+                        stream.pos = pos
+                        stream.next = i
+                        rec = get(i)
+                        if rec is None:
+                            done = True
+                            continue
+                        batch = stream.batch
+                        pos = stream.pos
+                    if f != f_at:
+                        f_at = f
+                        f_n = 0
+                    pc = rec[0].index
+                    kind, reads, dst, latency, emits = table[pc]
+                    f_n += 1
+                    stop = f_n == fetch_width
+                    mispredicted = False
+                    if kind >= 4:
+                        redirect = kind == 6
+                        if kind == 4:
+                            taken = rec[3]
+                            c = predictor[pc]
+                            if taken:
+                                predictor[pc] = c + 1 if c < 3 else 3
+                            else:
+                                predictor[pc] = c - 1 if c > 0 else 0
+                            if (c >= 2) != taken:
+                                mispredicted = stop = True
+                            else:
+                                redirect = taken
+                        elif kind == 5:
+                            redirect = rec[3]
+                        else:
+                            stop = True
+                        if redirect:
+                            stop = True
+                            if not btb[pc]:
+                                btb[pc] = True
+                                blocked = f + 1 + btb_penalty
+                    f_next = f + 1 if stop else f
+                    d0 = d_at + 1 if d_n == decode_width else d_at
+                    if f >= d0:
+                        d0 = f + 1
+                    i += 1
+                    held = True
+            if held:
+                # -- dispatch, unless the head commits first
+                w = i - 1 - nk
+                if w < window_size:
+                    d = d0
+                    t = committed[w]    # K of the instruction window_size back
+                    if t > d:
+                        d = t
+                    if d <= limit and (kc is None or d < kc):
+                        if d != d_at:
+                            d_at = d
+                            d_n = 0
+                        d_n += 1
+                        start = d
+                        for r in reads:
+                            t = reg_ready[r]
+                            if t > start:
+                                start = t
+                        if kind == 1 or kind == 2:
+                            before_access(d)
+                            if kind == 1:
+                                res = access(rec[1], "load", LT, start)
+                                complete = start + res[0]
+                                if res[1] != "L1":
+                                    on_miss(rec[1])
+                            else:
+                                access(rec[1], "store", LT, start)
+                                complete = start + 1
+                        else:
+                            complete = start + latency
+                        if dst is not None:
+                            reg_ready[dst] = complete
+                        if mispredicted:
+                            blocked = complete + mispredict_penalty
+                        dispatched.append(d)
+                        if not window:
+                            stale = True
+                        window.append((rec, kind, emits, d, complete))
+                        held = False
+                        continue
+            if kc is not None and kc <= limit:
+                # -- commit the head
+                stale = True
+                branch = c_kind >= 4 and c_kind < 6
+                if branch:
+                    if j >= cap:
+                        freed.popleft()
+                    boq.append(BoqEntry(c_rec[0].index, c_rec[3]))
+                    j += 1
+                elif c_emits:
+                    # the filter as the main thread's commits before kc left it
+                    if pending and pending[0][0] < kc:
+                        hooks_until(kc - 1)
+                    if sif.armed and not lt_commit(c_rec, kc):
+                        stall = kc + 1      # footnote queue full: retry next cycle
+                        continue
+                window.popleft()
+                stall = 0
+                if kc != k_at:
+                    k_at = kc
+                    k_n = 0
+                k_n += 1
+                committed.append(kc)
+                nk += 1
+                if branch:
+                    end[2] = kc
+                    yield kc, c_rec
+                    limit = end[0]
+                continue
+            if end[1]:
+                if not held:
+                    break
+                # fetched by the end, dispatched after it
+                d_at = limit + 1
+                d_n = 0
+                dispatched.append(d_at)
+                if mispredicted:
+                    blocked = d_at
+                held = False
+                continue
+            # no event of the walk comes before ``end[2]``: before a pop
+            # that has not come, the walk's events are its fetch or dispatch
+            nxt = kc if kc is not None else limit + 1 if window else never
+            if held:
+                w = i - 1 - nk
+                if w < window_size:
+                    t = committed[w]
+                    if d0 > t:
+                        t = d0
+                    if t < nxt:
+                        nxt = t
+            elif not done and f < nxt:
+                nxt = f
+            end[2] = nxt
+            yield None
+            limit = end[0]
+            stale = True        # a pop may have come
+        stream.pos = pos
+        stream.next = i
+        core.committed = nk
+
     def _prefetch_cycles(self, c: int, last: int) -> None:
         """The cycle loop's end-of-cycle memory work in cycles ``c`` to
         ``last`` while prefetches wait, for a walk that makes no access in
         them after cycle ``c``'s: issue as ``_issue_prefetches`` does, then
         the periodic drain.  Once the MSHRs are full, nothing changes until
-        a fill comes due, so the cycles before that are skipped."""
+        a fill comes due, so the cycles before that are skipped.  A fill of
+        no latency is due in its own cycle: the next cycle issues again if
+        its drain retired the fill, or its issue's drain does."""
         queue = self.pf_queue
+        mem = self.mem
         while c <= last:
             self._issue_prefetches(c)
             if c % DRAIN_PERIOD == 0:
-                self.mem.drain(c)
+                mem.drain(c)
             if not queue:
                 return
-            c = self.mem.earliest_ready()
+            if len(mem.in_flight) < mem.cfg.mshr:
+                c += 1
+            else:
+                ready = mem.earliest_ready()
+                c = ready if ready > c else c + 1
 
     def _boq_occupancy(self, pushes: deque[int], pops: deque[int],
                        until: int, occ: int, swept: int) -> tuple[int, int]:

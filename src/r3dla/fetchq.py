@@ -139,8 +139,13 @@ class QueueModel:
 
     @classmethod
     def solve(cls, demand: Distribution, supply: Distribution,
-              capacity: int) -> "QueueModel":
-        p = build_transition(convolve(demand, supply), capacity)
+              capacity: int, change: Distribution | None = None) -> "QueueModel":
+        """The queue of ``capacity`` under ``demand`` and ``supply``;
+        ``change``, if given, is ``convolve(demand, supply)``, computed once
+        by a caller that solves several capacities."""
+        if change is None:
+            change = convolve(demand, supply)
+        p = build_transition(change, capacity)
         return cls(demand=demand, transition=p, q_ss=steady_state(p))
 
     def bubbles(self) -> float:
@@ -165,8 +170,11 @@ def harvest_distributions(report: dict) -> tuple[Distribution, Distribution]:
 
 def capacity_sweep(demand: Distribution, supply: Distribution,
                    capacities) -> list[tuple[int, float, np.ndarray]]:
+    """One row (capacity, bubbles per cycle, steady state) per capacity; the
+    per-cycle change is convolved once for them all."""
+    change = convolve(demand, supply)
     out = []
     for n in capacities:
-        m = QueueModel.solve(demand, supply, n)
+        m = QueueModel.solve(demand, supply, n, change)
         out.append((n, m.bubbles(), m.q_ss))
     return out

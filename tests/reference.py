@@ -131,12 +131,19 @@ def log_commits(eng):
 
 class _CorruptingPredictions(dict):
     """``Engine.predictions`` whose stores flip the predicted value's low bit
-    at ``rate``, with one draw of ``rng`` per stored prediction."""
+    at ``rate``, with one draw of ``rng`` per stored prediction.  A run that
+    a walk hands back to the cycle loop starts over on this dict cleared, so
+    ``clear`` restarts the draws too."""
 
     def __init__(self, rate, seed):
         super().__init__()
         self.rate = rate
+        self.seed = seed
         self.rng = random.Random(seed)
+
+    def clear(self):
+        super().clear()
+        self.rng = random.Random(self.seed)
 
     def __setitem__(self, idx, pred):
         pc, dst, value = pred

@@ -411,8 +411,8 @@ def engine_factory(prog, baseline=False, skel=None, corrupt=None,
     builds its skeleton once if not given.  ``corrupt`` is (rate, seed) of
     injected value-prediction faults.
     ``cycle_loop`` makes a run's walk in program order (a baseline run's,
-    or a DLA run's whose look-ahead thread touches no memory) hand the run
-    back at once, so that the cycle loop runs it."""
+    or a DLA run's with recycling off) hand the run back at once, so that
+    the cycle loop runs it."""
     if not baseline and skel is None:
         skel = skeleton.build(prog, cache_config=kw.get("cache_config"))
 
@@ -471,16 +471,19 @@ def lt_stuck_on_stale_memory():
     """)
 
 
-# each config reaches one wake-up or credit path; ``reached`` checks it did
+# each config reaches one wake-up or credit path; ``reached`` checks it did.
+# A run that the walk in program order would take is forced to the loop.
 SKIP_CASES = {
     "chase-baseline": (     # the cycle loop, which the walk in order skips
         lambda: engine_factory(chase(), baseline=True, cycle_loop=True),
         lambda d: d["fetch_bubbles"] > 0),
     "chase-dla-t1-reuse": (
-        lambda: engine_factory(chase(), features=Features(t1=True, value_reuse=True)),
+        lambda: engine_factory(chase(), features=Features(t1=True, value_reuse=True),
+                               cycle_loop=True),
         lambda d: d["boq_empty_stalls"] > 0 and d["vreuse"]["confirmed"] > 0),
     "chase-full-skeleton": (   # the LT commits bursts wider than its width
-        lambda: engine_factory(chase(), skel=full_skeleton(chase())),
+        lambda: engine_factory(chase(), skel=full_skeleton(chase()),
+                               cycle_loop=True),
         lambda d: d["boq_empty_stalls"] > 0),
     "stride-mshr4": (   # queued prefetches wait for an MSHR to free
         lambda: engine_factory(uisa.gen_strided_loop(stride=64, iters=2000),
@@ -513,7 +516,8 @@ SKIP_CASES = {
                                dla=DlaParams(boq_capacity=8), cycle_loop=True),
         lambda d: d["boq_occupancy"][8] > 0),
     "chase-no-fetch-buffer": (
-        lambda: engine_factory(chase(), features=Features(fetch_buffer=False)),
+        lambda: engine_factory(chase(), features=Features(fetch_buffer=False),
+                               cycle_loop=True),
         lambda d: len(d["fb_occupancy"]) == CoreParams().decode_width + 1),
     "chase-reuse-replays": (
         lambda: engine_factory(chase(), version=2,
@@ -691,6 +695,23 @@ def random_dla_walk(seed):
                           version=rng.randrange(6), **kw)
 
 
+def random_lt_memory_walk(seed):
+    """A small DLA run whose look-ahead thread keeps its skeleton's LOADs
+    and STOREs: a ``random_run`` (one MSHR included) with a random BOQ
+    capacity (1-64), footnote queue capacity (1-32), T1, value reuse,
+    fetch buffer feature, reboot time and version."""
+    rng = random.Random(seed)
+    prog, kw = random_run(rng)
+    skel = skeleton.build(prog, cache_config=kw["cache_config"])
+    features = Features(t1=rng.random() < 0.5, value_reuse=rng.random() < 0.5,
+                        fetch_buffer=rng.random() < 0.8)
+    dla = DlaParams(boq_capacity=rng.randrange(1, 65),
+                    fq_capacity=rng.randrange(1, 33),
+                    reboot_cycles=rng.randrange(80))
+    return engine_factory(prog, skel=skel, features=features, dla=dla,
+                          version=rng.randrange(6), **kw)
+
+
 # perfbench's baseline configs at seed 1
 PERFBENCH_BASELINES = {
     "chase": lambda: uisa.gen_pointer_chase(length=1000, payload=1, filler=24,
@@ -745,6 +766,14 @@ def test_walk_in_order_starts_over_where_the_cycle_loop_decides(case):
     assert walked == run_outcome(make, walk=False)[0]
 
 
+def identity_factory(name, **kw):
+    """A DLA run of identity program ``name`` with its features, or with
+    the keywords given instead."""
+    prog, feats = identity_programs()[name]
+    kw.setdefault("features", feats)
+    return engine_factory(prog, **kw)
+
+
 def strided_loop_entered_at_its_test():
     """An outer loop around a strided inner loop that is entered by a jump
     to its test, so T1 first sees the load after the inner loop's first
@@ -773,8 +802,9 @@ def strided_loop_entered_at_its_test():
     """)
 
 
-# DLA runs whose look-ahead threads touch no memory: perfbench's stride and
-# branchy configs at seed 1, and one where T1's order against a commit counts
+# DLA runs that walk: perfbench's stride and branchy configs at seed 1, whose
+# look-ahead threads touch no memory, one where T1's order against a commit
+# counts, and the chase identity configs, whose look-ahead thread loads
 DLA_WALKS = {
     "stride": lambda: engine_factory(PERFBENCH_BASELINES["stride"](),
                                      features=Features(t1=True)),
@@ -783,6 +813,11 @@ DLA_WALKS = {
     "t1-after-same-cycle-commits": lambda: engine_factory(
         strided_loop_entered_at_its_test(),
         cache_config=CacheConfig(dram_latency=30), features=Features(t1=True)),
+    **{f"chase-{name}": (lambda kw=kw: identity_factory("chase", **kw))
+       for name, kw in (("t1-reuse", {}),
+                        ("no-fetch-buffer", {"features": Features(
+                            t1=True, value_reuse=True, fetch_buffer=False)}),
+                        ("mshr4", {"cache_config": CacheConfig(mshr=4)}))},
 }
 
 
@@ -810,6 +845,28 @@ def test_dla_walk_matches_the_cycle_loop_on_random_runs():
             seen["boq_empty_stalls"] += d["boq_empty_stalls"] > 0
             seen["fq_drops"] += d["fq_drops"] > 0
     assert 0 < started_over < 100
+    assert all(seen.values()), seen
+
+
+def test_dla_walk_with_lt_memory_matches_the_cycle_loop_on_random_runs():
+    """The look-ahead thread's loads and stores meet the main thread's in
+    the cache, its misses and values go down as footnotes, and both reach
+    ``MemorySystem`` in the cycle loop's order."""
+    started_over = 0
+    seen = dict.fromkeys(("prefetch_footnotes", "reuse_footnotes",
+                          "fq_drops", "prefetch_issued"), 0)
+    for seed in range(300):
+        make = random_lt_memory_walk(seed)
+        walked, looped = run_outcome(make)
+        started_over += looped
+        assert walked == run_outcome(make, walk=False)[0], seed
+        if not looped:
+            d = walked[0]
+            seen["prefetch_footnotes"] += d["footnotes"]["prefetch"] > 0
+            seen["reuse_footnotes"] += d["footnotes"]["reuse"] > 0
+            seen["fq_drops"] += d["fq_drops"] > 0
+            seen["prefetch_issued"] += d["mem"]["prefetch_issued"] > 0
+    assert 0 < started_over < 60
     assert all(seen.values()), seen
 
 
@@ -882,6 +939,11 @@ DLA_START_OVER_CASES = {
         lambda: engine_factory(negative_load(), skel=memory_free(
             negative_load(), full_skeleton(negative_load()))),
         lambda out: out[0].endswith("seq 22: load from negative address -16")),
+    "value-replay": (   # chase/dla/corrupt: a wrong prediction replays
+        lambda: identity_factory("chase", version=2,
+                                 features=Features(value_reuse=True),
+                                 corrupt=(0.05, 7)),
+        lambda out: out[0]["vreuse"]["mispredicted"] > 0),
 }
 
 
@@ -1245,6 +1307,10 @@ LIFETIME_CASES = {
     "dla-walk": {"workload": {"kind": "strided_loop",
                               "params": {"stride": 8, "iters": 500}},
                  "engine": "dla", "features": {"t1": True}},
+    "dla-walk-lt-memory": {
+        "workload": {"kind": "pointer_chase",
+                     "params": {"length": 100, "payload": 1, "filler": 8}},
+        "engine": "dla", "features": {"t1": True, "value_reuse": True}},
     "dla-t1-reuse-recycle": {
         "workload": {"kind": "mixed_phases",
                      "params": {"outer": 1, "phase_iters": 300}},
@@ -1438,8 +1504,11 @@ def test_run_stats_identical_to_recorded_digests():
 # ceiling was tightened, and the stride DLA one added, when a DLA run whose
 # look-ahead thread touches no memory became two walks in program order:
 # the counts went from 11.49 (branchy) and 6.99 (stride) to 2.01 and 3.35.
+# The chase DLA ceiling was tightened when a DLA run whose look-ahead thread
+# loads and stores became two walks that run their shared events in the
+# cycle loop's order: the count went from 6.91 to 2.86.
 CALLS_PER_INSTRUCTION_CEILING = {("phases", "dla"): 8.6, ("branchy", "dla"): 2.08,
-                                 ("chase", "dla"): 7.1, ("stride", "dla"): 3.46,
+                                 ("chase", "dla"): 2.96, ("stride", "dla"): 3.46,
                                  ("phases", "base"): 0.96, ("branchy", "base"): 0.68}
 
 

@@ -215,6 +215,29 @@ def test_bubbles_partial_shortfall():
     assert fetchq.expected_bubbles(q, dist({3: 1.0})) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("seed", sorted(BRANCHY_PAIRS))
+def test_capacity_sweep_rows_equal_one_solve_per_capacity(seed, monkeypatch):
+    """The sweep convolves once, yet each row is bit for bit what a solve of
+    that capacity alone gives, and the sweep still makes one solve call per
+    capacity (perfbench counts them)."""
+    demand, supply = (Distribution.from_counts(h) for h in BRANCHY_PAIRS[seed])
+    convolved = []
+    convolve = fetchq.convolve
+    monkeypatch.setattr(fetchq, "convolve",
+                        lambda *a: convolved.append(1) or convolve(*a))
+    solve = fetchq.QueueModel.__dict__["solve"].__func__
+    solved = []
+    monkeypatch.setattr(fetchq.QueueModel, "solve", classmethod(
+        lambda cls, *a: solved.append(a[2]) or solve(cls, *a)))
+    rows = fetchq.capacity_sweep(demand, supply, range(4, 65))
+    assert (len(convolved), solved) == (1, list(range(4, 65)))
+    monkeypatch.undo()
+    for n, bubbles, q in rows:
+        m = fetchq.QueueModel.solve(demand, supply, n)
+        assert bubbles == m.bubbles()
+        assert q.tobytes() == m.q_ss.tobytes()
+
+
 def test_capacity_sweep_monotone():
     d = dist({0: .2, 2: .4, 4: .4})
     s = dist({1: .3, 3: .3, 4: .4})
