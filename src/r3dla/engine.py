@@ -54,30 +54,48 @@ bubbles, counted per cycle by the loop, come from the fetch and dispatch
 groups and the D and K cycles, and the walk keeps nothing per instruction
 beyond the pipeline's depth.
 
-A DLA run walks too when its skeleton version's bits hold no LOAD or
-STORE and recycling is off (``Engine._walkable``).  Its look-ahead thread
-(LT) then touches no memory: the cache belongs to the main thread (MT) and
-T1, no prefetch footnote can be made, and no version swap happens, so the
-two cores share only the BOQ.  The run is two walks in program order that
-meet there:
+A DLA run walks too when recycling is off (``Engine._walkable``): no
+version swap happens, and the run is two walks in program order, one per
+core.  The main thread's (MT) walk is the baseline walk with the same
+rules, except that a conditional branch is predicted by its BOQ entry, not
+by the 2-bit counters.  MT branch b is fetched no earlier than P_b, the
+cycle in which look-ahead (LT) branch b commits and is pushed (the LT
+ticks first in a cycle), and each cycle from F'_b, the fetch cycle the
+rules above give it, to P_b finds the BOQ empty: max(0, P_b - F'_b) goes
+to ``boq_empty_stalls``.  LT branch j commits no earlier than one cycle
+after the MT pops branch j - ``boq_capacity`` (a full BOQ holds the LT's
+commit).  The commit hooks (loop tracking, and with it T1's ``loop_end``
+and value reuse's training) run for every commit with K <= D before a T1
+observe at D, and T1's prefetches issue at the end of each cycle, as
+``_issue_prefetches`` does, before any later access.  The LT walk runs
+ahead only as far as the MT asks, and at the end up to the run's last
+cycle, for ``lt_committed`` and ``lt_walked``.  How the walks meet depends
+on whether the LT's skeleton version holds a LOAD or STORE:
 
-- The MT walk is the baseline walk with the same rules, except that a
-  conditional branch is predicted by its BOQ entry, not by the 2-bit
-  counters.  MT branch b is fetched no earlier than P_b, the cycle in which
-  LT branch b commits and is pushed (the LT ticks first in a cycle), and
-  each cycle from F'_b, the fetch cycle the rules above give it, to P_b
-  finds the BOQ empty: max(0, P_b - F'_b) goes to ``boq_empty_stalls``.
-  The commit hooks (loop tracking, and with it T1's ``loop_end`` and value
-  reuse's training) run for every commit with K <= D before a T1 observe
-  at D, and T1's prefetches issue at the end of each cycle, as
-  ``_issue_prefetches`` does, before any later access.
-- The LT walk (``Engine._lookahead_walk``) is a generator over the
-  ``LookaheadStream`` with the same rules, except that a converted branch
-  never mispredicts and nothing touches memory.  LT branch j commits no
-  earlier than one cycle after the MT pops branch j - ``boq_capacity``
-  (a full BOQ holds the LT's commit).  It runs ahead only as far as the MT
-  asks, and at the end up to the run's last cycle, for ``lt_committed``
-  and ``lt_walked``.
+- If it holds none, the LT touches no memory: the cache belongs to the MT
+  and T1, and no prefetch footnote can be made, so the two walks share
+  only the BOQ.  The LT walk (``Engine._lookahead_walk``) finishes each
+  instruction before the next, and gives the MT the next push when the MT
+  fetches its next branch.
+- If it holds one, the LT's loads and stores share the cache and the MSHRs
+  with the MT's, its L1 misses go down as prefetch footnotes, and while
+  value reuse's filter is armed its values go down as reuse footnotes; the
+  MT's pops release them into the prefetch queue and the predictions.
+  Every access, prefetch issue and periodic drain must reach
+  ``MemorySystem``, and every push, footnote and pop the engine's queues,
+  in the loop's order: by cycle, then LT commit, LT dispatch, MT commit
+  hooks, MT dispatch, MT fetch, and the end-of-cycle prefetch issue and
+  drain.  The LT walk (``Engine._lookahead_events``) makes its events in
+  that order, committing an instruction only in its cycle; the MT walk
+  resumes it up to each cycle that the MT's next shared event falls in,
+  an event of the LT at cycle t reading only the MT's events before t.
+  The MT's fetch runs ahead of its dispatch where it must: before a LOAD
+  or STORE accesses the cache at D, every branch fetched before D is
+  popped (its pop moves the LT and the prefetch queue, and no fetch cycle
+  depends on an access made at or after it).  The MT's commit hooks wait
+  in a queue, and the LT runs those before its commit's cycle, where it
+  reads the filter.  Value reuse's dispatch step (confirm, skip,
+  scoreboard) runs as in ``on_mt_dispatch``.
 
 ``boq_occupancy`` comes from the push and pop cycles, and the depth law is
 checked at each of them (``Engine._boq_occupancy``).
@@ -86,15 +104,16 @@ Where the loop would decide the outcome, a walk hands the run back: a
 cycle past ``max_cycles``, a gap from one commit, or from the start, to
 the next commit or to H past the watchdog, or a fault in the main stream;
 in a DLA run also a BOQ entry that does not match (a reboot), an LT walk
-that ends before the MT's next branch (a guard reboot), and value reuse's
+that ends before the MT's next branch (a guard reboot), a value-reuse
+mispredict (a replay), and, when the LT touches no memory, value reuse's
 slow-instruction filter arming (reuse footnotes).  ``_hand_back`` then
 rebuilds the run's state as ``__init__`` did, and ``run`` runs the cycle
 loop, which gives the partial result, the error message with its cycle,
-or the run with its reboots.  The cycle loop stays for DLA runs whose LT
-touches memory, for the idealized modes, and as the walks' oracle:
-``test_walk_in_order_matches_the_cycle_loop`` and
-``test_dla_walk_matches_the_cycle_loop`` force the loop and compare the
-results.
+or the run with its reboots or replays.  The cycle loop stays for
+recycling DLA runs, for the idealized modes, and as the walks' oracle:
+``test_walk_in_order_matches_the_cycle_loop`` and the
+``test_dla_walk_matches_the_cycle_loop`` tests force the loop and compare
+the results.
 
 In the cycles that do run, an idle unit or stage costs one test.  Value
 reuse acts at main-thread dispatch only on a pending prediction or a set
@@ -1261,7 +1280,10 @@ class Engine:
 
     def _walkable(self) -> bool:
         """Whether ``_walk_in_order`` can run this run: a baseline run, or a
-        DLA run that never changes version (recycle off)."""
+        DLA run that never changes version (recycle off), whatever its
+        skeleton version holds.  A look-ahead thread that loads or stores
+        makes its events in the cycle loop's order (``_lookahead_events``);
+        a run hands back where the loop must decide (a reboot, a replay)."""
         return not self.dla_on or self.features.recycle == "off"
 
     def _walk_in_order(self) -> RunStats | None:
@@ -1270,14 +1292,16 @@ class Engine:
         Each main-thread instruction's fetch (F), dispatch (D), complete (C)
         and commit (K) cycles follow from earlier instructions' cycles, as
         the module docstring sets out; in a DLA run a conditional branch
-        also waits for its BOQ entry, which ``_lookahead_walk`` gives.
+        also waits for its BOQ entry, which ``_lookahead_walk`` gives, or
+        ``_lookahead_events`` when the look-ahead thread loads or stores.
         Returns the ``RunStats`` the cycle loop would, or None where the
         loop must decide, after ``_hand_back`` has rebuilt the run's state:
         a cycle past ``max_cycles``, a gap between commits (or to the halt)
         past the watchdog, a fault in the main stream and, in a DLA run, a
         BOQ entry that does not match, a look-ahead walk that ends (or
-        passes ``max_cycles``) before the main thread's next branch, or
-        value reuse's slow-instruction filter arming.
+        passes ``max_cycles``) before the main thread's next branch, a
+        value-reuse mispredict, or, when the look-ahead thread touches no
+        memory, value reuse's slow-instruction filter arming.
         """
         core = self.mt
         p = core.p
