@@ -1384,24 +1384,24 @@ class Engine:
             if d > drained_to + DRAIN_PERIOD:
                 drained_to = (d - 1) // DRAIN_PERIOD * DRAIN_PERIOD
                 drain(drained_to)
-        sync = False
+        lt_mem = False          # the look-ahead thread loads or stores
         if dla:
             pushes: deque[int] = deque()
             pops: deque[int] = deque()
             boq = (0, 1)        # the BOQ's depth, and the first cycle not counted
             freed: deque[int] = deque()     # pops the look-ahead walk awaits
             # the look-ahead walk's horizon, whether the run has ended, and
-            # the cycle before which it has no event (sync)
+            # (``lt_mem``) the cycle before which it has no event
             lt_end = [max_cycles, False, 0]
             bits = self.skel.versions[self.version].bits
-            sync = any(ins.is_mem and ins.index in bits for ins in instrs)
+            lt_mem = any(ins.is_mem and ins.index in bits for ins in instrs)
             starved = 0
             on_commit = self.on_mt_commit
             on_load = self.on_mt_load
             sif = self.vru.sif
             # T1 reads the loop state at dispatch, and a look-ahead commit
             # reads value reuse's filter
-            defer = bool(t1_pcs) or (sync and reuse)
+            defer = bool(t1_pcs) or (lt_mem and reuse)
             pending: deque[tuple] = deque()     # (K, hook, rec, D, C)
 
             def hooks_until(now: int) -> bool:
@@ -1414,10 +1414,10 @@ class Engine:
                         on_commit(core, rec, d, c, k)
                     elif self.training:
                         on_commit(core, rec, d, c, k)
-                        if sif.armed and not sync:
+                        if sif.armed and not lt_mem:
                             return False
                 return True
-            if sync:
+            if lt_mem:
                 lt = self._lookahead_events(freed, lt_end, pending,
                                             hooks_until, before_access)
                 lt_buf: deque[tuple] = deque()  # pushes the MT has not fetched
@@ -1435,7 +1435,7 @@ class Engine:
             else:
                 lt = self._lookahead_walk(freed, lt_end)
             next_lt = lt.__next__
-        # sync: the instructions fetched before an earlier LOAD's or STORE's
+        # lt_mem: the instructions fetched before an earlier LOAD's or STORE's
         # access, as (f, rec, kind, reads, dst, latency, hook), and that
         # access's instruction while it waits for them, dispatched at
         # ``lim``.  ``alt`` is set while either holds something; then
@@ -1445,7 +1445,7 @@ class Engine:
         wait = None
         lim = 0
         alt = False
-        reuse_dispatch = sync and reuse
+        reuse_dispatch = lt_mem and reuse
         i = 0
         end = stream.end
         while True:
@@ -1518,7 +1518,7 @@ class Engine:
                 if kind == 5:
                     # fetched once the look-ahead thread has pushed its
                     # outcome; each cycle before that the BOQ is found empty
-                    if sync:
+                    if lt_mem:
                         if not lt_buf:
                             lt_end[0] = max_cycles
                             ev = next_lt()
@@ -1537,7 +1537,7 @@ class Engine:
                     if t > f:
                         starved += t - f
                         f = t
-                    if sync:
+                    if lt_mem:
                         # the pop, after the look-ahead thread's events
                         # of its cycle: the entry's footnotes go to the
                         # prefetch queue and the predictions
@@ -1626,8 +1626,8 @@ class Engine:
                     d_at = d
                     d_n = 0
                 d_n += 1
-                if (sync and 0 < kind < 4 and (ahead or to_ctrl[ins.index]
-                                               <= (d - f_next) * fetch_width)):
+                if lt_mem and 0 < kind < 4 and (
+                        ahead or to_ctrl[ins.index] <= (d - f_next) * fetch_width):
                     # every fetch before D comes first (a pop there moves the
                     # look-ahead thread and the prefetch queue), if one of
                     # them can be a branch
@@ -1641,7 +1641,7 @@ class Engine:
                 if t > start:
                     start = t
             if 0 < kind < 4:
-                if sync and d >= lt_end[2]:
+                if lt_mem and d >= lt_end[2]:
                     # the look-ahead thread's events through D come first
                     lt_end[0] = d
                     ev = next_lt()
@@ -1649,7 +1649,7 @@ class Engine:
                         lt_buf.append(ev)
                         ev = next_lt()
                 # the end-of-cycle prefetch issues, then periodic drains,
-                # below D run before its access
+                # below D run before its access (``before_access``, inline)
                 if pf_queue and issue_from < d:
                     self._prefetch_cycles(issue_from, d - 1)
                     issue_from = d
@@ -1719,7 +1719,7 @@ class Engine:
         stream.next = i
         if dla:
             lt_end[0] = cycles
-            if sync:
+            if lt_mem:
                 # the look-ahead thread's events up to the end come before
                 # the main thread's last hooks and prefetch issues
                 lt_end[1] = True
@@ -1729,7 +1729,7 @@ class Engine:
                 return self._hand_back()
             if pf_queue:
                 self._prefetch_cycles(issue_from, cycles)
-            if not sync:
+            if not lt_mem:
                 # the look-ahead thread's pushes, fetches and commits up to
                 # the end
                 pushes.extend(t for t, _ in lt if t <= cycles)
@@ -1901,29 +1901,32 @@ class Engine:
     def _lookahead_events(self, freed: deque[int], end: list, pending: deque,
                           hooks_until, before_access):
         """The look-ahead thread of a DLA walk whose skeleton version loads
-        or stores: ``_lookahead_walk``'s rules, made in the cycle loop's
-        order, since the thread now shares the cache, the BOQ and the
-        footnote queue with the main thread.
+        or stores: ``_lookahead_walk``'s rules, with its events made in the
+        cycle loop's order, since the thread now shares the cache, the BOQ
+        and the footnote queue with the main thread.
 
         It yields ``(P, rec)`` as branch ``rec`` commits and pushes its
         outcome at cycle P, and None once it has made every event up to
-        cycle ``end[0]``.  Each time it is resumed, the main thread has made
-        all of its own events before cycle ``end[0]``: its BOQ pops (whose
-        cycles ``freed`` holds from that of branch j - ``boq_capacity`` on),
-        its accesses and its commit hooks, of which ``pending`` holds those
-        not yet run and ``hooks_until`` runs them up to a cycle.  So the
-        walk keeps each event in the order of (cycle, stage): an instruction
-        is fetched, dispatched and committed in program order, and the
-        instructions dispatched but not yet committed wait in ``window``; a
-        commit comes before a dispatch, and a dispatch before a fetch, of the
-        same cycle.  A commit waits for the pop that frees its BOQ slot and,
-        while value reuse's filter is armed, for room in the footnote queue
-        (``lt_commit`` says when it is full).  A LOAD or STORE accesses
-        ``MemorySystem`` as ``LT`` at its dispatch, after the end-of-cycle
-        prefetch issues and periodic drains of the cycles before it, which
-        the main thread's ``before_access`` makes, and a load that misses L1
-        gives ``on_lt_miss`` its prefetch footnote.  The BOQ and the footnote queue are the engine's
-        own, so the hooks act on them as in the loop.
+        cycle ``end[0]``, setting ``end[2]`` to a cycle before which it has
+        none.  Each time it is resumed, the main thread has made all of its
+        own events before cycle ``end[0]``: its BOQ pops (whose cycles
+        ``freed`` holds from that of branch j - ``boq_capacity`` on), its
+        accesses, and its commits, whose hooks ``pending`` holds until
+        ``hooks_until`` runs them up to a cycle.
+
+        So the walk makes its events in (cycle, stage) order.  It fetches,
+        dispatches and commits in program order, keeping the instructions
+        dispatched but not committed in ``window``, and of one cycle it
+        commits before it dispatches, and dispatches before it fetches.  A
+        commit waits for the pop that frees its BOQ slot and, while value
+        reuse's filter is armed, for room in the footnote queue (``lt_commit``
+        says when it is full); it runs the main thread's hooks before its
+        cycle first.  A LOAD or STORE accesses ``MemorySystem`` as ``LT`` at
+        its dispatch, after ``before_access`` has made the end-of-cycle
+        prefetch issues and periodic drains of the cycles before it, and a
+        load that misses L1 gives ``on_lt_miss`` its prefetch footnote.  The
+        BOQ and the footnote queue are the engine's own, so these hooks act
+        on them as in the loop.
 
         Once ``end[1]`` is set the walk also fetches, without dispatching
         them, the instructions it fetches by ``end[0]``, and returns with
@@ -1948,7 +1951,7 @@ class Engine:
         reuse = self.features.value_reuse
         table = [(5 if ins.index in converted else kinds.get(ins.opcode, 0),
                   ins.reads, ins.dst, MUL_LATENCY if ins.opcode == "MUL" else 1,
-                  reuse and ins.dst is not None and ins.opcode != "BR_COND")
+                  reuse and ins.dst is not None)
                  for ins in instrs]
         predictor = [2] * len(instrs)
         btb = [False] * len(instrs)

@@ -15,7 +15,12 @@ cycle loop, so that neither path can drift from it alone:
 - compulsory traffic: the caches start cold, so each line the main thread
   touches comes from DRAM at least once, whichever thread or prefetch asks
   for it: ``traffic_lines`` is at least the number of distinct lines of the
-  loads and stores in the main thread's commit log.
+  loads and stores in the main thread's commit log;
+- dependent chain: N loads that each miss to DRAM, each address made by the
+  load before, take at least N * ``cold_latency()`` cycles in a baseline
+  run.  (In a DLA run the look-ahead thread's request makes the main
+  thread's access an L3 hit before the fill is in, which is ROADMAP item
+  3a's defect.)
 
 The MSHR law (Little's law over DRAM fills) and the shared-fill law fail at
 HEAD; they land with the fixes of ROADMAP item 3.
@@ -142,3 +147,16 @@ def test_laws_hold_across_configs(name, dla, loop, widths, window,
     feats = Features(t1=features[0], value_reuse=features[1]) if dla else None
     stats, lines, _ = run(prog, loop, feats, **kw)
     check_laws(stats, lines, p, not dla)
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["walk", "loop"])
+def test_dependent_chain_waits_out_each_fill(loop):
+    """One round of a pointer chase, one node per line, from cold caches:
+    every chase load misses to DRAM at the address the one before loaded."""
+    n = 120
+    cache = CacheConfig()
+    stats, lines, looped = run(uisa.gen_pointer_chase(length=n, seed=5), loop,
+                               cache_config=cache)
+    assert looped == loop
+    assert stats.mem["L3"]["misses"] >= n
+    assert stats.cycles >= n * cache.cold_latency()
